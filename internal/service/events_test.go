@@ -225,6 +225,12 @@ func TestEventsEndToEndSSE(t *testing.T) {
 		strings.NewReader(batch), nil); status != http.StatusOK {
 		t.Fatalf("batch decisions: status %d", status)
 	}
+	// Quiesce sess2 before the stream's tail is read: a full-buffer wait
+	// returns only once its generator parks, so no group.ready of its
+	// refill can land after lastSeq below.
+	if status, _ := keyedJSON(t, "GET", ts.URL+"/v1/sessions/"+sess2.ID+"/groups?limit=2&wait=true", keyA, nil, nil); status != http.StatusOK {
+		t.Fatalf("quiesce sess2: status %d", status)
+	}
 
 	if status, _ := keyedJSON(t, "GET", ts.URL+"/v1/datasets/"+upload.ID+"/golden", keyA, nil, nil); status != http.StatusOK {
 		t.Fatalf("golden export: status %d", status)

@@ -157,7 +157,7 @@ func (cs *columnSession) openWarm(ctx context.Context, s *Service) (*goldrec.War
 // wanted the inverse direction) records nothing rather than teaching
 // the wrong direction. Failures are logged and dropped — the verdict is
 // already durable in the session WAL; the library is advisory. Caller
-// holds cs.mu (sess is live).
+// holds cs.mu with the generator parked (sess is live).
 func (s *Service) recordVerdict(ctx context.Context, cs *columnSession, groupID int, decision goldrec.Decision) {
 	if decision == goldrec.ApprovedBackward {
 		return

@@ -151,6 +151,7 @@ func (s *Service) restoreSession(d *dataset, sm store.SessionMeta) error {
 			return fmt.Errorf("archived state corrupt: %w", err)
 		}
 		cs.archived = st
+		cs.stats = st.Stats
 		cs.compacted = true
 		cs.exhausted = true
 	} else {

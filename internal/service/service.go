@@ -21,10 +21,11 @@
 // RWMutex, id→entry map and TTL janitor — so traffic on distinct
 // datasets or sessions almost never contends on a shared lock, and an
 // eviction sweep of one shard never blocks lookups on another. Each
-// column session serializes access to its goldrec.Session with its own
-// mutex; and a per-dataset RWMutex lets sessions on distinct columns
-// apply concurrently (read side) while golden-record export (write
-// side) sees a quiescent dataset.
+// column session guards its state with its own mutex, which the
+// generator releases while the engine computes the next group (see
+// columnSession); and a per-dataset RWMutex lets sessions on distinct
+// columns apply concurrently (read side) while golden-record export
+// (write side) sees a quiescent dataset.
 //
 // Multi-tenancy: with Options.Tenants set, every request authenticates
 // with an API key and runs inside a Scope — datasets and sessions carry
@@ -473,8 +474,16 @@ type dataset struct {
 }
 
 // columnSession owns the review of one column. All fields below mu are
-// guarded by it; cond is signaled whenever pending, exhausted, closed
-// or sess change.
+// guarded by it; cond is signaled whenever pending, exhausted, closed,
+// busy or sess change.
+//
+// The generator runs the engine (NextGroupCtx) with mu released and
+// busy set, so readers never wait on the engine: group pages, the plan
+// and info read only the fields mu guards (plus ApproveRate and the
+// groups' RemainingSites, which only Decide mutates). Everything else
+// that touches sess waits for busy to clear, and decisions wait further
+// for the generator to park (awaitParkedLocked), which keeps the group
+// sequence — and so the WAL — a function of the decisions alone.
 type columnSession struct {
 	id        string
 	datasetID string
@@ -498,6 +507,13 @@ type columnSession struct {
 	pending   []*goldrec.Group // issued, undecided, oldest first
 	exhausted bool
 	closed    bool
+	// busy means the generator is inside sess.NextGroupCtx with mu
+	// released; sess must not be touched until it clears.
+	busy bool
+	// stats snapshots sess.Stats() after every publish, issue,
+	// exhaustion and decision (or holds the archive's), so info never
+	// reads counters the generator bumps while busy.
+	stats goldrec.SessionStats
 	// stalled means the generator stopped because the store rejected an
 	// issue append; see StatusStalled.
 	stalled bool
@@ -943,6 +959,7 @@ func (cs *columnSession) run(ctx context.Context, s *Service) {
 	}
 	cs.sess = sess
 	cs.pending = restored
+	cs.stats = sess.Stats()
 	cs.bumpLocked()
 	// Phase accounting: the engine accumulates per-phase nanoseconds;
 	// the service observes the deltas each NextGroup produced. The first
@@ -963,13 +980,24 @@ func (cs *columnSession) run(ctx context.Context, s *Service) {
 		if cs.closed {
 			return
 		}
-		// NextGroup runs under cs.mu: it mutates the engine's shared
-		// state, which Decide (Apply path) also touches. The buffer
-		// means the reviewer still mostly hits ready groups.
+		// NextGroup runs with cs.mu released, so a reviewer can read
+		// group 0 while groups 1..prefetch-1 are still being computed.
+		// busy keeps every other engine user out meanwhile; the WAL
+		// append and the publish below happen under cs.mu again, after
+		// the closed check, so closeSession never interleaves with them.
+		cs.busy = true
+		cs.mu.Unlock()
 		g, ok := sess.NextGroupCtx(ctx)
+		cs.mu.Lock()
+		cs.busy = false
+		cs.stats = sess.Stats()
+		cs.cond.Broadcast()
 		now := sess.Timings()
 		s.metrics.observePhases(lastTimings, now)
 		lastTimings = now
+		if cs.closed {
+			return
+		}
 		if !ok {
 			cs.exhausted = true
 			cs.bumpLocked()
@@ -1209,7 +1237,8 @@ func (s *Service) deleteSession(ctx context.Context, owner, id string) error {
 	cs.mu.Lock()
 	// A resuming session must finish its replay first: deleting the WAL
 	// mid-replay would strand applied changes that were never folded.
-	for cs.resume && cs.sess == nil && !cs.closed && cs.archived == nil {
+	// The fold below reads the engine, so it also waits out a NextGroup.
+	for (cs.resume && cs.sess == nil && !cs.closed && cs.archived == nil) || cs.busy {
 		cs.cond.Wait()
 	}
 	if cs.closed {
@@ -1291,13 +1320,11 @@ func (cs *columnSession) info() SessionInfo {
 		Column:    cs.column,
 		Status:    cs.statusLocked(),
 		Pending:   len(cs.pending),
+		Stats:     cs.stats,
 	}
-	switch {
-	case cs.sess != nil:
-		info.Stats = cs.sess.Stats()
+	if cs.sess != nil {
+		// The phase timings are atomics: safe while the generator is busy.
 		info.Timings = cs.sess.Timings()
-	case cs.archived != nil:
-		info.Stats = cs.archived.Stats
 	}
 	return info
 }
@@ -1319,10 +1346,12 @@ func (cs *columnSession) statusLocked() string {
 	}
 }
 
-// pendingGroups returns up to limit undecided groups (0 = all buffered
-// plus whatever more the generator has ready), oldest first. When wait
-// is non-nil, an empty buffer blocks until a group arrives, the stream
-// ends, or wait is canceled.
+// pendingGroups returns up to limit undecided groups (0 = all
+// buffered), oldest first. When wait is non-nil, it blocks until the
+// buffer holds min(limit, prefetch) groups (limit 0 counts as
+// prefetch), the stream ends or stalls, or wait is canceled: a
+// one-at-a-time reviewer gets group 0 the moment it is logged, while a
+// page-everything reviewer still sees a full buffer.
 func (s *Service) pendingGroups(owner, id string, limit int, wait <-chan struct{}) (GroupPage, error) {
 	cs, err := s.lookupSession(owner, id)
 	if err != nil {
@@ -1331,7 +1360,11 @@ func (s *Service) pendingGroups(owner, id string, limit int, wait <-chan struct{
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if wait != nil {
-		for len(cs.pending) == 0 && !cs.exhausted && !cs.stalled && !cs.closed && !chanClosed(wait) {
+		want := s.opts.Prefetch
+		if limit > 0 && limit < want {
+			want = limit
+		}
+		for len(cs.pending) < want && !cs.exhausted && !cs.stalled && !cs.closed && !chanClosed(wait) {
 			cs.waitOrCancel(wait)
 		}
 	}
@@ -1389,6 +1422,22 @@ func (s *Service) waitGroupsPage(owner, id string, limit int, afterRev uint64, w
 		return GroupPage{}, 0, fmt.Errorf("session %s: %w", id, ErrNotFound)
 	}
 	return cs.pageLocked(limit), cs.rev, nil
+}
+
+// awaitParkedLocked blocks until the generator is parked: its buffer
+// is full, or the stream is exhausted, stalled or closed (or the
+// session is not yet published, which the callers reject). A decision
+// admitted only here lands between the same two engine steps as when
+// the generator held cs.mu across the whole prefetch: a reviewer who
+// answers one group at a time sees the lag-prefetch schedule (issue
+// prefetch groups, then decide k / issue k+prefetch) whatever the
+// timing, so the group sequence and the WAL depend on the decisions
+// alone. Caller holds cs.mu.
+func (cs *columnSession) awaitParkedLocked(prefetch int) {
+	for cs.sess != nil && !cs.closed && !cs.exhausted && !cs.stalled &&
+		(cs.busy || len(cs.pending) < prefetch) {
+		cs.cond.Wait()
+	}
 }
 
 // bumpLocked marks an observable state change (pending buffer, status)
@@ -1458,6 +1507,7 @@ func (s *Service) decide(ctx context.Context, owner, id string, groupID int, dec
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	cs.awaitParkedLocked(s.opts.Prefetch)
 	if cs.closed {
 		return DecisionResult{}, fmt.Errorf("session %s: %w", id, ErrNotFound)
 	}
@@ -1510,6 +1560,7 @@ func (s *Service) decide(ctx context.Context, owner, id string, groupID int, dec
 			break
 		}
 	}
+	cs.stats = cs.sess.Stats()
 	// A freed buffer slot lets the generator pull the next group while
 	// the reviewer reads the response.
 	cs.bumpLocked()
@@ -1517,7 +1568,7 @@ func (s *Service) decide(ctx context.Context, owner, id string, groupID int, dec
 		GroupID:  groupID,
 		Decision: decision,
 		Applied:  stats,
-		Stats:    cs.sess.Stats(),
+		Stats:    cs.stats,
 	}
 	// Acknowledged decisions are metered against the session's owner
 	// (the tenant whose review budget is being spent), so an admin
@@ -1588,6 +1639,7 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	cs.awaitParkedLocked(s.opts.Prefetch)
 	if cs.closed {
 		return BatchDecisionsResult{}, fmt.Errorf("session %s: %w", id, ErrNotFound)
 	}
@@ -1650,6 +1702,7 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 		}
 	}
 	cs.pending = kept
+	cs.stats = cs.sess.Stats()
 	// Freed buffer slots let the generator pull more groups, and
 	// long-polling group fetches re-check their predicate.
 	cs.bumpLocked()
@@ -1658,7 +1711,7 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 		Status:      cs.statusLocked(),
 		Pending:     len(cs.pending),
 		ApproveRate: cs.sess.ApproveRate(),
-		Stats:       cs.sess.Stats(),
+		Stats:       cs.stats,
 	}
 	for _, g := range cs.pending {
 		res.RemainingGain += float64(g.RemainingSites()) * res.ApproveRate
@@ -1748,6 +1801,9 @@ func (s *Service) reviewState(owner, id string) (goldrec.ReviewState, error) {
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	for cs.busy {
+		cs.cond.Wait()
+	}
 	if cs.archived != nil {
 		return *cs.archived, nil
 	}

@@ -62,28 +62,38 @@ func newTestServer(t *testing.T, opts Options) (*Service, *httptest.Server) {
 // auth off ignore it.
 func doJSON(t *testing.T, method, url string, body io.Reader, out any) int {
 	t.Helper()
-	req, err := http.NewRequest(method, url, body)
+	status, err := requestJSON(method, url, body, out)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return status
+}
+
+// requestJSON is doJSON reporting failures as an error, for goroutines
+// other than the test's own.
+func requestJSON(method, url string, body io.Reader, out any) (int, error) {
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		return 0, err
 	}
 	if testAuth {
 		req.Header.Set("Authorization", "Bearer "+testAdminKey)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {
-			t.Fatalf("%s %s: decoding %q: %v", method, url, raw, err)
+			return 0, fmt.Errorf("%s %s: decoding %q: %v", method, url, raw, err)
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
 func uploadPaperDataset(t *testing.T, base string) DatasetInfo {

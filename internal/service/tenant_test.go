@@ -574,9 +574,20 @@ func TestTenantOwnershipRecovery(t *testing.T) {
 	if status, _ := keyedJSON(t, "GET", ts2.URL+"/v1/sessions/"+aSess.ID, bKey, nil, nil); status != http.StatusNotFound {
 		t.Errorf("beta sees alpha's recovered session: status %d", status)
 	}
+	// Recovery registers the session at once but publishes it only after
+	// its WAL replay, so poll until it leaves "initializing".
 	var sessInfo SessionInfo
-	if status, _ := keyedJSON(t, "GET", ts2.URL+"/v1/sessions/"+aSess.ID, aKey, nil, &sessInfo); status != http.StatusOK {
-		t.Fatalf("alpha's recovered session: status %d", status)
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		if status, _ := keyedJSON(t, "GET", ts2.URL+"/v1/sessions/"+aSess.ID, aKey, nil, &sessInfo); status != http.StatusOK {
+			t.Fatalf("alpha's recovered session: status %d", status)
+		}
+		if sessInfo.Status != StatusInitializing {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("alpha's recovered session never finished its replay")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if sessInfo.Stats.GroupsSeen == 0 {
 		t.Error("alpha's recovered session lost its decision history")
