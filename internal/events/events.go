@@ -18,10 +18,12 @@
 //     can re-sync from the durable log.
 //   - A fixed-size in-memory ring per tenant serves catch-up reads
 //     (EventsSince) for recent sequence numbers without touching disk.
-//   - The durable log (store.AppendEvents, JSONL, torn-tail-tolerant
-//     replay) serves resume from arbitrary history. Appends are
-//     batched on a background flusher — one write and at most one
-//     fsync per batch — so emission stays off the caller's hot path.
+//   - The durable log (store.AppendLog with kind store.EventLog,
+//     JSONL, torn-tail-tolerant replay) serves resume from arbitrary
+//     history. Appends are batched on a background flusher — one
+//     write and at most one fsync per batch, shared with concurrent
+//     store appends by the store's group committer — so emission stays
+//     off the caller's hot path and never waits on an fsync.
 //     The audit log is observability, not the system of record (the
 //     session WAL is): a failed append is counted and logged, never
 //     surfaced to the request that emitted the event.
@@ -29,7 +31,7 @@
 // The log is snapshot-free and bounded by retention compaction: when a
 // tenant's log exceeds its size cap or its oldest event outlives the
 // retention window, the flusher rewrites the log keeping only the
-// retained tail (store.RewriteEvents, atomic).
+// retained tail (store.RewriteLog, atomic).
 package events
 
 import (
@@ -79,6 +81,13 @@ var ErrSubscriberLimit = errors.New("events: subscriber limit reached")
 // stays bounded.
 const maxFlushBacklog = 8192
 
+// flushDelay is how long the flusher coalesces after a kick before
+// draining queued appends: a burst of emissions lands as one write and
+// one fsync, and the emitter's hot path is never followed by an
+// immediate encode+append wake. Live subscribers are unaffected
+// (fan-out happens in Emit); only durability lags by at most this much.
+const flushDelay = 2 * time.Millisecond
+
 // Event is one audit-log entry. Seq is monotonic per tenant stream and
 // assigned by Emit; everything else is the emitter's statement of what
 // happened.
@@ -124,14 +133,6 @@ type Options struct {
 	// consumer this far behind starts dropping with a gap marker
 	// (0 = 256).
 	SubscriberBuffer int
-	// FlushDelay is how long the flusher coalesces after a kick before
-	// draining queued appends — the group-commit window: a burst of
-	// emissions lands as one write and one fsync, and the emitter's
-	// hot path is never followed by an immediate encode+append wake.
-	// Live subscribers are unaffected (fan-out happens in Emit); only
-	// durability lags by at most this much (0 = 2ms; negative = flush
-	// immediately, for tests that need a tight rendezvous).
-	FlushDelay time.Duration
 	// Metrics receives the bus's instrumentation (nil = none).
 	Metrics *obs.Registry
 	// Logf, when set, receives one line per notable failure.
@@ -205,9 +206,6 @@ func Open(opts Options) (*Log, error) {
 	if opts.SubscriberBuffer <= 0 {
 		opts.SubscriberBuffer = 256
 	}
-	if opts.FlushDelay == 0 {
-		opts.FlushDelay = 2 * time.Millisecond
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
@@ -243,7 +241,7 @@ func Open(opts Options) (*Log, error) {
 	}
 	l.subscribers.Set(0)
 	if l.persistent {
-		tenants, err := l.store.ListEventTenants()
+		tenants, err := l.store.ListLogs(store.EventLog)
 		if err != nil {
 			return nil, fmt.Errorf("events: listing tenants: %w", err)
 		}
@@ -266,7 +264,7 @@ func Open(opts Options) (*Log, error) {
 func (l *Log) recoverStream(st *stream) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return l.store.ReplayEvents(st.tenant, func(line []byte) error {
+	return l.store.ReplayLog(store.EventLog, st.tenant, func(line []byte) error {
 		var e Event
 		if err := json.Unmarshal(line, &e); err != nil {
 			return fmt.Errorf("events: corrupt record: %w", err)
@@ -424,7 +422,7 @@ func (l *Log) EventsSince(tenant string, since uint64, limit int) ([]Event, erro
 	// whose durable append is still queued). The two sources overlap;
 	// sequence numbers dedupe them.
 	var out []Event
-	err := l.store.ReplayEvents(tenant, func(line []byte) error {
+	err := l.store.ReplayLog(store.EventLog, tenant, func(line []byte) error {
 		var e Event
 		if err := json.Unmarshal(line, &e); err != nil {
 			return fmt.Errorf("events: corrupt record: %w", err)
@@ -589,7 +587,7 @@ func (l *Log) DeleteTenant(tenant string) error {
 		st.mu.Unlock()
 	}
 	if l.persistent {
-		return l.store.DeleteEvents(tenant)
+		return l.store.DeleteLog(store.EventLog, tenant)
 	}
 	return nil
 }
@@ -617,15 +615,13 @@ func (l *Log) flusher() {
 			// Coalesce: let the burst that kicked us finish emitting so
 			// the whole batch lands as one write, and keep the wake off
 			// the emitter's heels.
-			if d := l.opts.FlushDelay; d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-l.stop:
-					t.Stop()
-					l.Flush()
-					return
-				case <-t.C:
-				}
+			t := time.NewTimer(flushDelay)
+			select {
+			case <-l.stop:
+				t.Stop()
+				l.Flush()
+				return
+			case <-t.C:
 			}
 			l.Flush()
 		case <-tickC:
@@ -662,7 +658,7 @@ func (l *Log) Flush() {
 				lines = append(lines, line)
 				bytes += int64(len(line)) + 1
 			}
-			if err := l.store.AppendEvents(st.tenant, lines); err != nil {
+			if err := l.store.AppendLog(store.EventLog, st.tenant, lines...); err != nil {
 				l.opts.Logf("events: appending %d event(s) for tenant %q: %v", len(lines), st.tenant, err)
 				l.dropped.Counter("append_failure").Add(int64(len(lines)))
 			} else {
@@ -696,7 +692,7 @@ func (l *Log) maybeCompact(st *stream) {
 		t    time.Time
 	}
 	var recs []rec
-	err := l.store.ReplayEvents(st.tenant, func(line []byte) error {
+	err := l.store.ReplayLog(store.EventLog, st.tenant, func(line []byte) error {
 		var e struct {
 			Seq  uint64    `json:"seq"`
 			Time time.Time `json:"time"`
@@ -738,7 +734,7 @@ func (l *Log) maybeCompact(st *stream) {
 	for i, r := range keep {
 		lines[i] = r.line
 	}
-	size, err := l.store.RewriteEvents(st.tenant, lines)
+	size, err := l.store.RewriteLog(store.EventLog, st.tenant, lines)
 	if err != nil {
 		l.opts.Logf("events: compacting tenant %q log: %v", st.tenant, err)
 		return

@@ -314,7 +314,7 @@ func TestSizeCompaction(t *testing.T) {
 	}
 	// The retained tail must be a contiguous suffix ending at the tip.
 	var seen []uint64
-	err := fs.ReplayEvents("tn_a1", func(line []byte) error {
+	err := fs.ReplayLog(store.EventLog, "tn_a1", func(line []byte) error {
 		var e Event
 		if err := jsonUnmarshal(line, &e); err != nil {
 			return err
@@ -351,7 +351,7 @@ func TestAgeCompaction(t *testing.T) {
 	l.Emit(context.Background(), Event{Type: TypeExportCreated, Tenant: "tn_a1"})
 	l.Flush()
 	var seen []uint64
-	err := fs.ReplayEvents("tn_a1", func(line []byte) error {
+	err := fs.ReplayLog(store.EventLog, "tn_a1", func(line []byte) error {
 		var e Event
 		if err := jsonUnmarshal(line, &e); err != nil {
 			return err

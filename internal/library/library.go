@@ -14,10 +14,10 @@
 // as warm-start priors (core.Options.Warm).
 //
 // Durability mirrors the tenant registry exactly — one opaque snapshot
-// plus an append-only change log per tenant (store.SaveLibrarySnapshot
-// / store.AppendLibraryChange), with convergent whole-state "put"
-// records so replaying a stale log over a newer snapshot reproduces
-// the same state. Programs are keyed by their canonical serialized
+// plus an append-only change log per tenant (store.LibraryLog, via
+// store.PutLogSnapshot / store.AppendLog), with convergent whole-state
+// "put" records so replaying a stale log over a newer snapshot
+// reproduces the same state. Programs are keyed by their canonical serialized
 // form (dsl.EncodeProgram), so the same transformation learned from
 // different uploads lands on one counter.
 package library
@@ -112,7 +112,7 @@ func Open(st store.Store) (*Registry, error) {
 		st = store.Null{}
 	}
 	r := &Registry{store: st, libs: make(map[string]*Library)}
-	tenants, err := st.ListLibraryTenants()
+	tenants, err := st.ListLogs(store.LibraryLog)
 	if err != nil {
 		return nil, fmt.Errorf("library: listing tenants: %w", err)
 	}
@@ -129,7 +129,7 @@ func Open(st store.Store) (*Registry, error) {
 // load rebuilds one tenant's library from its snapshot and change log.
 func load(st store.Store, tenantID string) (*Library, error) {
 	l := &Library{tenantID: tenantID, store: st, programs: make(map[string]*entry)}
-	raw, err := st.LoadLibrarySnapshot(tenantID)
+	raw, err := st.GetLogSnapshot(store.LibraryLog, tenantID)
 	switch {
 	case errors.Is(err, store.ErrNotExist):
 		// No snapshot yet: the change log carries everything.
@@ -144,7 +144,7 @@ func load(st store.Store, tenantID string) (*Library, error) {
 			l.programs[ps.Key] = newEntry(ps)
 		}
 	}
-	err = st.ReplayLibraryChanges(tenantID, func(data []byte) error {
+	err = st.ReplayLog(store.LibraryLog, tenantID, func(data []byte) error {
 		var c change
 		if err := json.Unmarshal(data, &c); err != nil {
 			return fmt.Errorf("library %q: corrupt change record: %w", tenantID, err)
@@ -193,7 +193,7 @@ func (r *Registry) Delete(tenantID string) error {
 	r.mu.Lock()
 	delete(r.libs, tenantID)
 	r.mu.Unlock()
-	return r.store.DeleteLibrary(tenantID)
+	return r.store.DeleteLog(store.LibraryLog, tenantID)
 }
 
 // TotalPrograms returns the number of remembered programs across every
@@ -269,7 +269,7 @@ func (l *Library) logChange(c change) error {
 	if err != nil {
 		return err
 	}
-	if err := l.store.AppendLibraryChange(l.tenantID, data); err != nil {
+	if err := l.store.AppendLog(store.LibraryLog, l.tenantID, data); err != nil {
 		return fmt.Errorf("library %q: logging change: %w", l.tenantID, err)
 	}
 	l.changes++
@@ -292,7 +292,7 @@ func (l *Library) compactLocked() {
 	if err != nil {
 		return
 	}
-	if err := l.store.SaveLibrarySnapshot(l.tenantID, data); err != nil {
+	if err := l.store.PutLogSnapshot(store.LibraryLog, l.tenantID, data); err != nil {
 		return
 	}
 	l.changes = 0

@@ -155,7 +155,7 @@ func TestCompactionConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.LoadLibrarySnapshot("tn_01"); err != nil {
+	if _, err := st.GetLogSnapshot(store.LibraryLog, "tn_01"); err != nil {
 		t.Fatalf("no snapshot after %d changes: %v", 2*(compactEvery+7), err)
 	}
 	want := l.List()
@@ -246,7 +246,7 @@ type failStore struct {
 	fail bool
 }
 
-func (f *failStore) AppendLibraryChange(string, []byte) error {
+func (f *failStore) AppendLog(store.LogKind, string, ...[]byte) error {
 	if f.fail {
 		return errors.New("disk full")
 	}
@@ -287,7 +287,7 @@ func TestSnapshotShutdownHygiene(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Snapshot()
-	if _, err := st.LoadLibrarySnapshot("tn_01"); err != nil {
+	if _, err := st.GetLogSnapshot(store.LibraryLog, "tn_01"); err != nil {
 		t.Fatalf("no snapshot after Snapshot(): %v", err)
 	}
 	// The change log it subsumed is gone; reload still converges.

@@ -1670,7 +1670,7 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 		}
 		recs[i] = store.WALRecord{Op: store.OpDecide, GroupID: req.GroupID, Decision: decisions[i].String()}
 	}
-	if err := s.store.BatchAppendWAL(ctx, cs.datasetID, cs.id, recs); err != nil {
+	if err := s.store.AppendWAL(ctx, cs.datasetID, cs.id, recs...); err != nil {
 		return BatchDecisionsResult{}, fmt.Errorf("%w: logging decisions: %v", ErrStorage, err)
 	}
 	results := make([]DecisionResult, 0, len(reqs))

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,14 +22,14 @@ import (
 
 // FSOptions configure the filesystem backend.
 type FSOptions struct {
-	// NoSync skips the fsync after every WAL append. Appends become
+	// NoSync skips the fsync after every log append. Appends become
 	// OS-buffered: much faster, but a host crash (not just a process
 	// crash) can lose the tail of the log. Process crashes lose nothing
 	// either way. Snapshots and metas are always fsynced — they are
 	// rare, whole-file writes whose loss would cost far more than one
 	// log record.
 	NoSync bool
-	// GroupWindow is the deliberate accumulation delay of the WAL
+	// GroupWindow is the deliberate accumulation delay of the log
 	// group committer: each flush waits up to this long for more
 	// appends to share its fsync. Zero (the default) keeps batching
 	// purely opportunistic — a lone append flushes immediately, and
@@ -38,8 +37,6 @@ type FSOptions struct {
 	// flush is in flight. Ignored under NoSync (there is no fsync to
 	// amortize; appends go straight to the file).
 	GroupWindow time.Duration
-	// MaxBatchBytes caps one flush's buffered payload (default 1MiB).
-	MaxBatchBytes int
 	// Metrics receives durability-path latency histograms (WAL append
 	// write and fsync, group-flush latency and batch size, snapshot
 	// writes, WAL replay). Nil disables instrumentation at zero cost.
@@ -53,8 +50,7 @@ var walBuckets = []float64{0.000025, 0.0001, 0.0004, 0.0016, 0.0064, 0.0256, 0.1
 
 // FS is the filesystem backend. The layout under the root is one
 // directory per dataset holding its meta, versioned snapshots, and one
-// directory per session, plus a tenants directory for the tenant
-// registry:
+// directory per session, plus one directory per keyed-log family:
 //
 //	<root>/datasets/<ds_id>/
 //	    meta.json                 dataset meta (atomic rename)
@@ -73,37 +69,24 @@ var walBuckets = []float64{0.000025, 0.0001, 0.0004, 0.0016, 0.0064, 0.0256, 0.1
 //	    snapshot.json             transformation-library snapshot
 //	    changes.jsonl             append-only library change log, cleared
 //	                              when a snapshot subsumes it
-//	                              (<tenant> is the tenant id; the
-//	                              open-mode library lives under "_open")
+//	<root>/events/<tenant>/
+//	    log.jsonl                 append-only audit/event log, bounded by
+//	                              retention rewrites (no snapshot)
 //
-// Every non-append write lands in a temp file first and is renamed into
-// place, so readers never observe a partial meta or snapshot. WAL
-// appends are O_APPEND single writes followed by fsync (unless NoSync);
-// a crash mid-append leaves at most one torn final line, which replay
-// drops.
+// <tenant> is the tenant id; the open-mode library and event log live
+// under "_open". Every non-append write lands in a temp file first and
+// is renamed into place, so readers never observe a partial meta or
+// snapshot. Every .jsonl file is a durable log (log.go): appends are
+// O_APPEND single writes followed by fsync (unless NoSync), and a crash
+// mid-append leaves at most one torn final line, which replay drops.
 type FS struct {
 	root string
 	opts FSOptions
 
-	mu   sync.Mutex
-	wals map[string]*os.File // open WAL handles, keyed dsID+"/"+csID
-	// tenantMu serializes tenant snapshot/change-log writes; tenant
-	// mutations are admin-rate, so one lock is plenty.
-	tenantMu sync.Mutex
-	// libMu serializes library snapshot/change-log writes per tenant:
-	// library appends land on every reviewer decision, so tenants must
-	// not contend with each other the way they would under one lock.
-	libMu map[string]*sync.Mutex
-	// evMu serializes event-log appends/compactions per tenant, for the
-	// same reason as libMu.
-	evMu map[string]*sync.Mutex
-	// evFiles caches open event-log handles per tenant, like wals for
-	// session WALs: the events flusher appends for the life of the
-	// process, and an open/repair/close cycle per batch would cost more
-	// than the append itself. Rewrites and deletes invalidate the
-	// cached handle (the rename leaves it pointing at an unlinked
-	// inode).
-	evFiles map[string]*os.File
+	mu sync.Mutex
+	// logs is the handle cache of every durable log, keyed by path
+	// relative to the root (nil once closed).
+	logs map[string]*logFile
 	// dsMu serializes snapshot read-modify-write cycles per dataset:
 	// without it, two sessions compacting concurrently would both write
 	// the same next snapshot version and one session's fold would be
@@ -114,8 +97,8 @@ type FS struct {
 	// have nothing to amortize and skip the rendezvous entirely).
 	gc        *groupCommitter
 	closeOnce sync.Once
-	// syncHook, when set, replaces f.Sync() on the committer's flush
-	// path; crash tests inject fsync failures through it.
+	// syncHook, when set, replaces f.Sync() on the append path; crash
+	// tests inject fsync failures through it.
 	syncHook func(*os.File) error
 
 	// Durability-path histograms (nil handles no-op when FSOptions.Metrics
@@ -157,15 +140,15 @@ func OpenFS(dir string, opts FSOptions) (*FS, error) {
 	s := &FS{
 		root: dir,
 		opts: opts,
-		wals: make(map[string]*os.File),
+		logs: make(map[string]*logFile),
 		walAppend: m.NewHistogram("goldrec_store_wal_append_seconds",
-			"WAL record write latency (the write syscall, excluding fsync).", walBuckets).Histogram(),
+			"Durable-log append write latency, every log (the write syscall, excluding fsync).", walBuckets).Histogram(),
 		walFsync: m.NewHistogram("goldrec_store_wal_fsync_seconds",
-			"WAL fsync latency (absent under -store-nosync).", walBuckets).Histogram(),
+			"Durable-log fsync latency, every log (absent under -store-nosync).", walBuckets).Histogram(),
 		walGroupFlush: m.NewHistogram("goldrec_store_wal_group_flush_seconds",
-			"Group-commit flush latency (write + fsync for every WAL file in the batch).", walBuckets).Histogram(),
+			"Group-commit flush latency (write + fsync for every log file in the batch).", walBuckets).Histogram(),
 		walGroupRecords: m.NewHistogram("goldrec_store_wal_group_records",
-			"WAL records made durable per group-commit flush (1 = no coalescing).", walGroupRecordBuckets).Histogram(),
+			"Log records made durable per group-commit flush (1 = no coalescing).", walGroupRecordBuckets).Histogram(),
 		snapWrite: m.NewHistogram("goldrec_store_snapshot_write_seconds",
 			"Dataset snapshot write latency (marshal excluded, fsync+rename included).", nil).Histogram(),
 		walReplay: m.NewHistogram("goldrec_store_wal_replay_seconds",
@@ -211,7 +194,7 @@ func (s *FS) sessionDir(dsID, csID string) string {
 }
 
 // writeFileAtomic writes data to path via a temp file + rename, always
-// fsyncing the file and its directory (NoSync covers WAL appends only).
+// fsyncing the file and its directory (NoSync covers log appends only).
 func (s *FS) writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
@@ -448,15 +431,18 @@ func (s *FS) DeleteDataset(id string) error {
 	lock.Lock()
 	defer lock.Unlock()
 	s.mu.Lock()
-	prefix := id + "/"
-	for key, f := range s.wals {
+	prefix := "datasets/" + id + "/"
+	var keys []string
+	for key := range s.logs {
 		if strings.HasPrefix(key, prefix) {
-			f.Close()
-			delete(s.wals, key)
+			keys = append(keys, key)
 		}
 	}
 	delete(s.dsMu, id)
 	s.mu.Unlock()
+	for _, key := range keys {
+		s.replaceLog(key, nil)
+	}
 	return os.RemoveAll(s.datasetDir(id))
 }
 
@@ -560,76 +546,16 @@ func (s *FS) DeleteSession(datasetID, sessionID string) error {
 	if err := checkID(sessionID); err != nil {
 		return err
 	}
-	s.closeWAL(datasetID, sessionID)
-	return os.RemoveAll(s.sessionDir(datasetID, sessionID))
+	return s.replaceLog(walKey(datasetID, sessionID), func(string) error {
+		return os.RemoveAll(s.sessionDir(datasetID, sessionID))
+	})
 }
 
-// walFile returns the cached open handle for a session's WAL, opening it
-// append-only on first use. A torn final record left by a crash
-// mid-append is truncated away first — otherwise the next append would
-// merge with the torn bytes into one corrupt line and take an
-// acknowledged decision down with it.
-func (s *FS) walFile(datasetID, sessionID string) (*os.File, error) {
-	key := datasetID + "/" + sessionID
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wals == nil {
-		return nil, fmt.Errorf("store: closed")
-	}
-	if f, ok := s.wals[key]; ok {
-		return f, nil
-	}
-	path := filepath.Join(s.sessionDir(datasetID, sessionID), "wal.jsonl")
-	if err := repairWALTail(path); err != nil {
-		return nil, fmt.Errorf("store: session %s wal: %w", sessionID, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: session %s wal: %w", sessionID, err)
-	}
-	s.wals[key] = f
-	return f, nil
-}
-
-// repairWALTail truncates a WAL that does not end in a newline back to
-// its last complete record. Missing files are fine.
-func repairWALTail(path string) error {
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) || len(raw) == 0 {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if raw[len(raw)-1] == '\n' {
-		return nil
-	}
-	keep := bytes.LastIndexByte(raw, '\n') + 1 // 0 when no newline at all
-	return os.Truncate(path, int64(keep))
-}
-
-// AppendWAL durably appends one record to the session's log. Synced
-// appends go through the group committer (see groupcommit.go), so
-// concurrent callers share fsyncs; NoSync appends write directly.
-func (s *FS) AppendWAL(ctx context.Context, datasetID, sessionID string, rec WALRecord) error {
-	if err := checkID(datasetID); err != nil {
-		return err
-	}
-	if err := checkID(sessionID); err != nil {
-		return err
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return s.appendPayload(ctx, datasetID, sessionID, append(line, '\n'), 1)
-}
-
-// BatchAppendWAL durably appends recs in order with one write and one
-// fsync. The concatenated batch is still a sequence of complete lines,
-// so a crash mid-batch leaves a clean prefix plus at most one torn
-// record — exactly what ReplayWAL already tolerates.
-func (s *FS) BatchAppendWAL(ctx context.Context, datasetID, sessionID string, recs []WALRecord) error {
+// AppendWAL durably appends recs to the session's log with one write
+// and one fsync. The concatenated batch is still a sequence of complete
+// lines, so a crash mid-batch leaves a clean prefix plus at most one
+// torn record — exactly what ReplayWAL already tolerates.
+func (s *FS) AppendWAL(ctx context.Context, datasetID, sessionID string, recs ...WALRecord) error {
 	if err := checkID(datasetID); err != nil {
 		return err
 	}
@@ -639,67 +565,20 @@ func (s *FS) BatchAppendWAL(ctx context.Context, datasetID, sessionID string, re
 	if len(recs) == 0 {
 		return ctx.Err()
 	}
-	payload := make([]byte, 0, 64*len(recs))
+	var payload []byte
 	for _, rec := range recs {
 		line, err := json.Marshal(rec)
 		if err != nil {
 			return err
 		}
-		payload = append(payload, line...)
+		if payload == nil {
+			payload = line // the common single record appends in place
+		} else {
+			payload = append(payload, line...)
+		}
 		payload = append(payload, '\n')
 	}
-	return s.appendPayload(ctx, datasetID, sessionID, payload, len(recs))
-}
-
-// appendPayload routes complete, newline-terminated records either
-// through the group committer (synced mode) or straight to the file
-// (NoSync). The caller-side wal_append span covers the full durable
-// wait; the committer's own wal_group_flush span carries the shared
-// write+fsync timing on the batch leader's trace.
-func (s *FS) appendPayload(ctx context.Context, datasetID, sessionID string, payload []byte, records int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.gc != nil {
-		_, sp := trace.StartSpan(ctx, "wal_append")
-		if records > 1 {
-			sp.Annotate("records", strconv.Itoa(records))
-		}
-		err := s.appendGrouped(ctx, datasetID, sessionID, payload, records)
-		if err != nil {
-			sp.Fail(err.Error())
-		}
-		sp.End()
-		return err
-	}
-	f, err := s.walFile(datasetID, sessionID)
-	if err != nil {
-		return err
-	}
-	// A single write keeps the torn-tail window to one record; O_APPEND
-	// makes concurrent appends to *different* sessions safe and the
-	// per-session caller already serializes same-session appends.
-	start := time.Now()
-	_, wsp := trace.StartSpan(ctx, "wal_append")
-	if _, err := f.Write(payload); err != nil {
-		wsp.Fail(err.Error())
-		wsp.End()
-		return fmt.Errorf("store: session %s wal append: %w", sessionID, err)
-	}
-	wsp.End()
-	s.walAppend.ObserveSince(start)
-	if !s.opts.NoSync {
-		start = time.Now()
-		_, fsp := trace.StartSpan(ctx, "wal_fsync")
-		if err := s.syncWAL(f); err != nil {
-			fsp.Fail(err.Error())
-			fsp.End()
-			return fmt.Errorf("store: session %s wal sync: %w", sessionID, err)
-		}
-		fsp.End()
-		s.walFsync.ObserveSince(start)
-	}
-	return nil
+	return s.appendLog(ctx, walKey(datasetID, sessionID), payload, len(recs))
 }
 
 // ReplayWAL streams the session's log in append order.
@@ -713,40 +592,13 @@ func (s *FS) ReplayWAL(ctx context.Context, datasetID, sessionID string, fn func
 	_, rsp := trace.StartSpan(ctx, "wal_replay")
 	defer rsp.End()
 	defer s.walReplay.ObserveSince(time.Now())
-	raw, err := os.ReadFile(filepath.Join(s.sessionDir(datasetID, sessionID), "wal.jsonl"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: session %s wal: %w", sessionID, err)
-	}
-	if len(raw) > 0 && raw[len(raw)-1] != '\n' {
-		// Every append writes record+'\n' in one call, so a missing
-		// final newline proves the tail is torn — even when the bytes
-		// parse (a truncated record can itself be valid JSON with, say,
-		// a shortened group id). Drop it, exactly as repairWALTail will
-		// before the next append.
-		raw = raw[:bytes.LastIndexByte(raw, '\n')+1]
-	}
-	lines := bytes.Split(raw, []byte("\n"))
-	for i, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	return s.replayLog(walKey(datasetID, sessionID), func(line []byte) error {
 		var rec WALRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			if i == len(lines)-1 {
-				// Torn final record from a crash mid-append: the decision
-				// it held was never acknowledged, so dropping it is safe.
-				return nil
-			}
-			return fmt.Errorf("store: session %s wal record %d: corrupt: %w", sessionID, i+1, err)
+			return fmt.Errorf("store: session %s wal: corrupt record: %w", sessionID, err)
 		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(rec)
+	})
 }
 
 // CloseWAL releases the cached handle for the session's log.
@@ -757,18 +609,7 @@ func (s *FS) CloseWAL(datasetID, sessionID string) error {
 	if err := checkID(sessionID); err != nil {
 		return err
 	}
-	s.closeWAL(datasetID, sessionID)
-	return nil
-}
-
-func (s *FS) closeWAL(datasetID, sessionID string) {
-	key := datasetID + "/" + sessionID
-	s.mu.Lock()
-	if f, ok := s.wals[key]; ok {
-		f.Close()
-		delete(s.wals, key)
-	}
-	s.mu.Unlock()
+	return s.replaceLog(walKey(datasetID, sessionID), nil)
 }
 
 // CompactSession folds a finished session into the dataset snapshot.
@@ -848,8 +689,10 @@ func (s *FS) CompactSession(datasetID, sessionID string, col int, values [][]str
 		return err
 	}
 	s.snapWrite.ObserveSince(start)
-	os.Remove(filepath.Join(sessDir, "wal.jsonl"))
-	s.closeWAL(datasetID, sessionID)
+	s.replaceLog(walKey(datasetID, sessionID), func(path string) error {
+		os.Remove(path)
+		return nil
+	})
 	if meta, err := readMeta[SessionMeta](filepath.Join(sessDir, "meta.json")); err == nil {
 		meta.Compacted = true
 		if metaJSON, err := json.Marshal(meta); err == nil {
@@ -869,104 +712,6 @@ func containsString(xs []string, x string) bool {
 	return false
 }
 
-// tenantsDir returns the tenant-registry directory, creating it on
-// first use.
-func (s *FS) tenantsDir() (string, error) {
-	dir := filepath.Join(s.root, "tenants")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("store: tenants dir: %w", err)
-	}
-	return dir, nil
-}
-
-// SaveTenantSnapshot atomically replaces the tenant-registry snapshot
-// and clears the change log it subsumes. The clear is best-effort: the
-// registry's change records converge under replay, so a log that
-// survives a crash between the two steps is redundant, not wrong.
-func (s *FS) SaveTenantSnapshot(data []byte) error {
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	dir, err := s.tenantsDir()
-	if err != nil {
-		return err
-	}
-	if err := s.writeFileAtomic(filepath.Join(dir, "snapshot.json"), data); err != nil {
-		return fmt.Errorf("store: tenant snapshot: %w", err)
-	}
-	os.Remove(filepath.Join(dir, "changes.jsonl"))
-	return nil
-}
-
-// LoadTenantSnapshot returns the latest tenant-registry snapshot.
-func (s *FS) LoadTenantSnapshot() ([]byte, error) {
-	raw, err := os.ReadFile(filepath.Join(s.root, "tenants", "snapshot.json"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: tenant snapshot: %w", ErrNotExist)
-	}
-	return raw, err
-}
-
-// AppendTenantChange durably appends one record to the tenant change
-// log. Tenant mutations are rare, so the handle is opened per append
-// rather than cached like session WALs.
-func (s *FS) AppendTenantChange(data []byte) error {
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	dir, err := s.tenantsDir()
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "changes.jsonl")
-	if err := repairWALTail(path); err != nil {
-		return fmt.Errorf("store: tenant changes: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: tenant changes: %w", err)
-	}
-	defer f.Close()
-	line := append(append([]byte(nil), data...), '\n')
-	if _, err := f.Write(line); err != nil {
-		return fmt.Errorf("store: tenant change append: %w", err)
-	}
-	if !s.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("store: tenant change sync: %w", err)
-		}
-	}
-	return nil
-}
-
-// ReplayTenantChanges streams the tenant change log in append order,
-// dropping a torn final record exactly like ReplayWAL.
-func (s *FS) ReplayTenantChanges(fn func(data []byte) error) error {
-	raw, err := os.ReadFile(filepath.Join(s.root, "tenants", "changes.jsonl"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: tenant changes: %w", err)
-	}
-	lines := bytes.Split(raw, []byte("\n"))
-	for i, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if !json.Valid(line) {
-			if i == len(lines)-1 {
-				// Torn final record from a crash mid-append: the change it
-				// held was never acknowledged, so dropping it is safe.
-				return nil
-			}
-			return fmt.Errorf("store: tenant change record %d: corrupt", i+1)
-		}
-		if err := fn(line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // LoadSessionState returns the archived ReviewState of a compacted
 // session.
 func (s *FS) LoadSessionState(datasetID, sessionID string) ([]byte, error) {
@@ -983,7 +728,7 @@ func (s *FS) LoadSessionState(datasetID, sessionID string) ([]byte, error) {
 	return raw, err
 }
 
-// Close releases every open WAL handle.
+// Close releases every open log handle.
 func (s *FS) Close() error {
 	// Stop the committer before invalidating handles: in-flight batches
 	// finish flushing, requests still at the rendezvous fail cleanly,
@@ -992,19 +737,15 @@ func (s *FS) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	for key, f := range s.wals {
-		if err := f.Close(); err != nil && first == nil {
+	for _, lf := range s.logs {
+		if lf.f == nil {
+			continue
+		}
+		if err := lf.f.Close(); err != nil && first == nil {
 			first = err
 		}
-		delete(s.wals, key)
+		lf.f = nil
 	}
-	s.wals = nil
-	for key, f := range s.evFiles {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(s.evFiles, key)
-	}
-	s.evFiles = nil
+	s.logs = nil
 	return first
 }

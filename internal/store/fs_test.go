@@ -205,7 +205,7 @@ func TestFSReplayTornTail(t *testing.T) {
 	}
 
 	// Appending after the torn tail must not merge with it: the next
-	// walFile open truncates the torn bytes first.
+	// handle open truncates the torn bytes first.
 	if err := s.CloseWAL("ds_0a", "cs_01"); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestFSSurvivesReopen(t *testing.T) {
 }
 
 // TestTenantPersistence covers the tenant snapshot + change-log
-// primitives: replay order, snapshot save clearing the log it
+// primitives: replay order, snapshot put clearing the log it
 // subsumes, torn-tail tolerance, and the Null backend's no-ops.
 func TestTenantPersistence(t *testing.T) {
 	dir := t.TempDir()
@@ -438,85 +438,69 @@ func TestTenantPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-
-	if _, err := s.LoadTenantSnapshot(); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("LoadTenantSnapshot on empty store: %v, want ErrNotExist", err)
+	defer func() { s.Close() }()
+	replay := func() []string {
+		t.Helper()
+		var got []string
+		if err := s.ReplayLog(TenantLog, "", func(data []byte) error {
+			got = append(got, string(data))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	if err := s.ReplayTenantChanges(func([]byte) error {
-		t.Fatal("empty store replayed a change")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+
+	if _, err := s.GetLogSnapshot(TenantLog, ""); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("GetLogSnapshot on empty store: %v, want ErrNotExist", err)
+	}
+	if got := replay(); len(got) != 0 {
+		t.Fatalf("empty store replayed changes %v", got)
 	}
 
 	// Appends replay in order.
 	for _, rec := range []string{`{"op":"put","id":"a"}`, `{"op":"put","id":"b"}`, `{"op":"delete","id":"a"}`} {
-		if err := s.AppendTenantChange([]byte(rec)); err != nil {
+		if err := s.AppendLog(TenantLog, "", []byte(rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var got []string
-	if err := s.ReplayTenantChanges(func(data []byte) error {
-		got = append(got, string(data))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != `{"op":"put","id":"a"}` || got[2] != `{"op":"delete","id":"a"}` {
+	if got := replay(); len(got) != 3 || got[0] != `{"op":"put","id":"a"}` || got[2] != `{"op":"delete","id":"a"}` {
 		t.Fatalf("replayed changes = %v", got)
 	}
 
-	// A snapshot save subsumes (and clears) the log.
-	if err := s.SaveTenantSnapshot([]byte(`{"version":1,"tenants":[]}`)); err != nil {
+	// A snapshot put subsumes (and clears) the log.
+	if err := s.PutLogSnapshot(TenantLog, "", []byte(`{"version":1,"tenants":[]}`)); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := s.LoadTenantSnapshot()
+	raw, err := s.GetLogSnapshot(TenantLog, "")
 	if err != nil || string(raw) != `{"version":1,"tenants":[]}` {
-		t.Fatalf("LoadTenantSnapshot = %q, %v", raw, err)
+		t.Fatalf("GetLogSnapshot = %q, %v", raw, err)
 	}
-	if err := s.ReplayTenantChanges(func(data []byte) error {
-		t.Fatalf("change %q survived the snapshot", data)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if got := replay(); len(got) != 0 {
+		t.Fatalf("changes %v survived the snapshot", got)
 	}
 
 	// A torn final record (crash mid-append) is dropped; earlier
-	// records still replay, and the next append repairs the tail.
-	if err := s.AppendTenantChange([]byte(`{"op":"put","id":"c"}`)); err != nil {
+	// records still replay, and the next process's first append
+	// repairs the tail.
+	if err := s.AppendLog(TenantLog, "", []byte(`{"op":"put","id":"c"}`)); err != nil {
 		t.Fatal(err)
 	}
 	logPath := filepath.Join(dir, "tenants", "changes.jsonl")
-	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"put","i`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	got = nil
-	if err := s.ReplayTenantChanges(func(data []byte) error {
-		got = append(got, string(data))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != `{"op":"put","id":"c"}` {
+	appendTorn(t, logPath, `{"op":"put","i`)
+	if got := replay(); len(got) != 1 || got[0] != `{"op":"put","id":"c"}` {
 		t.Fatalf("replay with torn tail = %v", got)
 	}
-	if err := s.AppendTenantChange([]byte(`{"op":"put","id":"d"}`)); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got = nil
-	if err := s.ReplayTenantChanges(func(data []byte) error {
-		got = append(got, string(data))
-		return nil
-	}); err != nil {
+	if s, err = OpenFS(dir, FSOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[1] != `{"op":"put","id":"d"}` {
+	if err := s.AppendLog(TenantLog, "", []byte(`{"op":"put","id":"d"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := replay(); len(got) != 2 || got[1] != `{"op":"put","id":"d"}` {
 		t.Fatalf("replay after tail repair = %v", got)
 	}
 
@@ -524,22 +508,26 @@ func TestTenantPersistence(t *testing.T) {
 	if err := os.WriteFile(logPath, []byte("not json\n"+`{"op":"put","id":"e"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReplayTenantChanges(func([]byte) error { return nil }); err == nil {
+	if err := s.ReplayLog(TenantLog, "", func([]byte) error { return nil }); err == nil {
 		t.Fatal("mid-log corruption replayed silently")
+	}
+	// The tenant log is a singleton: it takes no id.
+	if err := s.AppendLog(TenantLog, "tn_01", []byte(`{}`)); err == nil {
+		t.Fatal("AppendLog(TenantLog) accepted an id")
 	}
 
 	// Null: writes vanish, reads find nothing.
 	var n Null
-	if err := n.SaveTenantSnapshot([]byte("x")); err != nil {
+	if err := n.PutLogSnapshot(TenantLog, "", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.LoadTenantSnapshot(); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("Null.LoadTenantSnapshot = %v, want ErrNotExist", err)
+	if _, err := n.GetLogSnapshot(TenantLog, ""); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("Null.GetLogSnapshot = %v, want ErrNotExist", err)
 	}
-	if err := n.AppendTenantChange([]byte("x")); err != nil {
+	if err := n.AppendLog(TenantLog, "", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.ReplayTenantChanges(func([]byte) error {
+	if err := n.ReplayLog(TenantLog, "", func([]byte) error {
 		t.Fatal("Null replayed a change")
 		return nil
 	}); err != nil {

@@ -2,8 +2,6 @@ package store
 
 import (
 	"context"
-	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -12,49 +10,49 @@ import (
 	"github.com/goldrec/goldrec/internal/obs/trace"
 )
 
-// Group commit. A synced WAL append is fsync-bound: the write syscall
+// Group commit. A synced log append is fsync-bound: the write syscall
 // costs single-digit microseconds, the fsync a hundred or more (see
 // BENCH_store.json). One fsync, however, makes durable *everything*
 // written to the file before it — so concurrent appends that land in
 // the same flush can share one. The FS backend therefore routes every
-// synced append through a single committer goroutine that drains all
-// currently-queued requests into one batch, concatenates the records
-// per WAL file, and issues one write + one fsync per file. Each caller
-// blocks on its own completion channel and returns only once *its*
-// records are durable; a failed write or fsync fails every waiter
-// whose records were in that file's batch, because none of them can
-// know whether their bytes reached the platter.
+// synced append — session WAL, tenant, library or event log — through
+// a single committer goroutine that drains all currently-queued
+// requests into one batch, concatenates the records per log file, and
+// issues one write + one fsync per file. Each caller blocks on its own
+// completion channel and returns only once *its* records are durable;
+// a failed write or fsync fails every waiter whose records were in
+// that file's batch, because none of them can know whether their bytes
+// reached the platter.
 //
 // Batching is opportunistic by default: a request that arrives at an
 // idle committer flushes immediately (no added latency at concurrency
 // 1), and the batch for the next flush accumulates naturally while the
 // previous flush's fsync is in flight. FSOptions.GroupWindow adds a
 // deliberate accumulation delay on top — larger batches, at the cost
-// of that delay on every append — and FSOptions.MaxBatchBytes bounds
-// how much a single flush buffers.
+// of that delay on every append — and maxBatchBytes bounds how much a
+// single flush buffers.
 //
 // Crash safety is unchanged from single appends: records are complete
 // JSON lines, the concatenated batch is written with one Write to an
 // O_APPEND file, and a crash anywhere between write and fsync leaves a
 // clean prefix of complete lines plus at most one torn final line,
-// which repairWALTail truncates and ReplayWAL drops.
+// which repairTail truncates and replay drops.
 
-// defaultMaxBatchBytes bounds one flush's buffered payload when
-// FSOptions.MaxBatchBytes is unset. One decision record is ~50 bytes,
-// so the default never triggers before ~20k queued records.
-const defaultMaxBatchBytes = 1 << 20
+// maxBatchBytes bounds one flush's buffered payload. One decision
+// record is ~50 bytes, so the bound never triggers before ~20k queued
+// records.
+const maxBatchBytes = 1 << 20
 
 // walGroupRecordBuckets resolve records-per-flush: 1 means no
 // coalescing happened, the top bucket means the committer is saturated.
 var walGroupRecordBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // walWrite is one queued durable append: one or more complete,
-// newline-terminated records bound for a single session's WAL.
+// newline-terminated records bound for a single log.
 type walWrite struct {
-	datasetID string
-	sessionID string
-	payload   []byte
-	records   int
+	log     *logFile
+	payload []byte
+	records int
 	// ctx carries the caller's trace; the flush span attaches to the
 	// batch leader's trace. Cancellation is the enqueuer's business —
 	// by the time a walWrite reaches the committer it will be written.
@@ -106,31 +104,37 @@ var walWritePool = sync.Pool{
 // appendGrouped hands payload to the committer and waits for
 // durability. Cancellation before the rendezvous means the records are
 // never written; cancellation after it abandons the wait only — the
-// flush proceeds and the records may still become durable.
-func (s *FS) appendGrouped(ctx context.Context, datasetID, sessionID string, payload []byte, records int) error {
+// flush proceeds and the records may still become durable. The caller
+// holds the read side of lf.mu; appendGrouped releases it once the
+// records' fate is settled, which for an abandoned wait is after the
+// flush.
+func (s *FS) appendGrouped(ctx context.Context, lf *logFile, payload []byte, records int) error {
 	w := walWritePool.Get().(*walWrite)
-	w.datasetID, w.sessionID = datasetID, sessionID
-	w.payload, w.records, w.ctx = payload, records, ctx
+	w.log, w.payload, w.records, w.ctx = lf, payload, records, ctx
+	release := func(err error) error {
+		w.log, w.payload, w.ctx = nil, nil, nil
+		walWritePool.Put(w)
+		lf.mu.RUnlock()
+		return err
+	}
 	select {
 	case s.gc.reqs <- w:
 	case <-s.gc.stop:
-		w.payload, w.ctx = nil, nil
-		walWritePool.Put(w)
-		return fmt.Errorf("store: closed")
+		return release(errClosed)
 	case <-ctx.Done():
-		w.payload, w.ctx = nil, nil
-		walWritePool.Put(w)
-		return ctx.Err()
+		return release(ctx.Err())
 	}
 	select {
 	case err := <-w.done:
-		w.payload, w.ctx = nil, nil
-		walWritePool.Put(w)
-		return err
+		return release(err)
 	case <-ctx.Done():
-		// Abandoned: the flusher will still deliver into w.done, so w
-		// must NOT be pooled — it stays pinned to that delivery and is
-		// garbage-collected afterwards.
+		// Abandoned: the flusher will still write the records and
+		// deliver into w.done, so w must NOT be pooled, and the log
+		// must not be replaced under the write until it lands.
+		go func() {
+			<-w.done
+			lf.mu.RUnlock()
+		}()
 		return ctx.Err()
 	}
 }
@@ -159,14 +163,10 @@ func (s *FS) flushLoop() {
 func (s *FS) gatherBatch(first *walWrite, batch []*walWrite) []*walWrite {
 	batch = append(batch, first)
 	size := len(first.payload)
-	maxBytes := s.opts.MaxBatchBytes
-	if maxBytes <= 0 {
-		maxBytes = defaultMaxBatchBytes
-	}
 	if window := s.opts.GroupWindow; window > 0 {
 		timer := time.NewTimer(window)
 		defer timer.Stop()
-		for size < maxBytes {
+		for size < maxBatchBytes {
 			select {
 			case w := <-s.gc.reqs:
 				batch = append(batch, w)
@@ -189,7 +189,7 @@ func (s *FS) gatherBatch(first *walWrite, batch []*walWrite) []*walWrite {
 	// fruitless rounds. A yield with nothing runnable returns in
 	// nanoseconds, so the idle (writers=1) path is unaffected.
 	misses := 0
-	for size < maxBytes {
+	for size < maxBatchBytes {
 		select {
 		case w := <-s.gc.reqs:
 			batch = append(batch, w)
@@ -206,23 +206,23 @@ func (s *FS) gatherBatch(first *walWrite, batch []*walWrite) []*walWrite {
 	return batch
 }
 
-// flushBatch groups the batch by WAL file (first-arrival order), does
+// flushBatch groups the batch by log file (first-arrival order), does
 // one write + one fsync per file, and delivers each file's verdict to
 // every waiter whose records it carried.
 func (s *FS) flushBatch(batch []*walWrite) {
 	start := time.Now()
 	_, span := trace.StartSpan(batch[0].ctx, "wal_group_flush")
-	records, bytes, sessions, failed := 0, 0, 1, 0
+	records, bytes, logs, failed := 0, 0, 1, 0
 	uniform := true
 	for _, w := range batch[1:] {
-		if w.datasetID != batch[0].datasetID || w.sessionID != batch[0].sessionID {
+		if w.log != batch[0].log {
 			uniform = false
 			break
 		}
 	}
 	if uniform {
 		// Overwhelmingly common shape — every record bound for the same
-		// WAL file — kept allocation-free.
+		// log file — kept allocation-free.
 		err := s.flushFile(batch)
 		for _, w := range batch {
 			records += w.records
@@ -233,16 +233,15 @@ func (s *FS) flushBatch(batch []*walWrite) {
 			failed = 1
 		}
 	} else {
-		var keys []string
-		groups := make(map[string][]*walWrite, 2)
+		var keys []*logFile
+		groups := make(map[*logFile][]*walWrite, 2)
 		for _, w := range batch {
-			k := w.datasetID + "/" + w.sessionID
-			if _, ok := groups[k]; !ok {
-				keys = append(keys, k)
+			if _, ok := groups[w.log]; !ok {
+				keys = append(keys, w.log)
 			}
-			groups[k] = append(groups[k], w)
+			groups[w.log] = append(groups[w.log], w)
 		}
-		sessions = len(keys)
+		logs = len(keys)
 		for _, k := range keys {
 			ws := groups[k]
 			err := s.flushFile(ws)
@@ -258,9 +257,9 @@ func (s *FS) flushBatch(batch []*walWrite) {
 	}
 	span.Annotate("records", strconv.Itoa(records))
 	span.Annotate("bytes", strconv.Itoa(bytes))
-	span.Annotate("sessions", strconv.Itoa(sessions))
+	span.Annotate("logs", strconv.Itoa(logs))
 	if failed > 0 {
-		span.Fail(strconv.Itoa(failed) + " of " + strconv.Itoa(sessions) + " wal files failed to flush")
+		span.Fail(strconv.Itoa(failed) + " of " + strconv.Itoa(logs) + " log files failed to flush")
 	}
 	span.End()
 	s.walGroupFlush.ObserveSince(start)
@@ -271,10 +270,6 @@ func (s *FS) flushBatch(batch []*walWrite) {
 // syncs once. Any error fails the whole group: after a failed fsync
 // nobody knows which bytes are on stable storage.
 func (s *FS) flushFile(ws []*walWrite) error {
-	f, err := s.walFile(ws[0].datasetID, ws[0].sessionID)
-	if err != nil {
-		return err
-	}
 	buf := ws[0].payload
 	if len(ws) > 1 {
 		b := s.gc.buf[:0]
@@ -284,24 +279,5 @@ func (s *FS) flushFile(ws []*walWrite) error {
 		s.gc.buf = b
 		buf = b
 	}
-	start := time.Now()
-	if _, err := f.Write(buf); err != nil {
-		return fmt.Errorf("store: session %s wal append: %w", ws[0].sessionID, err)
-	}
-	s.walAppend.ObserveSince(start)
-	start = time.Now()
-	if err := s.syncWAL(f); err != nil {
-		return fmt.Errorf("store: session %s wal sync: %w", ws[0].sessionID, err)
-	}
-	s.walFsync.ObserveSince(start)
-	return nil
-}
-
-// syncWAL is the committer's fsync, indirected through syncHook so
-// crash tests can inject an fsync failure mid-batch.
-func (s *FS) syncWAL(f *os.File) error {
-	if s.syncHook != nil {
-		return s.syncHook(f)
-	}
-	return f.Sync()
+	return s.writeLog(ws[0].log, buf, true)
 }

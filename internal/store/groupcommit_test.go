@@ -123,7 +123,7 @@ func TestGroupCommitOrderingPerWriter(t *testing.T) {
 	}
 }
 
-// TestBatchAppendWAL checks the vectored append: records land in
+// TestBatchAppendWAL checks the vectored AppendWAL: records land in
 // order, in one call, and an empty batch is a no-op.
 func TestBatchAppendWAL(t *testing.T) {
 	s := openSyncedFS(t, FSOptions{})
@@ -133,10 +133,10 @@ func TestBatchAppendWAL(t *testing.T) {
 		{Op: OpIssue, GroupID: 1},
 		{Op: OpDecide, GroupID: 1, Decision: "reject"},
 	}
-	if err := s.BatchAppendWAL(context.Background(), "ds_0a", "cs_01", batch); err != nil {
+	if err := s.AppendWAL(context.Background(), "ds_0a", "cs_01", batch...); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BatchAppendWAL(context.Background(), "ds_0a", "cs_01", nil); err != nil {
+	if err := s.AppendWAL(context.Background(), "ds_0a", "cs_01"); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 	recs := replayAll(t, s, "ds_0a", "cs_01")
@@ -204,8 +204,8 @@ func TestAppendWALContextCanceled(t *testing.T) {
 		if err := (Null{}).AppendWAL(canceled, "ds_0a", "cs_01", rec); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Null.AppendWAL = %v, want context.Canceled", err)
 		}
-		if err := (Null{}).BatchAppendWAL(canceled, "ds_0a", "cs_01", []WALRecord{rec}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("Null.BatchAppendWAL = %v, want context.Canceled", err)
+		if err := (Null{}).AppendWAL(canceled, "ds_0a", "cs_01", rec, rec); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Null.AppendWAL batch = %v, want context.Canceled", err)
 		}
 	})
 	t.Run("fs-sync", func(t *testing.T) {
@@ -216,8 +216,8 @@ func TestAppendWALContextCanceled(t *testing.T) {
 	})
 	t.Run("fs-nosync", func(t *testing.T) {
 		s := openSyncedFS(t, FSOptions{NoSync: true})
-		if err := s.BatchAppendWAL(canceled, "ds_0a", "cs_01", []WALRecord{rec}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("BatchAppendWAL = %v, want context.Canceled", err)
+		if err := s.AppendWAL(canceled, "ds_0a", "cs_01", rec, rec); !errors.Is(err, context.Canceled) {
+			t.Fatalf("AppendWAL batch = %v, want context.Canceled", err)
 		}
 	})
 	t.Run("window-wait", func(t *testing.T) {
@@ -384,10 +384,10 @@ func TestBatchCrashTruncationSweep(t *testing.T) {
 	}
 }
 
-// s0Append writes the batch through BatchAppendWAL (named helper so the
+// s0Append writes the batch through one AppendWAL call (named helper so the
 // sweep reads as: produce a real batched WAL, then cut it up).
 func s0Append(s *FS, batch []WALRecord) error {
-	return s.BatchAppendWAL(context.Background(), "ds_0a", "cs_01", batch)
+	return s.AppendWAL(context.Background(), "ds_0a", "cs_01", batch...)
 }
 
 // TestGroupCommitCrossSessionBatch checks a single flush spanning two
@@ -444,10 +444,10 @@ func TestGroupCommitCrossSessionBatch(t *testing.T) {
 // TestBatchAppendBadID mirrors the single-append id validation.
 func TestBatchAppendBadID(t *testing.T) {
 	s := openSyncedFS(t, FSOptions{})
-	if err := s.BatchAppendWAL(context.Background(), "ds_0a", "../../etc", []WALRecord{{Op: OpIssue}}); err == nil {
-		t.Fatal("BatchAppendWAL accepted a path-traversal session id")
+	if err := s.AppendWAL(context.Background(), "ds_0a", "../../etc", WALRecord{Op: OpIssue}, WALRecord{Op: OpIssue}); err == nil {
+		t.Fatal("AppendWAL batch accepted a path-traversal session id")
 	}
-	if err := s.BatchAppendWAL(context.Background(), "nope", "cs_01", []WALRecord{{Op: OpIssue}}); err == nil {
-		t.Fatal("BatchAppendWAL accepted an invalid dataset id")
+	if err := s.AppendWAL(context.Background(), "nope", "cs_01", WALRecord{Op: OpIssue}, WALRecord{Op: OpIssue}); err == nil {
+		t.Fatal("AppendWAL batch accepted an invalid dataset id")
 	}
 }

@@ -21,6 +21,12 @@
 //     deletes its WAL, bounding log growth without losing reviewable
 //     history.
 //
+// The tenant registry, the per-tenant transformation libraries and the
+// per-tenant event logs persist the same way, as keyed logs of opaque
+// records (Store.AppendLog). Every log — session WAL or keyed — is one
+// durable-log primitive underneath: one append path, one torn-tail
+// repair, one replay loop.
+//
 // Two backends implement Store: Null (no-ops, for tests and stores-off
 // operation) and FS (a directory tree with atomic-rename writes and
 // fsynced WAL appends; see OpenFS for the layout).
@@ -100,6 +106,20 @@ type WALRecord struct {
 	Warm json.RawMessage `json:"warm,omitempty"`
 }
 
+// LogKind names a family of keyed logs (see Store.AppendLog). Its
+// value is also the family's directory under the FS root.
+type LogKind string
+
+const (
+	// TenantLog is the tenant registry's change log (one log, no id).
+	TenantLog LogKind = "tenants"
+	// LibraryLog is a tenant's transformation-library change log.
+	LibraryLog LogKind = "libraries"
+	// EventLog is a tenant's audit/event log: snapshot-free, bounded by
+	// RewriteLog retention compaction.
+	EventLog LogKind = "events"
+)
+
 // Store persists datasets and session review logs. Implementations must
 // be safe for concurrent use; goldrecd appends to distinct session WALs
 // from concurrent goroutines.
@@ -130,22 +150,18 @@ type Store interface {
 	// Deleting a missing session is not an error.
 	DeleteSession(datasetID, sessionID string) error
 
-	// AppendWAL durably appends one record to the session's log. The
-	// record must be on stable storage (or as close as the backend
-	// promises; see FSOptions.NoSync) when the call returns. Unlike
+	// AppendWAL durably appends recs to the session's log, in order,
+	// as one write and (at most) one fsync. The records must be on
+	// stable storage (or as close as the backend promises; see
+	// FSOptions.NoSync) when the call returns. All-or-nothing
+	// acknowledgment: a nil return means every record is durable; an
+	// error means the caller must assume none are (a crash mid-batch
+	// leaves a clean prefix, which ReplayWAL returns). Unlike
 	// PutDataset, the context also cancels: a caller that is gone gets
 	// ctx.Err() back promptly instead of waiting out a group-commit
 	// flush window. Cancellation abandons the wait, not the write — a
 	// record already handed to the committer may still become durable.
-	AppendWAL(ctx context.Context, datasetID, sessionID string, rec WALRecord) error
-	// BatchAppendWAL durably appends recs to the session's log in
-	// order, as one vectored write and (at most) one fsync. All-or-
-	// nothing acknowledgment: a nil return means every record is on
-	// stable storage; an error means the caller must assume none are
-	// (a crash mid-batch leaves a clean prefix of the batch, which
-	// ReplayWAL returns — the torn record, if any, is dropped).
-	// Context semantics match AppendWAL.
-	BatchAppendWAL(ctx context.Context, datasetID, sessionID string, recs []WALRecord) error
+	AppendWAL(ctx context.Context, datasetID, sessionID string, recs ...WALRecord) error
 	// ReplayWAL streams the session's log in append order. A torn final
 	// record (from a crash mid-append) is silently dropped; corruption
 	// anywhere else is an error. A missing WAL replays zero records.
@@ -163,78 +179,41 @@ type Store interface {
 	// session.
 	LoadSessionState(datasetID, sessionID string) ([]byte, error)
 
-	// The tenant registry persists as one opaque snapshot plus an
-	// append-only change log replayed over it at boot, mirroring the
-	// dataset snapshot + session WAL model. The payloads are opaque
-	// bytes: the registry (internal/tenant) owns their encoding, the
-	// store only makes them durable.
+	// Keyed logs. The tenant registry, each tenant's transformation
+	// library and each tenant's audit/event log persist as an
+	// append-only log of opaque JSON records, optionally paired with an
+	// opaque snapshot the log is replayed over at boot — the dataset
+	// snapshot + session WAL model, with the payload encoding owned by
+	// the caller (internal/tenant, internal/library, internal/events).
+	// A log is named by its kind and a tenant id ("" = the open-mode
+	// log; TenantLog takes no id). Appends share the session WALs'
+	// durability promise and group commit.
 
-	// SaveTenantSnapshot atomically replaces the tenant-registry
-	// snapshot and clears the change log it subsumes. Replaying a stale
-	// log over a newer snapshot must converge (the registry's change
-	// records are whole-state puts/deletes), so the clear is
-	// best-effort.
-	SaveTenantSnapshot(data []byte) error
-	// LoadTenantSnapshot returns the latest tenant-registry snapshot
-	// (ErrNotExist when none was ever saved).
-	LoadTenantSnapshot() ([]byte, error)
-	// AppendTenantChange durably appends one change record to the
-	// tenant change log, with the same stable-storage promise as
-	// AppendWAL.
-	AppendTenantChange(data []byte) error
-	// ReplayTenantChanges streams the change log in append order. A
-	// torn final record is dropped; a missing log replays nothing.
-	ReplayTenantChanges(fn func(data []byte) error) error
-
-	// The per-tenant transformation library persists exactly like the
-	// tenant registry — one opaque snapshot plus an append-only change
-	// log per tenant, with convergent whole-state change records — but
-	// keyed by tenant id ("" is the open-mode library). The library
-	// (internal/library) owns the payload encoding.
-
-	// SaveLibrarySnapshot atomically replaces the tenant's library
-	// snapshot and clears the change log it subsumes (best-effort, as
-	// with SaveTenantSnapshot).
-	SaveLibrarySnapshot(tenantID string, data []byte) error
-	// LoadLibrarySnapshot returns the tenant's latest library snapshot
-	// (ErrNotExist when none was ever saved).
-	LoadLibrarySnapshot(tenantID string) ([]byte, error)
-	// AppendLibraryChange durably appends one change record to the
-	// tenant's library change log.
-	AppendLibraryChange(tenantID string, data []byte) error
-	// ReplayLibraryChanges streams the tenant's library change log in
-	// append order. A torn final record is dropped; a missing log
+	// AppendLog durably appends recs, each one complete JSON value, to
+	// the log in order, as one write and (at most) one fsync. An empty
+	// append is a no-op.
+	AppendLog(kind LogKind, id string, recs ...[]byte) error
+	// ReplayLog streams the log in append order. A torn final record is
+	// dropped; corruption anywhere else is an error; a missing log
 	// replays nothing.
-	ReplayLibraryChanges(tenantID string, fn func(data []byte) error) error
-	// ListLibraryTenants returns every tenant id with persisted
-	// library state, sorted; the open-mode library lists as "".
-	ListLibraryTenants() ([]string, error)
-	// DeleteLibrary removes the tenant's entire library. Deleting a
-	// missing library is not an error.
-	DeleteLibrary(tenantID string) error
-
-	// The per-tenant audit/event log is a snapshot-free append-only
-	// JSONL change log ("" = the open-mode log): the log is the state,
-	// bounded by RewriteEvents-based retention compaction instead of
-	// snapshotting. The events package (internal/events) owns the
-	// record encoding; lines are opaque to the store.
-
-	// AppendEvents durably appends lines to the tenant's event log, in
-	// order, as one write and (at most) one fsync. A torn tail from an
-	// earlier crash is repaired (truncated) first.
-	AppendEvents(tenantID string, lines [][]byte) error
-	// ReplayEvents streams the tenant's event log in append order. A
-	// torn final record is dropped; a missing log replays nothing.
-	ReplayEvents(tenantID string, fn func(line []byte) error) error
-	// RewriteEvents atomically replaces the tenant's event log with
-	// lines (retention compaction), returning the new size in bytes.
-	RewriteEvents(tenantID string, lines [][]byte) (int64, error)
-	// ListEventTenants returns every tenant id with a persisted event
-	// log, sorted; the open-mode log lists as "".
-	ListEventTenants() ([]string, error)
-	// DeleteEvents removes the tenant's entire event log. Deleting a
-	// missing log is not an error.
-	DeleteEvents(tenantID string) error
+	ReplayLog(kind LogKind, id string, fn func(rec []byte) error) error
+	// RewriteLog atomically replaces the log with recs (retention
+	// compaction), returning the new size in bytes.
+	RewriteLog(kind LogKind, id string, recs [][]byte) (int64, error)
+	// PutLogSnapshot atomically replaces the log's snapshot and clears
+	// the log it subsumes. The clear is best-effort: callers write
+	// convergent whole-state records, so a stale log replayed over a
+	// newer snapshot is redundant, not wrong.
+	PutLogSnapshot(kind LogKind, id string, data []byte) error
+	// GetLogSnapshot returns the log's latest snapshot (ErrNotExist
+	// when none was ever put).
+	GetLogSnapshot(kind LogKind, id string) ([]byte, error)
+	// ListLogs returns every id with persisted state of the kind,
+	// sorted; the open-mode log lists as "".
+	ListLogs(kind LogKind) ([]string, error)
+	// DeleteLog removes the log and its snapshot. Deleting a missing
+	// log is not an error.
+	DeleteLog(kind LogKind, id string) error
 
 	// Close releases backend resources (open WAL handles). The store is
 	// unusable afterwards.
@@ -264,32 +243,21 @@ func (Null) DeleteSession(string, string) error         { return nil }
 // callers rely on every backend returning ctx.Err() promptly once the
 // request is gone, and the Null backend must not be the one that hides
 // a leaked-context bug until production runs on FS.
-func (Null) AppendWAL(ctx context.Context, _, _ string, _ WALRecord) error { return ctx.Err() }
-func (Null) BatchAppendWAL(ctx context.Context, _, _ string, _ []WALRecord) error {
-	return ctx.Err()
+func (Null) AppendWAL(ctx context.Context, _, _ string, _ ...WALRecord) error { return ctx.Err() }
+func (Null) ReplayWAL(context.Context, string, string, func(WALRecord) error) error {
+	return nil
 }
-func (Null) ReplayWAL(context.Context, string, string, func(WALRecord) error) error { return nil }
-func (Null) CloseWAL(string, string) error                                          { return nil }
+func (Null) CloseWAL(string, string) error { return nil }
 
 func (Null) CompactSession(string, string, int, [][]string, []byte) error { return nil }
 func (Null) LoadSessionState(string, string) ([]byte, error)              { return nil, ErrNotExist }
 
-func (Null) SaveTenantSnapshot([]byte) error              { return nil }
-func (Null) LoadTenantSnapshot() ([]byte, error)          { return nil, ErrNotExist }
-func (Null) AppendTenantChange([]byte) error              { return nil }
-func (Null) ReplayTenantChanges(func([]byte) error) error { return nil }
-
-func (Null) SaveLibrarySnapshot(string, []byte) error              { return nil }
-func (Null) LoadLibrarySnapshot(string) ([]byte, error)            { return nil, ErrNotExist }
-func (Null) AppendLibraryChange(string, []byte) error              { return nil }
-func (Null) ReplayLibraryChanges(string, func([]byte) error) error { return nil }
-func (Null) ListLibraryTenants() ([]string, error)                 { return nil, nil }
-func (Null) DeleteLibrary(string) error                            { return nil }
-
-func (Null) AppendEvents(string, [][]byte) error           { return nil }
-func (Null) ReplayEvents(string, func([]byte) error) error { return nil }
-func (Null) RewriteEvents(string, [][]byte) (int64, error) { return 0, nil }
-func (Null) ListEventTenants() ([]string, error)           { return nil, nil }
-func (Null) DeleteEvents(string) error                     { return nil }
+func (Null) AppendLog(LogKind, string, ...[]byte) error          { return nil }
+func (Null) ReplayLog(LogKind, string, func([]byte) error) error { return nil }
+func (Null) RewriteLog(LogKind, string, [][]byte) (int64, error) { return 0, nil }
+func (Null) PutLogSnapshot(LogKind, string, []byte) error        { return nil }
+func (Null) GetLogSnapshot(LogKind, string) ([]byte, error)      { return nil, ErrNotExist }
+func (Null) ListLogs(LogKind) ([]string, error)                  { return nil, nil }
+func (Null) DeleteLog(LogKind, string) error                     { return nil }
 
 func (Null) Close() error { return nil }

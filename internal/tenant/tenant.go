@@ -21,10 +21,10 @@
 //
 // Durability mirrors the dataset model in internal/store: the registry
 // persists as one snapshot plus an append-only change log
-// (store.SaveTenantSnapshot / store.AppendTenantChange). Every mutation
-// appends a whole-state change record before it is acknowledged; when
-// the log grows past a threshold the registry folds it into a fresh
-// snapshot. Change records are convergent — a "put" carries the
+// (store.TenantLog, via store.PutLogSnapshot / store.AppendLog). Every
+// mutation appends a whole-state change record before it is
+// acknowledged; when the log grows past a threshold the registry folds
+// it into a fresh snapshot. Change records are convergent — a "put" carries the
 // tenant's full record and a "delete" its id — so replaying a stale log
 // over a newer snapshot (possible after a crash between snapshot write
 // and log clear) reproduces the snapshot state exactly.
@@ -205,7 +205,7 @@ func Open(st store.Store, clock Clock) (*Registry, error) {
 		clock = systemClock{}
 	}
 	r := &Registry{clock: clock, store: st, tenants: make(map[string]*tenant)}
-	raw, err := st.LoadTenantSnapshot()
+	raw, err := st.GetLogSnapshot(store.TenantLog, "")
 	switch {
 	case errors.Is(err, store.ErrNotExist):
 		// First boot: empty registry.
@@ -220,7 +220,7 @@ func Open(st store.Store, clock Clock) (*Registry, error) {
 			r.tenants[rec.ID] = &tenant{rec: rec}
 		}
 	}
-	err = st.ReplayTenantChanges(func(data []byte) error {
+	err = st.ReplayLog(store.TenantLog, "", func(data []byte) error {
 		var c change
 		if err := json.Unmarshal(data, &c); err != nil {
 			return fmt.Errorf("tenant: corrupt change record: %w", err)
@@ -274,7 +274,7 @@ func (r *Registry) logChange(c change) error {
 	if err != nil {
 		return err
 	}
-	if err := r.store.AppendTenantChange(data); err != nil {
+	if err := r.store.AppendLog(store.TenantLog, "", data); err != nil {
 		return fmt.Errorf("tenant: logging change: %w", err)
 	}
 	r.changes++
@@ -297,7 +297,7 @@ func (r *Registry) compactLocked() {
 	if err != nil {
 		return
 	}
-	if err := r.store.SaveTenantSnapshot(data); err != nil {
+	if err := r.store.PutLogSnapshot(store.TenantLog, "", data); err != nil {
 		return
 	}
 	r.changes = 0

@@ -465,7 +465,7 @@ func TestStaleLogConvergence(t *testing.T) {
 		{Op: "put", Tenant: func() *record { r2 := rec; r2.Quotas = Quotas{MaxDatasets: 7}; return &r2 }()},
 	} {
 		data, _ := json.Marshal(c)
-		if err := st.AppendTenantChange(data); err != nil {
+		if err := st.AppendLog(store.TenantLog, "", data); err != nil {
 			t.Fatal(err)
 		}
 	}
