@@ -18,26 +18,26 @@ import (
 	"github.com/goldrec/goldrec/internal/store"
 )
 
-// pendingTwo long-polls the dataset-scoped groups route until two
-// undecided groups are buffered (prefetch permitting), returning them
-// oldest first.
-func pendingTwo(t *testing.T, base, dsID, sid string) []goldrec.GroupState {
+// pendingN long-polls the dataset-scoped groups route until n
+// undecided groups are buffered (n <= prefetch), returning them oldest
+// first.
+func pendingN(t *testing.T, base, dsID, sid string, n int) []goldrec.GroupState {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		var page GroupPage
-		status := doJSON(t, "GET", base+"/v1/datasets/"+dsID+"/sessions/"+sid+"/groups?limit=2&wait=true", nil, &page)
+		status := doJSON(t, "GET", fmt.Sprintf("%s/v1/datasets/%s/sessions/%s/groups?limit=%d&wait=true", base, dsID, sid, n), nil, &page)
 		if status != http.StatusOK {
 			t.Fatalf("fetch groups: status %d", status)
 		}
-		if len(page.Groups) >= 2 {
-			return page.Groups[:2]
+		if len(page.Groups) >= n {
+			return page.Groups[:n]
 		}
 		if page.Status == StatusExhausted {
-			t.Fatalf("stream exhausted with %d group(s) buffered, need 2", len(page.Groups))
+			t.Fatalf("stream exhausted with %d group(s) buffered, need %d", len(page.Groups), n)
 		}
 	}
-	t.Fatalf("session %s: two pending groups never buffered", sid)
+	t.Fatalf("session %s: %d pending groups never buffered", sid, n)
 	return nil
 }
 
@@ -54,7 +54,7 @@ func TestBatchDecisions(t *testing.T) {
 	_, ts := newTestServer(t, Options{Prefetch: 2})
 	ds := uploadPaperDataset(t, ts.URL)
 	sess := openSession(t, ts.URL, ds.ID, "Name")
-	groups := pendingTwo(t, ts.URL, ds.ID, sess.ID)
+	groups := pendingN(t, ts.URL, ds.ID, sess.ID, 2)
 
 	body := fmt.Sprintf(`{"decisions":[{"group_id":%d,"decision":"approve"},{"group_id":%d,"decision":"reject"}]}`,
 		groups[0].ID, groups[1].ID)
@@ -99,7 +99,7 @@ func TestBatchDecisionsValidationRejectsAll(t *testing.T) {
 	_, ts := newTestServer(t, Options{Prefetch: 2})
 	ds := uploadPaperDataset(t, ts.URL)
 	sess := openSession(t, ts.URL, ds.ID, "Name")
-	groups := pendingTwo(t, ts.URL, ds.ID, sess.ID)
+	groups := pendingN(t, ts.URL, ds.ID, sess.ID, 2)
 	g0, g1 := groups[0].ID, groups[1].ID
 
 	cases := []struct {

@@ -273,15 +273,9 @@ func (s *Service) serveGroupsSSE(w http.ResponseWriter, r *http.Request, owner, 
 		writeError(w, fmt.Errorf("streaming unsupported by connection"))
 		return
 	}
-	if datasetID != "" {
-		if _, err := s.lookupSessionInDataset(owner, datasetID, id); err != nil {
-			writeError(w, err)
-			return
-		}
-	}
 	// First page before committing to the stream content type, so an
 	// unknown session still gets the JSON error envelope.
-	page, rev, err := s.waitGroupsPage(owner, id, limit, ^uint64(0), nil)
+	page, rev, err := s.waitPage(owner, datasetID, id, limit, nil, nil)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -310,7 +304,8 @@ func (s *Service) serveGroupsSSE(w http.ResponseWriter, r *http.Request, owner, 
 			case <-stop:
 			}
 		}()
-		page, newRev, err := s.waitGroupsPage(owner, id, limit, rev, round)
+		page, newRev, err := s.waitPage(owner, datasetID, id, limit, round,
+			func(cs *columnSession) bool { return cs.rev != rev })
 		close(stop)
 		if r.Context().Err() != nil {
 			return

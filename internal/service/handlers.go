@@ -52,7 +52,11 @@ const maxLongPoll = 60 * time.Second
 //
 // The groups endpoints double as push streams: Accept:
 // text/event-stream turns the long poll into an SSE stream of "groups"
-// events (see serveGroupsSSE).
+// events (see serveGroupsSSE); both wait through waitPage. The
+// single-decision route is a batch of one on the batch route's path
+// (decideGroups) that only leaves out the batch.applied event. The
+// dataset-scoped routes answer 404 for a session of another dataset
+// before touching or restoring anything.
 //
 // Errors share one envelope: {"error", "code", "request_id",
 // "trace_id"} — code is a stable machine-readable slug (see errorCode),
@@ -234,12 +238,13 @@ func (s *Service) handleGroups(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
+	datasetID, id := "", r.PathValue("id")
+	if sid := r.PathValue("sid"); sid != "" {
+		datasetID, id = id, sid
+	}
+	owner := principalFrom(r).tenant
 	if wantsSSE(r) {
-		datasetID, id := "", r.PathValue("id")
-		if sid := r.PathValue("sid"); sid != "" {
-			datasetID, id = id, sid
-		}
-		s.serveGroupsSSE(w, r, principalFrom(r).tenant, datasetID, id, limit)
+		s.serveGroupsSSE(w, r, owner, datasetID, id, limit)
 		return
 	}
 	var wait <-chan struct{}
@@ -266,13 +271,7 @@ func (s *Service) handleGroups(w http.ResponseWriter, r *http.Request) {
 		}()
 		wait = ctx.Done()
 	}
-	var page GroupPage
-	var err error
-	if sid := r.PathValue("sid"); sid != "" {
-		page, err = s.scope(r).SessionPendingGroups(r.PathValue("id"), sid, limit, wait)
-	} else {
-		page, err = s.scope(r).PendingGroups(r.PathValue("id"), limit, wait)
-	}
+	page, err := s.pendingGroups(owner, datasetID, id, limit, wait)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -102,8 +102,7 @@ func tenantLabel(owner string) string {
 	return owner
 }
 
-func (m *serviceMetrics) bumpRequests(owner string)  { m.requests.Counter(tenantLabel(owner)).Inc() }
-func (m *serviceMetrics) bumpDecisions(owner string) { m.decisions.Counter(tenantLabel(owner)).Inc() }
+func (m *serviceMetrics) bumpRequests(owner string) { m.requests.Counter(tenantLabel(owner)).Inc() }
 func (m *serviceMetrics) bumpDecisionsN(owner string, n int) {
 	if n > 0 {
 		m.decisions.Counter(tenantLabel(owner)).Add(int64(n))

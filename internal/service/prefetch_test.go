@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -61,11 +62,13 @@ func issuedGroups(st goldrec.ReviewState) []goldrec.GroupState {
 	return out
 }
 
-// lagSchedule reviews sess the way a one-at-a-time reviewer and the
-// service's generator interleave: issue prefetch groups, then decide
-// group k (the oracle's verdict) and issue one more, for budget
-// decisions. It returns the verdicts in order.
-func lagSchedule(t *testing.T, sess *goldrec.Session, truth *table.Truth, prefetch, budget int) []goldrec.Decision {
+// lagSchedule reviews sess the way a reviewer who answers b groups at
+// a time (b <= prefetch) and the service's generator interleave: issue
+// prefetch groups, then decide the next b (the oracle's verdicts; fewer
+// for the budget's last batch) and issue as many more, for budget
+// decisions. b = 1 is the one-at-a-time reviewer. It returns the
+// verdicts in order.
+func lagSchedule(t *testing.T, sess *goldrec.Session, truth *table.Truth, prefetch, b, budget int) []goldrec.Decision {
 	t.Helper()
 	verify := sess.OracleVerifier(truth, 0)
 	var groups []*goldrec.Group
@@ -81,30 +84,38 @@ func lagSchedule(t *testing.T, sess *goldrec.Session, truth *table.Truth, prefet
 		issue()
 	}
 	var verdicts []goldrec.Decision
-	for k := 0; k < budget && k < len(groups); k++ {
-		d := goldrec.Rejected
-		if ok, dir := verify(groups[k]); ok {
-			d = goldrec.Approved
-			if dir == goldrec.Backward {
-				d = goldrec.ApprovedBackward
+	for k := 0; k < budget && k < len(groups); {
+		n := min(b, budget-k, len(groups)-k)
+		for _, g := range groups[k : k+n] {
+			d := goldrec.Rejected
+			if ok, dir := verify(g); ok {
+				d = goldrec.Approved
+				if dir == goldrec.Backward {
+					d = goldrec.ApprovedBackward
+				}
 			}
+			if _, err := sess.Decide(g.ID, d); err != nil {
+				t.Fatal(err)
+			}
+			verdicts = append(verdicts, d)
 		}
-		if _, err := sess.Decide(groups[k].ID, d); err != nil {
-			t.Fatal(err)
+		for i := 0; i < n; i++ {
+			issue()
 		}
-		verdicts = append(verdicts, d)
-		issue()
+		k += n
 	}
 	return verdicts
 }
 
 // TestLagScheduleDifferential checks that the service's session is the
 // library's Session under the lag-prefetch schedule, whatever the
-// generator's timing: a one-at-a-time reviewer over HTTP sees the same
-// groups (id, program, pairs) as an in-process Session that issues
-// prefetch groups and then decides k / issues k+prefetch, the reviewed
-// column ends identical, the WAL records exactly that schedule, and
-// re-executing the WAL regenerates the same group ids.
+// generator's timing and whichever decision route the reviewer uses: a
+// reviewer over HTTP who answers b groups at a time — one by one on the
+// single-decision route, or b per request on the batch route — sees
+// the same groups (id, program, pairs) as an in-process Session that
+// issues prefetch groups and then decides b / issues b more, the
+// reviewed column ends identical, the WAL records exactly that
+// schedule, and re-executing the WAL regenerates the same group ids.
 func TestLagScheduleDifferential(t *testing.T) {
 	const budget = 10
 	for _, tc := range []struct {
@@ -115,103 +126,152 @@ func TestLagScheduleDifferential(t *testing.T) {
 		{"Address", datagen.Address, 6},
 		{"JournalTitle", datagen.JournalTitle, 24},
 	} {
-		for _, prefetch := range []int{1, 2, 8} {
+		for _, p := range []struct {
+			prefetch int
+			legs     []lagLeg
+		}{
+			{1, []lagLeg{{1, []string{"single"}}}},
+			{2, []lagLeg{{1, []string{"single", "batch"}}, {2, []string{"batch"}}}},
+			{8, []lagLeg{{1, []string{"single", "batch"}}, {8, []string{"batch"}}}},
+		} {
+			prefetch := p.prefetch
 			t.Run(fmt.Sprintf("%s/prefetch=%d", tc.name, prefetch), func(t *testing.T) {
 				gen := tc.gen(datagen.Config{Seed: 7, Clusters: tc.clusters})
 				csv := generatedCSV(t, gen)
-
-				ref, refDS := inProcessSession(t, csv, gen.Col)
-				verdicts := lagSchedule(t, ref, gen.Truth, prefetch, budget)
-				issued := issuedGroups(ref.ReviewState())
-				if len(verdicts) != budget || len(issued) <= budget {
-					t.Fatalf("dataset too small: %d group(s) issued for a budget of %d", len(issued), budget)
-				}
-
-				fsStore, err := store.OpenFS(t.TempDir(), store.FSOptions{NoSync: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { fsStore.Close() }) // after the service closes
-				svc, ts := newTestServer(t, Options{Prefetch: prefetch, Store: fsStore, Shards: testShards(t)})
-				sess := openCSV(t, ts.URL, csv, gen.Data.Attrs[gen.Col])
-
-				for k, v := range verdicts {
-					g, ok := nextGroup(t, ts.URL, sess.ID)
-					if !ok {
-						t.Fatalf("question %d: session exhausted", k)
-					}
-					g.Decision, g.Sites, g.Gain = 0, 0, 0 // page annotations, not identity
-					if got, want := g, issued[k]; !reflect.DeepEqual(got, want) {
-						t.Fatalf("question %d: service asked %+v, lag-%d schedule issues %+v", k, got, prefetch, want)
-					}
-					if _, status := decide(t, ts.URL, sess.ID, g.ID, v.String()); status != http.StatusOK {
-						t.Fatalf("decide group %d: status %d", g.ID, status)
-					}
-				}
-				// A full-buffer wait returns once the generator parks.
-				doJSON(t, "GET", fmt.Sprintf("%s/v1/sessions/%s/groups?limit=%d&wait=true", ts.URL, sess.ID, prefetch), nil, nil)
-				st, err := svc.ReviewState(sess.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := issuedGroups(st); !reflect.DeepEqual(got, issued) {
-					t.Fatalf("service issued\n %+v\nlag-%d schedule issued\n %+v", got, prefetch, issued)
-				}
-				exp, err := svc.Export(sess.DatasetID, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertColumn(t, "service", exp, refDS, gen.Col)
-
-				// The WAL is exactly the schedule: issue 0..prefetch-1, then
-				// decide k / issue k+prefetch.
-				var recs []store.WALRecord
-				if err := fsStore.ReplayWAL(context.Background(), sess.DatasetID, sess.ID, func(r store.WALRecord) error {
-					recs = append(recs, r)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				var want []store.WALRecord
-				for id := 0; id < prefetch && id < len(issued); id++ {
-					want = append(want, store.WALRecord{Op: store.OpIssue, GroupID: id})
-				}
-				for k, v := range verdicts {
-					want = append(want, store.WALRecord{Op: store.OpDecide, GroupID: k, Decision: v.String()})
-					if k+prefetch < len(issued) {
-						want = append(want, store.WALRecord{Op: store.OpIssue, GroupID: k + prefetch})
-					}
-				}
-				if !reflect.DeepEqual(recs, want) {
-					t.Fatalf("WAL records\n got %+v\nwant %+v", recs, want)
-				}
-
-				// Re-executing the WAL regenerates the same ids and groups.
-				replayed, replayDS := inProcessSession(t, csv, gen.Col)
-				for i, r := range recs {
-					switch r.Op {
-					case store.OpIssue:
-						g, ok := replayed.NextGroup()
-						if !ok || g.ID != r.GroupID {
-							t.Fatalf("WAL record %d: replay issued (%v, ok=%v), log says group %d", i, g, ok, r.GroupID)
+				for _, leg := range p.legs {
+					b := leg.b
+					t.Run(fmt.Sprintf("b=%d", b), func(t *testing.T) {
+						ref, refDS := inProcessSession(t, csv, gen.Col)
+						verdicts := lagSchedule(t, ref, gen.Truth, prefetch, b, budget)
+						issued := issuedGroups(ref.ReviewState())
+						if len(verdicts) != budget || len(issued) <= budget {
+							t.Fatalf("dataset too small: %d group(s) issued for a budget of %d", len(issued), budget)
 						}
-					case store.OpDecide:
-						d, err := goldrec.ParseDecision(r.Decision)
-						if err != nil {
-							t.Fatal(err)
+
+						// The WAL the schedule implies: issue 0..prefetch-1, then
+						// for each batch of n decisions from k, decide k..k+n-1 /
+						// issue k+prefetch..k+prefetch+n-1.
+						var want []store.WALRecord
+						for id := 0; id < prefetch && id < len(issued); id++ {
+							want = append(want, store.WALRecord{Op: store.OpIssue, GroupID: id})
 						}
-						if _, err := replayed.Decide(r.GroupID, d); err != nil {
-							t.Fatalf("WAL record %d: %v", i, err)
+						for k := 0; k < len(verdicts); k += b {
+							n := min(b, len(verdicts)-k)
+							for i := k; i < k+n; i++ {
+								want = append(want, store.WALRecord{Op: store.OpDecide, GroupID: i, Decision: verdicts[i].String()})
+							}
+							for i := k + prefetch; i < k+prefetch+n && i < len(issued); i++ {
+								want = append(want, store.WALRecord{Op: store.OpIssue, GroupID: i})
+							}
 						}
-					}
+						// Re-executing that WAL regenerates the same ids and groups.
+						// Each route below checks its WAL equals it.
+						replayed, replayDS := inProcessSession(t, csv, gen.Col)
+						for i, r := range want {
+							switch r.Op {
+							case store.OpIssue:
+								g, ok := replayed.NextGroup()
+								if !ok || g.ID != r.GroupID {
+									t.Fatalf("WAL record %d: replay issued (%v, ok=%v), log says group %d", i, g, ok, r.GroupID)
+								}
+							case store.OpDecide:
+								d, err := goldrec.ParseDecision(r.Decision)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if _, err := replayed.Decide(r.GroupID, d); err != nil {
+									t.Fatalf("WAL record %d: %v", i, err)
+								}
+							}
+						}
+						if got := issuedGroups(replayed.ReviewState()); !reflect.DeepEqual(got, issued) {
+							t.Fatalf("replay issued\n %+v\nlag-%d schedule issued\n %+v", got, prefetch, issued)
+						}
+
+						for _, route := range leg.routes {
+							t.Run(route, func(t *testing.T) {
+								fsStore, err := store.OpenFS(t.TempDir(), store.FSOptions{NoSync: true})
+								if err != nil {
+									t.Fatal(err)
+								}
+								t.Cleanup(func() { fsStore.Close() }) // after the service closes
+								svc, ts := newTestServer(t, Options{Prefetch: prefetch, Store: fsStore, Shards: testShards(t)})
+								sess := openCSV(t, ts.URL, csv, gen.Data.Attrs[gen.Col])
+
+								asked := func(k int, g goldrec.GroupState) {
+									t.Helper()
+									g.Decision, g.Sites, g.Gain = 0, 0, 0 // page annotations, not identity
+									if want := issued[k]; !reflect.DeepEqual(g, want) {
+										t.Fatalf("question %d: service asked %+v, lag-%d schedule issues %+v", k, g, prefetch, want)
+									}
+								}
+								for k := 0; k < len(verdicts); k += b {
+									n := min(b, len(verdicts)-k)
+									if route == "single" {
+										g, ok := nextGroup(t, ts.URL, sess.ID)
+										if !ok {
+											t.Fatalf("question %d: session exhausted", k)
+										}
+										asked(k, g)
+										if _, status := decide(t, ts.URL, sess.ID, g.ID, verdicts[k].String()); status != http.StatusOK {
+											t.Fatalf("decide group %d: status %d", g.ID, status)
+										}
+										continue
+									}
+									page := pendingN(t, ts.URL, sess.DatasetID, sess.ID, n)
+									reqs := make([]DecisionRequest, n)
+									for i, g := range page {
+										asked(k+i, g)
+										reqs[i] = DecisionRequest{GroupID: g.ID, Decision: verdicts[k+i].String()}
+									}
+									body, err := json.Marshal(BatchDecisionsRequest{Decisions: reqs})
+									if err != nil {
+										t.Fatal(err)
+									}
+									if status := postBatch(t, ts.URL, sess.DatasetID, sess.ID, string(body), nil); status != http.StatusOK {
+										t.Fatalf("decide groups %d..%d: status %d", k, k+n-1, status)
+									}
+								}
+								// A full-buffer wait returns once the generator parks.
+								doJSON(t, "GET", fmt.Sprintf("%s/v1/sessions/%s/groups?limit=%d&wait=true", ts.URL, sess.ID, prefetch), nil, nil)
+								st, err := svc.ReviewState(sess.ID)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if got := issuedGroups(st); !reflect.DeepEqual(got, issued) {
+									t.Fatalf("service issued\n %+v\nlag-%d schedule issued\n %+v", got, prefetch, issued)
+								}
+								exp, err := svc.Export(sess.DatasetID, false)
+								if err != nil {
+									t.Fatal(err)
+								}
+								assertColumn(t, "service", exp, refDS, gen.Col)
+								assertColumn(t, "replay", exp, replayDS, gen.Col)
+
+								var recs []store.WALRecord
+								if err := fsStore.ReplayWAL(context.Background(), sess.DatasetID, sess.ID, func(r store.WALRecord) error {
+									recs = append(recs, r)
+									return nil
+								}); err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(recs, want) {
+									t.Fatalf("WAL records\n got %+v\nwant %+v", recs, want)
+								}
+							})
+						}
+					})
 				}
-				if got := issuedGroups(replayed.ReviewState()); !reflect.DeepEqual(got, issued) {
-					t.Fatalf("replay issued\n %+v\nlag-%d schedule issued\n %+v", got, prefetch, issued)
-				}
-				assertColumn(t, "replay", exp, replayDS, gen.Col)
 			})
 		}
 	}
+}
+
+// lagLeg is one reviewer shape of TestLagScheduleDifferential: b
+// decisions per round, on each of the named decision routes.
+type lagLeg struct {
+	b      int
+	routes []string
 }
 
 // assertColumn checks an export's column col against a dataset's.

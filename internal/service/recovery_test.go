@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -376,6 +377,81 @@ func TestPassivationReloadsOnTouch(t *testing.T) {
 	}
 	if status := doJSON(t, "GET", ts.URL+"/v1/datasets/"+ds.ID, nil, nil); status != http.StatusOK {
 		t.Fatalf("dataset after second reload: status %d", status)
+	}
+}
+
+// TestPassivationDatasetMismatchNoRestore checks that the
+// dataset-scoped session routes resolve the dataset part of the address
+// before any side effect: addressing a passivated session through
+// another dataset's id (live-less or unknown) answers 404 on the plain
+// page, the long poll, the SSE stream and the batch decision route, and
+// leaves every dataset passive.
+func TestPassivationDatasetMismatchNoRestore(t *testing.T) {
+	fc := newFakeClock(time.Unix(1700000000, 0))
+	fsStore, err := store.OpenFS(storeDir(t), store.FSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Options{TTL: time.Minute, JanitorInterval: 24 * time.Hour, Prefetch: 2, Store: fsStore, clock: fc, Shards: testShards(t)})
+	defer func() { svc.Close(); fsStore.Close() }()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	ds := uploadPaperDataset(t, ts.URL)
+	other := uploadPaperDataset(t, ts.URL)
+	sess := openSession(t, ts.URL, ds.ID, "Name")
+	quiesce(t, svc, sess.ID, 2)
+	fc.Advance(2 * time.Minute)
+	if d, c := svc.EvictExpired(); d != 2 || c != 1 {
+		t.Fatalf("evicted %d datasets, %d sessions, want 2 and 1", d, c)
+	}
+
+	assertPassive := func(after string) {
+		t.Helper()
+		var list struct {
+			Datasets []DatasetInfo `json:"datasets"`
+		}
+		if status := doJSON(t, "GET", ts.URL+"/v1/datasets", nil, &list); status != http.StatusOK {
+			t.Fatalf("list: status %d", status)
+		}
+		if len(list.Datasets) != 2 {
+			t.Fatalf("listing = %+v, want 2 datasets", list.Datasets)
+		}
+		for _, d := range list.Datasets {
+			if !d.Passive {
+				t.Fatalf("%s restored dataset %s: %+v", after, d.ID, d)
+			}
+		}
+	}
+	for _, dsID := range []string{other.ID, "ds_nope"} {
+		base := ts.URL + "/v1/datasets/" + dsID + "/sessions/" + sess.ID
+		for _, tc := range []struct {
+			name, method, url, accept, body string
+		}{
+			{"page", "GET", base + "/groups", "", ""},
+			{"long poll", "GET", base + "/groups?wait=1s", "", ""},
+			{"sse", "GET", base + "/groups", "text/event-stream", ""},
+			{"batch", "POST", base + "/decisions", "", `{"decisions":[{"group_id":0,"decision":"approve"}]}`},
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			req, err := http.NewRequestWithContext(ctx, tc.method, tc.url, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.accept != "" {
+				req.Header.Set("Accept", tc.accept)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", tc.name, dsID, err)
+			}
+			resp.Body.Close()
+			cancel()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s via %s: status %d, want 404", tc.name, dsID, resp.StatusCode)
+			}
+			assertPassive(tc.name + " via " + dsID)
+		}
 	}
 }
 

@@ -58,6 +58,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1119,13 +1120,16 @@ func setColumnValues(ds *table.Dataset, col int, values [][]string) {
 	}
 }
 
-// lookupSession is session plus tenant visibility: a foreign session
-// id reads as missing, exactly like lookupDataset — and, like it,
-// resolves ownership before the touch/restore side effects.
-func (s *Service) lookupSession(owner, id string) (*columnSession, error) {
-	if owner != "" {
+// lookupSession is session plus visibility: a foreign session id — or,
+// on a dataset-scoped route (datasetID != ""), a session of another
+// dataset — reads as missing, exactly like lookupDataset. Like it, the
+// probe is resolved before the touch/restore side effects, so an
+// address that is rejected never restores a passivated dataset. The
+// dataset id is part of the address, not a hint.
+func (s *Service) lookupSession(owner, datasetID, id string) (*columnSession, error) {
+	if owner != "" || datasetID != "" {
 		if cs, ok := s.sessions.peek(id); ok {
-			if cs.owner != owner {
+			if !sessionVisible(owner, datasetID, cs.owner, cs.datasetID) {
 				return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
 			}
 		} else {
@@ -1136,7 +1140,7 @@ func (s *Service) lookupSession(owner, id string) (*columnSession, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: looking up session %s: %v", ErrStorage, id, err)
 			}
-			if sm.Owner != owner {
+			if !sessionVisible(owner, datasetID, sm.Owner, sm.DatasetID) {
 				return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
 			}
 		}
@@ -1145,31 +1149,23 @@ func (s *Service) lookupSession(owner, id string) (*columnSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	if owner != "" && cs.owner != owner {
+	if !sessionVisible(owner, datasetID, cs.owner, cs.datasetID) {
 		return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
 	}
 	return cs, nil
 }
 
-// lookupSessionInDataset is lookupSession for the dataset-scoped
-// routes: the session must belong to the named dataset, and one that
-// does not reads as missing — the dataset id is part of the address,
-// not a hint.
-func (s *Service) lookupSessionInDataset(owner, datasetID, id string) (*columnSession, error) {
-	cs, err := s.lookupSession(owner, id)
-	if err != nil {
-		return nil, err
-	}
-	if cs.datasetID != datasetID {
-		return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
-	}
-	return cs, nil
+// sessionVisible reports whether a session owned by sessOwner in
+// sessDataset is visible through an (owner, datasetID) address; an
+// empty component matches anything.
+func sessionVisible(owner, datasetID, sessOwner, sessDataset string) bool {
+	return (owner == "" || sessOwner == owner) && (datasetID == "" || sessDataset == datasetID)
 }
 
 // getSessionInfo returns a session's info and refreshes its idle timer
 // (and its dataset's).
 func (s *Service) getSessionInfo(owner, id string) (SessionInfo, error) {
-	cs, err := s.lookupSession(owner, id)
+	cs, err := s.lookupSession(owner, "", id)
 	if err != nil {
 		return SessionInfo{}, err
 	}
@@ -1209,7 +1205,7 @@ func (s *Service) ownedLiveSessions(owner string) int {
 // snapshot, so standardization work done through a deleted session
 // still survives a restart.
 func (s *Service) deleteSession(ctx context.Context, owner, id string) error {
-	cs, err := s.lookupSession(owner, id)
+	cs, err := s.lookupSession(owner, "", id)
 	if errors.Is(err, ErrNotFound) {
 		// Not live and not restorable (the dataset is live but this
 		// session is not — e.g. a prior delete purged the memory side
@@ -1347,31 +1343,47 @@ func (cs *columnSession) statusLocked() string {
 }
 
 // pendingGroups returns up to limit undecided groups (0 = all
-// buffered), oldest first. When wait is non-nil, it blocks until the
-// buffer holds min(limit, prefetch) groups (limit 0 counts as
-// prefetch), the stream ends or stalls, or wait is canceled: a
-// one-at-a-time reviewer gets group 0 the moment it is logged, while a
-// page-everything reviewer still sees a full buffer.
-func (s *Service) pendingGroups(owner, id string, limit int, wait <-chan struct{}) (GroupPage, error) {
-	cs, err := s.lookupSession(owner, id)
-	if err != nil {
-		return GroupPage{}, err
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+// buffered), oldest first; datasetID "" addresses the session route.
+// When wait is non-nil, it blocks until the buffer holds min(limit,
+// prefetch) groups (limit 0 counts as prefetch), the stream ends or
+// stalls, or wait is canceled: a one-at-a-time reviewer gets group 0
+// the moment it is logged, while a page-everything reviewer still sees
+// a full buffer.
+func (s *Service) pendingGroups(owner, datasetID, id string, limit int, wait <-chan struct{}) (GroupPage, error) {
+	var ready func(*columnSession) bool
 	if wait != nil {
 		want := s.opts.Prefetch
 		if limit > 0 && limit < want {
 			want = limit
 		}
-		for len(cs.pending) < want && !cs.exhausted && !cs.stalled && !cs.closed && !chanClosed(wait) {
-			cs.waitOrCancel(wait)
+		ready = func(cs *columnSession) bool {
+			return len(cs.pending) >= want || cs.exhausted || cs.stalled
 		}
 	}
-	if cs.closed {
-		return GroupPage{}, fmt.Errorf("session %s: %w", id, ErrNotFound)
+	page, _, err := s.waitPage(owner, datasetID, id, limit, wait, ready)
+	return page, err
+}
+
+// waitPage renders a session's groups page and the rev it was rendered
+// at, after waiting — when ready is non-nil, which needs a non-nil
+// wait — until ready holds, the session closes or wait closes. It is
+// the one page wait: the long poll waits for a full enough buffer, the
+// SSE stream for the rev to move. datasetID "" addresses the session
+// route.
+func (s *Service) waitPage(owner, datasetID, id string, limit int, wait <-chan struct{}, ready func(*columnSession) bool) (GroupPage, uint64, error) {
+	cs, err := s.lookupSession(owner, datasetID, id)
+	if err != nil {
+		return GroupPage{}, 0, err
 	}
-	return cs.pageLocked(limit), nil
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	for ready != nil && !ready(cs) && !cs.closed && !chanClosed(wait) {
+		cs.waitOrCancel(wait)
+	}
+	if cs.closed {
+		return GroupPage{}, 0, fmt.Errorf("session %s: %w", id, ErrNotFound)
+	}
+	return cs.pageLocked(limit), cs.rev, nil
 }
 
 // pageLocked renders the current undecided-group page. Caller holds
@@ -1401,27 +1413,6 @@ func (cs *columnSession) pageLocked(limit int) GroupPage {
 		})
 	}
 	return page
-}
-
-// waitGroupsPage blocks until the session's observable state moves past
-// afterRev (or wait closes), then renders a page at the new rev. Pass
-// afterRev = ^uint64(0) for an immediate first page. The SSE groups
-// stream is its only caller: each round sends one page, remembers the
-// rev it rendered, and asks again.
-func (s *Service) waitGroupsPage(owner, id string, limit int, afterRev uint64, wait <-chan struct{}) (GroupPage, uint64, error) {
-	cs, err := s.lookupSession(owner, id)
-	if err != nil {
-		return GroupPage{}, 0, err
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for cs.rev == afterRev && !cs.closed && !chanClosed(wait) {
-		cs.waitOrCancel(wait)
-	}
-	if cs.closed {
-		return GroupPage{}, 0, fmt.Errorf("session %s: %w", id, ErrNotFound)
-	}
-	return cs.pageLocked(limit), cs.rev, nil
 }
 
 // awaitParkedLocked blocks until the generator is parked: its buffer
@@ -1477,116 +1468,21 @@ func chanClosed(c <-chan struct{}) bool {
 	}
 }
 
-// decide records the reviewer's verdict for one issued group and, for
-// approvals, applies the replacements. Distinct-column sessions of the
-// same dataset can apply concurrently; exports serialize against them.
-//
-// The decision is appended to the session's WAL after validation but
-// before it is applied or acknowledged: once the reviewer sees success,
-// the verdict survives any crash. A storage failure rejects the request
-// with nothing recorded and nothing applied.
-//
-// A tenant-scoped caller spends one token of its decisions/sec budget
-// per attempt; an empty bucket rejects with RateLimitError before any
-// work is done (unscoped callers are never rate limited).
+// decide records the reviewer's verdict for one issued group: a batch
+// of one through decideGroups, which is where validation, the WAL,
+// apply, events and teaching live. Only the batch.applied event is
+// left out.
 func (s *Service) decide(ctx context.Context, owner, id string, groupID int, decision goldrec.Decision) (DecisionResult, error) {
 	switch decision {
 	case goldrec.Approved, goldrec.ApprovedBackward, goldrec.Rejected:
 	default:
 		return DecisionResult{}, fmt.Errorf("invalid decision %d", int(decision))
 	}
-	cs, err := s.lookupSession(owner, id)
+	res, err := s.decideGroups(ctx, owner, "", id, []int{groupID}, []goldrec.Decision{decision}, false)
 	if err != nil {
 		return DecisionResult{}, err
 	}
-	if owner != "" && s.opts.Tenants != nil {
-		if ok, retry := s.opts.Tenants.AllowDecision(owner); !ok {
-			s.metrics.bumpRateLimited(owner)
-			return DecisionResult{}, &RateLimitError{RetryAfter: retry}
-		}
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.awaitParkedLocked(s.opts.Prefetch)
-	if cs.closed {
-		return DecisionResult{}, fmt.Errorf("session %s: %w", id, ErrNotFound)
-	}
-	if cs.archived != nil {
-		return DecisionResult{}, fmt.Errorf("session %s is finished and compacted: %w", id, ErrConflict)
-	}
-	if cs.sess == nil {
-		return DecisionResult{}, fmt.Errorf("session %s is still initializing: %w", id, ErrConflict)
-	}
-	// Validate here (rather than letting sess.Decide fail) so only
-	// decisions that will succeed reach the WAL — replay must never hit
-	// a failing record.
-	g, ok := cs.sess.Group(groupID)
-	if !ok {
-		return DecisionResult{}, fmt.Errorf("%w: no issued group %d", ErrConflict, groupID)
-	}
-	if g.Decision() != goldrec.Pending {
-		return DecisionResult{}, fmt.Errorf("%w: group %d already decided (%s)", ErrConflict, groupID, g.Decision())
-	}
-	// Undecided groups must also be in the pending buffer: a group
-	// enters it exactly when its issue record lands in the WAL. A group
-	// the generator pulled but failed to log (stall window) is issued in
-	// the engine yet absent here — deciding it would write a decide
-	// record replay can never satisfy.
-	inPending := false
-	for _, p := range cs.pending {
-		if p.ID == groupID {
-			inPending = true
-			break
-		}
-	}
-	if !inPending {
-		return DecisionResult{}, fmt.Errorf("%w: group %d is not awaiting a decision", ErrConflict, groupID)
-	}
-	rec := store.WALRecord{Op: store.OpDecide, GroupID: groupID, Decision: decision.String()}
-	if err := s.store.AppendWAL(ctx, cs.datasetID, cs.id, rec); err != nil {
-		return DecisionResult{}, fmt.Errorf("%w: logging decision: %v", ErrStorage, err)
-	}
-	cs.d.applyMu.RLock()
-	stats, err := cs.sess.Decide(groupID, decision)
-	cs.d.applyMu.RUnlock()
-	if err != nil {
-		// Unreachable given the validation above; the WAL now holds a
-		// record the session does not. Surface loudly.
-		return DecisionResult{}, fmt.Errorf("%w: decision logged but not applied: %v", ErrStorage, err)
-	}
-	for i, g := range cs.pending {
-		if g.ID == groupID {
-			cs.pending = append(cs.pending[:i], cs.pending[i+1:]...)
-			break
-		}
-	}
-	cs.stats = cs.sess.Stats()
-	// A freed buffer slot lets the generator pull the next group while
-	// the reviewer reads the response.
-	cs.bumpLocked()
-	res := DecisionResult{
-		GroupID:  groupID,
-		Decision: decision,
-		Applied:  stats,
-		Stats:    cs.stats,
-	}
-	// Acknowledged decisions are metered against the session's owner
-	// (the tenant whose review budget is being spent), so an admin
-	// reviewing on a tenant's behalf still shows up on that tenant.
-	s.metrics.bumpDecisions(cs.owner)
-	s.emitEvent(ctx, events.Event{
-		Type:    events.TypeDecisionRecorded,
-		Tenant:  cs.owner,
-		Dataset: cs.datasetID,
-		Session: cs.id,
-		Data:    map[string]any{"group_id": groupID, "decision": decision.String()},
-	})
-	// The verdict also teaches the owner's transformation library, so
-	// the tenant's next upload can pre-decide groups this program
-	// explains. Attributed to the owner for the same reason as above.
-	s.recordVerdict(ctx, cs, groupID, decision)
-	s.maybeCompactLocked(ctx, cs)
-	return res, nil
+	return res.Results[0], nil
 }
 
 // maxBatchDecisions bounds one batched submission. The cap keeps a
@@ -1595,13 +1491,8 @@ func (s *Service) decide(ctx context.Context, owner, id string, groupID int, dec
 // full batch admitted (AllowDecisions is all-or-nothing).
 const maxBatchDecisions = 256
 
-// decideBatch records many verdicts for one session atomically:
-// validate the whole batch first (ApplyReview-style — a duplicate
-// group id, unknown or already-decided group, or invalid decision
-// rejects everything before any apply), append every decide record in
-// one WAL batch (one write, one fsync), then apply in request order.
-// Tenant-scoped callers spend len(reqs) rate-limit tokens up front,
-// all or nothing.
+// decideBatch records many verdicts for one session atomically. It
+// parses and dedupes the request, then hands it to decideGroups.
 func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, reqs []DecisionRequest) (BatchDecisionsResult, error) {
 	if len(reqs) == 0 {
 		return BatchDecisionsResult{}, fmt.Errorf("empty batch: at least one decision required")
@@ -1611,6 +1502,7 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 	}
 	// Parse and dedupe before touching the session: malformed input
 	// should never cost a lock, a rate-limit token or a WAL write.
+	ids := make([]int, len(reqs))
 	decisions := make([]goldrec.Decision, len(reqs))
 	seen := make(map[int]int, len(reqs))
 	for i, req := range reqs {
@@ -1625,14 +1517,33 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 			return BatchDecisionsResult{}, fmt.Errorf("%w: group %d appears twice in the batch (decisions %d and %d)", ErrConflict, req.GroupID, j, i)
 		}
 		seen[req.GroupID] = i
-		decisions[i] = d
+		ids[i], decisions[i] = req.GroupID, d
 	}
-	cs, err := s.lookupSessionInDataset(owner, datasetID, id)
+	return s.decideGroups(ctx, owner, datasetID, id, ids, decisions, true)
+}
+
+// decideGroups records the verdicts decisions[i] on groups ids[i] (no
+// duplicates) for one session, atomically: validate the whole batch
+// first (an unknown, already-decided or unbuffered group rejects
+// everything before any apply), append every decide record in one WAL
+// batch (one write, one fsync), then apply in request order. Once the
+// reviewer sees success, the verdicts survive any crash; a storage
+// failure rejects the request with nothing recorded and nothing
+// applied. Distinct-column sessions of the same dataset can apply
+// concurrently; exports serialize against them.
+//
+// A tenant-scoped caller spends len(ids) tokens of its decisions/sec
+// budget up front, all or nothing; an empty bucket rejects with
+// RateLimitError before any work is done (unscoped callers are never
+// rate limited). batch marks the batch route, the only one that emits
+// batch.applied.
+func (s *Service) decideGroups(ctx context.Context, owner, datasetID, id string, ids []int, decisions []goldrec.Decision, batch bool) (BatchDecisionsResult, error) {
+	cs, err := s.lookupSession(owner, datasetID, id)
 	if err != nil {
 		return BatchDecisionsResult{}, err
 	}
 	if owner != "" && s.opts.Tenants != nil {
-		if ok, retry := s.opts.Tenants.AllowDecisions(owner, len(reqs)); !ok {
+		if ok, retry := s.opts.Tenants.AllowDecisions(owner, len(ids)); !ok {
 			s.metrics.bumpRateLimited(owner)
 			return BatchDecisionsResult{}, &RateLimitError{RetryAfter: retry}
 		}
@@ -1649,62 +1560,54 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 	if cs.sess == nil {
 		return BatchDecisionsResult{}, fmt.Errorf("session %s is still initializing: %w", id, ErrConflict)
 	}
-	// Same per-group validation as decide, across the whole batch
-	// before any WAL write: replay must never hit a failing record,
-	// and a reviewer must never get half a submission applied.
-	inPending := make(map[int]bool, len(cs.pending))
-	for _, p := range cs.pending {
-		inPending[p.ID] = true
-	}
-	recs := make([]store.WALRecord, len(reqs))
-	for i, req := range reqs {
-		g, ok := cs.sess.Group(req.GroupID)
+	// Validate here (rather than letting sess.Decide fail) so only
+	// decisions that will succeed reach the WAL — replay must never hit
+	// a failing record, and a reviewer must never get half a submission
+	// applied.
+	for _, gid := range ids {
+		g, ok := cs.sess.Group(gid)
 		if !ok {
-			return BatchDecisionsResult{}, fmt.Errorf("%w: no issued group %d (decision %d)", ErrConflict, req.GroupID, i)
+			return BatchDecisionsResult{}, fmt.Errorf("%w: no issued group %d", ErrConflict, gid)
 		}
 		if g.Decision() != goldrec.Pending {
-			return BatchDecisionsResult{}, fmt.Errorf("%w: group %d already decided (%s)", ErrConflict, req.GroupID, g.Decision())
+			return BatchDecisionsResult{}, fmt.Errorf("%w: group %d already decided (%s)", ErrConflict, gid, g.Decision())
 		}
-		if !inPending[req.GroupID] {
-			return BatchDecisionsResult{}, fmt.Errorf("%w: group %d is not awaiting a decision", ErrConflict, req.GroupID)
+		// Undecided groups must also be in the pending buffer: a group
+		// enters it exactly when its issue record lands in the WAL. A
+		// group the generator pulled but failed to log (stall window)
+		// is issued in the engine yet absent here — deciding it would
+		// write a decide record replay can never satisfy.
+		if !slices.ContainsFunc(cs.pending, func(p *goldrec.Group) bool { return p.ID == gid }) {
+			return BatchDecisionsResult{}, fmt.Errorf("%w: group %d is not awaiting a decision", ErrConflict, gid)
 		}
-		recs[i] = store.WALRecord{Op: store.OpDecide, GroupID: req.GroupID, Decision: decisions[i].String()}
+	}
+	// Built only now, so a rejected request (the 409 path the obs and
+	// trace overhead benchmarks time) allocates nothing here.
+	recs := make([]store.WALRecord, len(ids))
+	for i, gid := range ids {
+		recs[i] = store.WALRecord{Op: store.OpDecide, GroupID: gid, Decision: decisions[i].String()}
 	}
 	if err := s.store.AppendWAL(ctx, cs.datasetID, cs.id, recs...); err != nil {
 		return BatchDecisionsResult{}, fmt.Errorf("%w: logging decisions: %v", ErrStorage, err)
 	}
-	results := make([]DecisionResult, 0, len(reqs))
+	results := make([]DecisionResult, len(ids))
 	cs.d.applyMu.RLock()
-	for i, req := range reqs {
-		stats, err := cs.sess.Decide(req.GroupID, decisions[i])
+	for i, gid := range ids {
+		stats, err := cs.sess.Decide(gid, decisions[i])
 		if err != nil {
 			cs.d.applyMu.RUnlock()
-			// Unreachable given the validation above (as in decide): the
-			// WAL now holds records the session does not. Surface loudly.
-			return BatchDecisionsResult{}, fmt.Errorf("%w: decision on group %d logged but not applied: %v", ErrStorage, req.GroupID, err)
+			// Unreachable given the validation above; the WAL now holds
+			// records the session does not. Surface loudly.
+			return BatchDecisionsResult{}, fmt.Errorf("%w: decision on group %d logged but not applied: %v", ErrStorage, gid, err)
 		}
-		results = append(results, DecisionResult{
-			GroupID:  req.GroupID,
-			Decision: decisions[i],
-			Applied:  stats,
-			Stats:    cs.sess.Stats(),
-		})
+		results[i] = DecisionResult{GroupID: gid, Decision: decisions[i], Applied: stats, Stats: cs.sess.Stats()}
 	}
 	cs.d.applyMu.RUnlock()
-	decided := make(map[int]bool, len(reqs))
-	for _, req := range reqs {
-		decided[req.GroupID] = true
-	}
-	kept := cs.pending[:0]
-	for _, g := range cs.pending {
-		if !decided[g.ID] {
-			kept = append(kept, g)
-		}
-	}
-	cs.pending = kept
+	cs.pending = slices.DeleteFunc(cs.pending, func(g *goldrec.Group) bool { return slices.Contains(ids, g.ID) })
 	cs.stats = cs.sess.Stats()
-	// Freed buffer slots let the generator pull more groups, and
-	// long-polling group fetches re-check their predicate.
+	// Freed buffer slots let the generator pull the next groups while
+	// the reviewer reads the response, and long-polling group fetches
+	// re-check their predicate.
 	cs.bumpLocked()
 	res := BatchDecisionsResult{
 		Results:     results,
@@ -1716,39 +1619,36 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 	for _, g := range cs.pending {
 		res.RemainingGain += float64(g.RemainingSites()) * res.ApproveRate
 	}
-	s.metrics.bumpDecisionsN(cs.owner, len(reqs))
-	for i, req := range reqs {
+	// Acknowledged decisions are metered against the session's owner
+	// (the tenant whose review budget is being spent), so an admin
+	// reviewing on a tenant's behalf still shows up on that tenant.
+	s.metrics.bumpDecisionsN(cs.owner, len(ids))
+	for i, gid := range ids {
 		s.emitEvent(ctx, events.Event{
 			Type:    events.TypeDecisionRecorded,
 			Tenant:  cs.owner,
 			Dataset: cs.datasetID,
 			Session: cs.id,
-			Data:    map[string]any{"group_id": req.GroupID, "decision": decisions[i].String()},
+			Data:    map[string]any{"group_id": gid, "decision": decisions[i].String()},
 		})
 	}
-	s.emitEvent(ctx, events.Event{
-		Type:    events.TypeBatchApplied,
-		Tenant:  cs.owner,
-		Dataset: cs.datasetID,
-		Session: cs.id,
-		Data:    map[string]any{"decisions": len(reqs)},
-	})
-	// Teach the owner's transformation library every verdict in the
-	// batch, exactly as the single-decision path does.
-	for i, req := range reqs {
-		s.recordVerdict(ctx, cs, req.GroupID, decisions[i])
+	if batch {
+		s.emitEvent(ctx, events.Event{
+			Type:    events.TypeBatchApplied,
+			Tenant:  cs.owner,
+			Dataset: cs.datasetID,
+			Session: cs.id,
+			Data:    map[string]any{"decisions": len(ids)},
+		})
+	}
+	// Every verdict also teaches the owner's transformation library, so
+	// the tenant's next upload can pre-decide groups this program
+	// explains. Attributed to the owner for the same reason as above.
+	for i, gid := range ids {
+		s.recordVerdict(ctx, cs, gid, decisions[i])
 	}
 	s.maybeCompactLocked(ctx, cs)
 	return res, nil
-}
-
-// pendingGroupsInDataset is pendingGroups addressed through the
-// dataset-scoped route; the session must belong to the dataset.
-func (s *Service) pendingGroupsInDataset(owner, datasetID, id string, limit int, wait <-chan struct{}) (GroupPage, error) {
-	if _, err := s.lookupSessionInDataset(owner, datasetID, id); err != nil {
-		return GroupPage{}, err
-	}
-	return s.pendingGroups(owner, id, limit, wait)
 }
 
 // maybeCompactLocked folds a finished session (stream exhausted, every
@@ -1795,7 +1695,7 @@ func (s *Service) compactLocked(ctx context.Context, cs *columnSession) error {
 // compacted session restored from the store, the archived final state
 // is served instead.
 func (s *Service) reviewState(owner, id string) (goldrec.ReviewState, error) {
-	cs, err := s.lookupSession(owner, id)
+	cs, err := s.lookupSession(owner, "", id)
 	if err != nil {
 		return goldrec.ReviewState{}, err
 	}

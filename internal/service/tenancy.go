@@ -92,7 +92,7 @@ func (sc Scope) ListSessions() []SessionInfo { return sc.svc.listSessions(sc.own
 func (sc Scope) DeleteSession(id string) error { return sc.svc.deleteSession(sc.ctx, sc.owner, id) }
 
 func (sc Scope) PendingGroups(id string, limit int, wait <-chan struct{}) (GroupPage, error) {
-	return sc.svc.pendingGroups(sc.owner, id, limit, wait)
+	return sc.svc.pendingGroups(sc.owner, "", id, limit, wait)
 }
 
 func (sc Scope) Decide(id string, groupID int, decision goldrec.Decision) (DecisionResult, error) {
@@ -104,7 +104,7 @@ func (sc Scope) DecideBatch(datasetID, id string, reqs []DecisionRequest) (Batch
 }
 
 func (sc Scope) SessionPendingGroups(datasetID, id string, limit int, wait <-chan struct{}) (GroupPage, error) {
-	return sc.svc.pendingGroupsInDataset(sc.owner, datasetID, id, limit, wait)
+	return sc.svc.pendingGroups(sc.owner, datasetID, id, limit, wait)
 }
 
 func (sc Scope) ReviewState(id string) (goldrec.ReviewState, error) {

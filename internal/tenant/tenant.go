@@ -180,7 +180,7 @@ type tenant struct {
 	// never takes the registry write lock.
 	bmu    sync.Mutex
 	tokens float64
-	last   time.Time // zero until the first AllowDecision
+	last   time.Time // zero until the first AllowDecisions
 }
 
 // Registry is the durable tenant registry. All methods are safe for
@@ -457,19 +457,13 @@ func (r *Registry) AuthenticateKey(key string) (Info, string, bool) {
 	return Info{}, "", false
 }
 
-// AllowDecision spends one token from the tenant's decision bucket.
-// When the bucket is empty it reports false and how long until the next
-// token accrues (the Retry-After the HTTP layer should advertise). An
-// unknown tenant or a zero rate is unlimited.
-func (r *Registry) AllowDecision(id string) (bool, time.Duration) {
-	return r.AllowDecisions(id, 1)
-}
-
-// AllowDecisions spends n tokens atomically: either the bucket holds
-// all n and the whole batch is admitted, or nothing is spent and the
-// wait until n tokens will have accrued is reported. All-or-nothing
-// matters for batched ingest — admitting half a batch would burn
-// tokens on work that is then rejected whole. A batch larger than the
+// AllowDecisions spends n tokens from the tenant's decision bucket,
+// atomically: either the bucket holds all n and the whole batch is
+// admitted, or nothing is spent and the wait until n tokens will have
+// accrued is reported (the Retry-After the HTTP layer should
+// advertise). An unknown tenant or a zero rate is unlimited.
+// All-or-nothing matters for batched ingest — admitting half a batch
+// would burn tokens on work that is then rejected whole. A batch larger than the
 // bucket's burst can never be admitted; callers enforce their own
 // batch-size cap below the minimum burst they configure.
 func (r *Registry) AllowDecisions(id string, n int) (bool, time.Duration) {

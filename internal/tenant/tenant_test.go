@@ -154,11 +154,11 @@ func TestRateLimit(t *testing.T) {
 	// The bucket starts full: burst decisions pass, the next is refused
 	// with a sub-second retry hint (rate 2/s → next token in ≤ 500ms).
 	for i := 0; i < 2; i++ {
-		if ok, _ := r.AllowDecision(info.ID); !ok {
+		if ok, _ := r.AllowDecisions(info.ID, 1); !ok {
 			t.Fatalf("decision %d refused within burst", i)
 		}
 	}
-	ok, retry := r.AllowDecision(info.ID)
+	ok, retry := r.AllowDecisions(info.ID, 1)
 	if ok {
 		t.Fatal("decision allowed beyond burst with no time passing")
 	}
@@ -168,10 +168,10 @@ func TestRateLimit(t *testing.T) {
 
 	// Advancing by the hint accrues exactly one token.
 	fc.Advance(retry)
-	if ok, _ := r.AllowDecision(info.ID); !ok {
+	if ok, _ := r.AllowDecisions(info.ID, 1); !ok {
 		t.Fatal("decision refused after waiting out retry-after")
 	}
-	if ok, _ := r.AllowDecision(info.ID); ok {
+	if ok, _ := r.AllowDecisions(info.ID, 1); ok {
 		t.Fatal("second decision allowed after a single-token refill")
 	}
 
@@ -179,7 +179,7 @@ func TestRateLimit(t *testing.T) {
 	fc.Advance(time.Hour)
 	allowed := 0
 	for i := 0; i < 10; i++ {
-		if ok, _ := r.AllowDecision(info.ID); ok {
+		if ok, _ := r.AllowDecisions(info.ID, 1); ok {
 			allowed++
 		}
 	}
@@ -190,11 +190,11 @@ func TestRateLimit(t *testing.T) {
 	// Zero rate means unlimited, as does an unknown tenant.
 	free, _ := mustCreate(t, r, "free", Quotas{})
 	for i := 0; i < 100; i++ {
-		if ok, _ := r.AllowDecision(free.ID); !ok {
+		if ok, _ := r.AllowDecisions(free.ID, 1); !ok {
 			t.Fatal("unlimited tenant rate-limited")
 		}
 	}
-	if ok, _ := r.AllowDecision("tn_0000000000000000"); !ok {
+	if ok, _ := r.AllowDecisions("tn_0000000000000000", 1); !ok {
 		t.Error("unknown tenant rate-limited")
 	}
 }
