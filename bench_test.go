@@ -133,7 +133,7 @@ func BenchmarkTable8TruthDiscovery(b *testing.B) {
 }
 
 // BenchmarkAblationConstantPruning regenerates the static-order ablation
-// of DESIGN.md §6.
+// of the engine's design choices (experiments.Ablations).
 func BenchmarkAblationConstantPruning(b *testing.B) {
 	g := datagen.Address(datagen.Config{Seed: 42, Clusters: 12})
 	cfg := benchCfg()

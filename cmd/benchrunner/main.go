@@ -1,6 +1,6 @@
 // Command benchrunner regenerates the paper's tables and figures on the
 // synthetic datasets. Each experiment prints the same rows/series the
-// paper reports; EXPERIMENTS.md records paper-vs-measured values.
+// paper reports.
 //
 // Usage:
 //
@@ -249,7 +249,7 @@ func runTable8(cfg experiments.Config) {
 }
 
 func runAblation(cfg experiments.Config) {
-	header("Ablations: static orders, token candidates, path length (DESIGN.md §6)")
+	header("Ablations: static orders, token candidates, path length")
 	small := cfg
 	if small.Scale == 0 {
 		small.Scale = 1

@@ -353,15 +353,7 @@ func (e *Engine) AllGroupsCtx(ctx context.Context, mode Mode) []*Group {
 		sem <- struct{}{}
 		go func(ci int, c *Context) {
 			defer func() { <-sem; wg.Done() }()
-			if !c.Prepared() {
-				before := c.AliveCount()
-				start := time.Now()
-				_, bsp := trace.StartSpan(sctx, "graph_build")
-				c.Prepare(e.graphOptions(c))
-				bsp.End()
-				e.buildNanos.Add(time.Since(start).Nanoseconds())
-				e.skipped.Add(int64(before - c.AliveCount()))
-			}
+			e.prepare(sctx, c)
 			start := time.Now()
 			groups := e.groupContext(c, mode)
 			e.searchNanos.Add(time.Since(start).Nanoseconds())
@@ -517,8 +509,8 @@ func (h *unitHeap) Pop() interface{} {
 
 // validatedTau computes τ, the largest *validated* lower bound among
 // alive graphs. Lower bounds whose witness predates a removal are
-// re-validated by re-intersecting the witness path (DESIGN.md: witnessed
-// lower bounds keep Theorem 6.4 correct under removals).
+// re-validated by re-intersecting the witness path (witnessed lower
+// bounds keep Theorem 6.4 correct under removals).
 func (e *Engine) validatedTau() (tau int, ctx *Context, gi int) {
 	tau = 1
 	for {
@@ -580,12 +572,7 @@ func (e *Engine) NextGroupCtx(ctx context.Context) *Group {
 	var fallbackCtx *Context
 	fallbackGi := -1
 
-	searchOpts := SearchOpts{
-		MaxPathLen: e.opts.MaxPathLen,
-		LocalTerm:  true,
-		GlobalTerm: true,
-		MaxSteps:   e.opts.MaxSteps,
-	}
+	searchOpts := e.searchOpts(ModeEarlyTerm)
 
 	for e.units.Len() > 0 {
 		it := heap.Pop(e.units).(unit)

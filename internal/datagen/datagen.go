@@ -1,6 +1,6 @@
 // Package datagen generates the three evaluation datasets of Section 8 —
 // AuthorList, Address and JournalTitle — as deterministic synthetic
-// equivalents (the originals are not redistributable; see DESIGN.md §3).
+// equivalents (the originals are not redistributable).
 //
 // Each generator reproduces the dataset's published shape: the
 // cluster-size profile and variant/conflict pair mix of Table 6, and the

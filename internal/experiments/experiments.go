@@ -3,7 +3,7 @@
 // quality sweeps of Figures 6-8, the grouping-time comparison of Figure
 // 9, the affix ablation of Figure 10, the dataset statistics of Table 6,
 // the sample groups of Table 4, and the truth-discovery improvement of
-// Table 8. DESIGN.md maps each experiment to the modules involved.
+// Table 8.
 package experiments
 
 import (

@@ -146,8 +146,8 @@ func Figure10(gens []*datagen.Generated, cfg Config) []StandResult {
 	return out
 }
 
-// AblationResult is one configuration of the design-choice ablations
-// called out in DESIGN.md §6.
+// AblationResult is one configuration of the design-choice ablations:
+// static candidate orders, token-level candidates and path length.
 type AblationResult struct {
 	Name     string
 	Dataset  string

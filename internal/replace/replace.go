@@ -121,8 +121,7 @@ func (st *Store) Mirror(c *Candidate) *Candidate {
 
 // NewbornCount reports how many candidates were created by post-apply
 // recomputation (new value pairs minted by token-level updates). These
-// exist in the store but were never grouped; DESIGN.md documents the
-// divergence.
+// exist in the store but were never grouped.
 func (st *Store) NewbornCount() int { return st.newborn }
 
 // LiveCount returns the number of candidates with at least one site.

@@ -275,63 +275,50 @@ func (s *Service) serveGroupsSSE(w http.ResponseWriter, r *http.Request, owner, 
 	}
 	// First page before committing to the stream content type, so an
 	// unknown session still gets the JSON error envelope.
-	page, rev, err := s.waitPage(owner, datasetID, id, limit, nil, nil)
+	page, rev, changed, err := s.waitPage(owner, datasetID, id, limit, nil)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	sseHeaders(w)
-	if done := writeGroupsSSEPage(w, page); done {
-		flusher.Flush()
-		return
-	}
-	flusher.Flush()
-
 	hb := s.clock.NewTicker(s.sseHeartbeat())
 	defer hb.Stop()
 	for {
-		// One round: wait for the rev to move, bounded by heartbeat
-		// cadence, client disconnect and server drain. The stop channel
-		// releases the watcher when the rev moves first.
-		round := make(chan struct{})
-		stop := make(chan struct{})
-		go func() {
-			defer close(round)
-			select {
-			case <-hb.C():
-			case <-r.Context().Done():
-			case <-s.drain:
-			case <-stop:
-			}
-		}()
-		page, newRev, err := s.waitPage(owner, datasetID, id, limit, round,
-			func(cs *columnSession) bool { return cs.rev != rev })
-		close(stop)
-		if r.Context().Err() != nil {
-			return
-		}
-		if chanClosed(s.drain) {
-			io.WriteString(w, "event: close\ndata: {}\n\n")
-			flusher.Flush()
-			return
-		}
-		if err != nil {
-			// Session deleted mid-stream: terminal for this watcher.
-			io.WriteString(w, "event: end\ndata: {}\n\n")
-			flusher.Flush()
-			return
-		}
-		if newRev == rev {
-			io.WriteString(w, ": hb\n\n")
-			flusher.Flush()
-			continue
-		}
-		rev = newRev
 		if done := writeGroupsSSEPage(w, page); done {
 			flusher.Flush()
 			return
 		}
 		flusher.Flush()
+		// Wait for the rev to move, bounded by heartbeat cadence, client
+		// disconnect and server drain. A wake-up that leaves the rev
+		// unchanged (the generator leaving the engine) writes nothing.
+		// The lookup every round refreshes the dataset's idle timer and
+		// sees a deleted session.
+		for sent := rev; rev == sent; {
+			tick := false
+			select {
+			case <-changed:
+			case <-hb.C():
+				tick = true
+			case <-r.Context().Done():
+				return
+			case <-s.drain:
+				io.WriteString(w, "event: close\ndata: {}\n\n")
+				flusher.Flush()
+				return
+			}
+			page, rev, changed, err = s.waitPage(owner, datasetID, id, limit, nil)
+			if err != nil {
+				// Session deleted mid-stream: terminal for this watcher.
+				io.WriteString(w, "event: end\ndata: {}\n\n")
+				flusher.Flush()
+				return
+			}
+			if tick && rev == sent {
+				io.WriteString(w, ": hb\n\n")
+				flusher.Flush()
+			}
+		}
 	}
 }
 

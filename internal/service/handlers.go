@@ -258,20 +258,9 @@ func (s *Service) handleGroups(w http.ResponseWriter, r *http.Request) {
 		longPoll = lp
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
-		// Graceful shutdown releases held long polls immediately: the
-		// watcher folds the drain signal into the same cancel channel
-		// the timeout uses, so the poll answers (204/200) and the
-		// connection frees for the listener drain.
-		go func() {
-			select {
-			case <-s.drain:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
 		wait = ctx.Done()
 	}
-	page, err := s.pendingGroups(owner, datasetID, id, limit, wait)
+	page, _, _, err := s.waitPage(owner, datasetID, id, limit, wait)
 	if err != nil {
 		writeError(w, err)
 		return

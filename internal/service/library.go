@@ -131,7 +131,7 @@ func (s *Service) loadWarmRecord(ctx context.Context, cs *columnSession) (*goldr
 // sessions read the frozen record back. A fresh session whose warm
 // record cannot be made durable opens cold (in memory too): the library
 // only ever pre-pays review budget, it must never cost replay fidelity.
-func (cs *columnSession) openWarm(ctx context.Context, s *Service) (*goldrec.WarmStart, error) {
+func (s *Service) openWarm(ctx context.Context, cs *columnSession) (*goldrec.WarmStart, error) {
 	if cs.resume {
 		return s.loadWarmRecord(ctx, cs)
 	}

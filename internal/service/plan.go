@@ -3,6 +3,8 @@ package service
 import (
 	"fmt"
 	"sort"
+
+	"github.com/goldrec/goldrec"
 )
 
 // Budget planning (ROADMAP: review-budget optimization, after Sun et
@@ -140,30 +142,25 @@ func (s *Service) allSessions(owner string) []*columnSession {
 func (s *Service) collectCandidates(sessions []*columnSession) []planCandidate {
 	var out []planCandidate
 	for _, cs := range sessions {
-		cs.mu.Lock()
-		if cs.closed || cs.sess == nil || cs.archived != nil {
-			cs.mu.Unlock()
-			continue
-		}
-		rate := cs.sess.ApproveRate()
 		name := cs.d.cons.Dataset().Name
-		for _, g := range cs.pending {
-			// Buffered groups are undecided by invariant (a decision
-			// removes them), so gain is just sites × rate — no second
-			// walk of the member list through Group.Gain.
-			sites := g.RemainingSites()
-			out = append(out, planCandidate{
-				sessionID:   cs.id,
-				datasetID:   cs.datasetID,
-				dataset:     name,
-				column:      cs.column,
-				groupID:     g.ID,
-				sites:       sites,
-				gain:        float64(sites) * rate,
-				approveRate: rate,
-			})
-		}
-		cs.mu.Unlock()
+		cs.readPending(func(pending []*goldrec.Group, rate float64) {
+			for _, g := range pending {
+				// Buffered groups are undecided by invariant (a decision
+				// removes them), so gain is just sites × rate — no second
+				// walk of the member list through Group.Gain.
+				sites := g.RemainingSites()
+				out = append(out, planCandidate{
+					sessionID:   cs.id,
+					datasetID:   cs.datasetID,
+					dataset:     name,
+					column:      cs.column,
+					groupID:     g.ID,
+					sites:       sites,
+					gain:        float64(sites) * rate,
+					approveRate: rate,
+				})
+			}
+		})
 	}
 	return out
 }

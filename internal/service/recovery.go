@@ -10,6 +10,7 @@ import (
 
 	"github.com/goldrec/goldrec"
 	"github.com/goldrec/goldrec/internal/store"
+	"github.com/goldrec/goldrec/table"
 )
 
 // Recover reloads every persisted dataset and session from the store,
@@ -129,18 +130,10 @@ func (s *Service) restoreSession(d *dataset, sm store.SessionMeta) error {
 	if col < 0 {
 		return fmt.Errorf("dataset %s has no column %q", d.id, sm.Column)
 	}
-	cs := &columnSession{
-		id:        sm.ID,
-		datasetID: d.id,
-		column:    sm.Column,
-		col:       col,
-		// The dataset's owner, not the meta's, is authoritative: the two
-		// only diverge for metas written before tenancy existed, which
-		// have no owner at all.
-		owner: d.owner,
-		d:     d,
-	}
-	cs.cond = sync.NewCond(&cs.mu)
+	// The session takes the dataset's owner, not the meta's: the two
+	// only diverge for metas written before tenancy existed, which have
+	// no owner at all.
+	cs := newColumnSession(d, sm.ID, sm.Column, col, s.opts.Prefetch)
 	if sm.Compacted {
 		raw, err := s.store.LoadSessionState(d.id, sm.ID)
 		if err != nil {
@@ -177,7 +170,85 @@ func (s *Service) restoreSession(d *dataset, sm store.SessionMeta) error {
 
 	if cs.resume {
 		// Recovery has no originating request: the replay runs untraced.
-		go cs.run(context.Background(), s)
+		go s.generate(context.Background(), cs)
 	}
 	return nil
+}
+
+// replay rebuilds the session's state by re-executing its WAL: issue
+// records re-derive groups through NextGroup (deterministic), decide
+// records re-apply the recorded verdicts. It returns the groups that
+// were issued but undecided at the time of passivation — the restored
+// pending buffer. The session is not yet published, so no lock is held;
+// applyMu still orders the replayed applies against exports.
+func (s *Service) replay(ctx context.Context, cs *columnSession, sess *goldrec.Session) ([]*goldrec.Group, error) {
+	var pending []*goldrec.Group
+	err := s.store.ReplayWAL(ctx, cs.datasetID, cs.id, func(rec store.WALRecord) error {
+		switch rec.Op {
+		case store.OpWarm:
+			// Already consumed: the engine was built from this record
+			// (loadWarmRecord) before replay began, and its groups came
+			// pre-decided out of the session build.
+			return nil
+		case store.OpIssue:
+			g, ok := sess.NextGroupCtx(ctx)
+			if !ok {
+				return fmt.Errorf("issue record %d: group stream exhausted early", rec.GroupID)
+			}
+			if g.ID != rec.GroupID {
+				return fmt.Errorf("issue record mismatch: regenerated group %d, log says %d", g.ID, rec.GroupID)
+			}
+			pending = append(pending, g)
+			return nil
+		case store.OpDecide:
+			d, err := goldrec.ParseDecision(rec.Decision)
+			if err != nil {
+				return err
+			}
+			cs.d.applyMu.RLock()
+			_, err = sess.Decide(rec.GroupID, d)
+			cs.d.applyMu.RUnlock()
+			if err != nil {
+				return fmt.Errorf("decide record: %w", err)
+			}
+			for i, g := range pending {
+				if g.ID == rec.GroupID {
+					pending = append(pending[:i], pending[i+1:]...)
+					break
+				}
+			}
+			return nil
+		default:
+			return fmt.Errorf("unknown WAL op %q", rec.Op)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pending, nil
+}
+
+// columnValues copies one column's cell values, indexed [cluster][row].
+func columnValues(ds *table.Dataset, col int) [][]string {
+	out := make([][]string, len(ds.Clusters))
+	for ci := range ds.Clusters {
+		recs := ds.Clusters[ci].Records
+		vals := make([]string, len(recs))
+		for ri := range recs {
+			vals[ri] = recs[ri].Values[col]
+		}
+		out[ci] = vals
+	}
+	return out
+}
+
+// setColumnValues restores one column's cell values from a
+// columnValues copy.
+func setColumnValues(ds *table.Dataset, col int, values [][]string) {
+	for ci := range ds.Clusters {
+		recs := ds.Clusters[ci].Records
+		for ri := range recs {
+			recs[ri].Values[col] = values[ci][ri]
+		}
+	}
 }

@@ -58,7 +58,6 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -325,9 +324,6 @@ func (s *Service) BeginDrain() {
 	s.drainOnce.Do(func() { close(s.drain) })
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Service) Draining() bool { return chanClosed(s.drain) }
-
 // Close stops the janitor and every session generator. In-flight HTTP
 // requests against removed sessions fail with ErrNotFound.
 func (s *Service) Close() {
@@ -474,59 +470,6 @@ type dataset struct {
 	columns map[int]string // column index → owning session id
 }
 
-// columnSession owns the review of one column. All fields below mu are
-// guarded by it; cond is signaled whenever pending, exhausted, closed,
-// busy or sess change.
-//
-// The generator runs the engine (NextGroupCtx) with mu released and
-// busy set, so readers never wait on the engine: group pages, the plan
-// and info read only the fields mu guards (plus ApproveRate and the
-// groups' RemainingSites, which only Decide mutates). Everything else
-// that touches sess waits for busy to clear, and decisions wait further
-// for the generator to park (awaitParkedLocked), which keeps the group
-// sequence — and so the WAL — a function of the decisions alone.
-type columnSession struct {
-	id        string
-	datasetID string
-	column    string
-	col       int
-	// owner mirrors the dataset's owning tenant: a session is always
-	// owned by (and counted against) its dataset's tenant.
-	owner string
-	d     *dataset
-	// resume makes the generator replay the session's WAL (restoring a
-	// passivated or pre-restart session) before producing new groups.
-	resume bool
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	// rev counts state changes a groups reader could observe (pending,
-	// status). SSE group streams hold the last rev they rendered and
-	// wait for it to move — bumpLocked is the only writer.
-	rev       uint64
-	sess      *goldrec.Session // nil until candidate generation finishes
-	pending   []*goldrec.Group // issued, undecided, oldest first
-	exhausted bool
-	closed    bool
-	// busy means the generator is inside sess.NextGroupCtx with mu
-	// released; sess must not be touched until it clears.
-	busy bool
-	// stats snapshots sess.Stats() after every publish, issue,
-	// exhaustion and decision (or holds the archive's), so info never
-	// reads counters the generator bumps while busy.
-	stats goldrec.SessionStats
-	// stalled means the generator stopped because the store rejected an
-	// issue append; see StatusStalled.
-	stalled bool
-	// compacted means this session's decisions were folded into the
-	// dataset snapshot and its WAL deleted.
-	compacted bool
-	// archived replaces sess for a session restored after compaction:
-	// the final ReviewState is served from the archive and no further
-	// decisions are possible.
-	archived *goldrec.ReviewState
-}
-
 // createDataset ingests a clustered CSV (key column identifies
 // clusters; optional source column populates Record.Source) and
 // registers it under the owning tenant ("" = unowned). The context
@@ -567,7 +510,7 @@ func (s *Service) createDataset(ctx context.Context, owner, name, keyCol, srcCol
 		mu := s.admissionLock(owner)
 		mu.Lock()
 		if q, ok := s.quotasFor(owner); ok && q.MaxDatasets > 0 {
-			if n := s.ownedDatasetCount(owner); n >= q.MaxDatasets {
+			if n := len(s.listDatasets(owner)); n >= q.MaxDatasets {
 				mu.Unlock()
 				return DatasetInfo{}, fmt.Errorf("%w: dataset quota reached (max %d)", ErrQuota, q.MaxDatasets)
 			}
@@ -600,40 +543,46 @@ func (s *Service) createDataset(ctx context.Context, owner, name, keyCol, srcCol
 	return s.datasetInfo(d), nil
 }
 
-// getDataset returns a live dataset, transparently reactivating a
-// passivated one from the store.
-func (s *Service) getDataset(id string) (*dataset, error) {
-	if d, ok := s.datasets.get(id); ok {
-		return d, nil
-	}
-	d, _, err := s.restoreDataset(id)
-	return d, err
-}
-
-// lookupDataset is getDataset plus tenant visibility: when owner is
+// lookupDataset returns a live dataset, transparently reactivating a
+// passivated one from the store, with tenant visibility: when owner is
 // set, a dataset belonging to anyone else reads as missing — 404,
 // never 403, so ids cannot be probed across tenants. The ownership is
 // resolved BEFORE any side effect (no idle-timer refresh, no
 // passivation restore): a foreign probe must not keep the victim's
 // dataset alive or pull it back into memory.
 func (s *Service) lookupDataset(owner, id string) (*dataset, error) {
-	if owner != "" {
-		if d, ok := s.datasets.peek(id); ok {
-			if d.owner != owner {
-				return nil, fmt.Errorf("dataset %s: %w", id, ErrNotFound)
-			}
-		} else if m, ok := s.storedDatasetMeta(id); !ok || m.Owner != owner {
-			return nil, fmt.Errorf("dataset %s: %w", id, ErrNotFound)
-		}
-	}
-	d, err := s.getDataset(id)
-	if err != nil {
+	if err := s.probeDataset(owner, id); err != nil {
 		return nil, err
+	}
+	d, ok := s.datasets.get(id)
+	if !ok {
+		var err error
+		if d, _, err = s.restoreDataset(id); err != nil {
+			return nil, err
+		}
 	}
 	if owner != "" && d.owner != owner {
 		return nil, fmt.Errorf("dataset %s: %w", id, ErrNotFound)
 	}
 	return d, nil
+}
+
+// probeDataset resolves a dataset's tenant visibility with no side
+// effects: live entries answer from memory (a peek, which leaves the
+// idle timer alone), passivated ones from the store meta. A foreign or
+// unknown id reads as missing; an empty owner sees everything.
+func (s *Service) probeDataset(owner, id string) error {
+	if owner == "" {
+		return nil
+	}
+	if d, ok := s.datasets.peek(id); ok {
+		if d.owner == owner {
+			return nil
+		}
+	} else if m, ok := s.storedDatasetMeta(id); ok && m.Owner == owner {
+		return nil
+	}
+	return fmt.Errorf("dataset %s: %w", id, ErrNotFound)
 }
 
 // getDatasetInfo returns a dataset's info and refreshes its idle timer.
@@ -684,17 +633,10 @@ func (s *Service) deleteDataset(owner, id string) error {
 	mu := &s.restoreMu[s.datasets.shardIndex(id)]
 	mu.Lock()
 	defer mu.Unlock()
-	if owner != "" {
-		// Resolve ownership before removing anything: a foreign id must
-		// read as missing with no side effects. Live entries answer from
-		// memory; passivated ones from the store meta.
-		if d, ok := s.datasets.get(id); ok {
-			if d.owner != owner {
-				return fmt.Errorf("dataset %s: %w", id, ErrNotFound)
-			}
-		} else if m, ok := s.storedDatasetMeta(id); !ok || m.Owner != owner {
-			return fmt.Errorf("dataset %s: %w", id, ErrNotFound)
-		}
+	// Resolve ownership before removing anything: a foreign id must
+	// read as missing with no side effects.
+	if err := s.probeDataset(owner, id); err != nil {
+		return err
 	}
 	_, live := s.datasets.remove(id)
 	if !live {
@@ -722,34 +664,6 @@ func (s *Service) deleteDataset(owner, id string) error {
 	}
 	s.opts.Logf("dataset %s: deleted", id)
 	return nil
-}
-
-// ownedDatasetCount counts the datasets a tenant owns: live ones via a
-// lock-free-ish shard walk (no info building), passivated ones via one
-// pass over the store's meta listing. The store scan is inherent to
-// the Store interface (no per-owner index yet) but runs only on
-// quota-limited uploads.
-func (s *Service) ownedDatasetCount(owner string) int {
-	n := 0
-	live := make(map[string]bool)
-	s.datasets.rangeAll(func(id string, d *dataset) bool {
-		live[id] = true
-		if d.owner == owner {
-			n++
-		}
-		return true
-	})
-	metas, err := s.store.ListDatasets()
-	if err != nil {
-		s.opts.Logf("listing stored datasets: %v", err)
-		return n
-	}
-	for _, m := range metas {
-		if !live[m.ID] && m.Owner == owner {
-			n++
-		}
-	}
-	return n
 }
 
 // storedDatasetMeta returns the store's meta for a dataset, if any. It
@@ -817,7 +731,7 @@ func (s *Service) openSession(ctx context.Context, owner, datasetID, column stri
 		mu.Lock()
 		defer mu.Unlock()
 		if q, ok := s.quotasFor(subject); ok && q.MaxSessions > 0 {
-			if n := s.ownedLiveSessions(subject); n >= q.MaxSessions {
+			if n := len(s.allSessions(subject)); n >= q.MaxSessions {
 				return SessionInfo{}, fmt.Errorf("%w: session quota reached (max %d)", ErrQuota, q.MaxSessions)
 			}
 		}
@@ -835,8 +749,7 @@ func (s *Service) openSession(ctx context.Context, owner, datasetID, column stri
 		s.mu.Unlock()
 		return SessionInfo{}, fmt.Errorf("%w (max %d)", ErrLimit, s.opts.MaxSessions)
 	}
-	cs := &columnSession{datasetID: datasetID, column: column, col: col, owner: d.owner, d: d}
-	cs.cond = sync.NewCond(&cs.mu)
+	cs := newColumnSession(d, "", column, col, s.opts.Prefetch)
 	d.mu.Lock()
 	if owner, busy := d.columns[col]; busy {
 		d.mu.Unlock()
@@ -876,30 +789,31 @@ func (s *Service) openSession(ctx context.Context, owner, datasetID, column stri
 		Session: cs.id,
 		Data:    map[string]any{"column": column},
 	})
-	go cs.run(runCtx, s)
+	go s.generate(runCtx, cs)
 	s.opts.Logf("session %s: opened on dataset %s column %q", cs.id, datasetID, column)
 	return cs.info(), nil
 }
 
-// run is the session's background producer: build the goldrec.Session
-// (candidate generation), replay the WAL when resuming, then keep up to
-// prefetch undecided groups buffered ahead of the reviewer. Every new
-// group is logged to the WAL before it becomes visible, so the durable
-// log always describes a prefix of the in-memory state.
+// generate is the session's background producer: build the
+// goldrec.Session (candidate generation), replay the WAL when resuming,
+// publish, then step the generator, which keeps up to prefetch
+// undecided groups buffered ahead of the reviewer. Every new group is
+// logged to the WAL before it becomes visible, so the durable log
+// always describes a prefix of the in-memory state.
 //
 // ctx carries only the opening request's trace span (already detached
 // by openSession): spans the generator records — engine phases, WAL
 // issue appends — attach to that trace until its span cap, which is
 // how "why was upload→first-group slow?" stays answerable even though
 // the work happens here, after the HTTP response.
-func (cs *columnSession) run(ctx context.Context, s *Service) {
+func (s *Service) generate(ctx context.Context, cs *columnSession) {
 	logf := s.opts.Logf
 	openedAt := time.Now()
 	// Resolve the warm-start context before building the session: fresh
 	// sessions freeze the library's current priors into the WAL's first
 	// record, resuming ones read that frozen record back — either way
 	// the engine below is built from exactly what the WAL describes.
-	warm, err := cs.openWarm(ctx, s)
+	warm, err := s.openWarm(ctx, cs)
 	if err != nil {
 		logf("session %s: reading warm-start record failed, closing session: %v", cs.id, err)
 		s.closeSession(cs)
@@ -928,11 +842,9 @@ func (cs *columnSession) run(ctx context.Context, s *Service) {
 	}
 	if err != nil {
 		// Unreachable in practice: the column index was validated at
-		// open time. Mark the stream done so waiters return.
-		cs.mu.Lock()
-		cs.exhausted = true
-		cs.bumpLocked()
-		cs.mu.Unlock()
+		// open time.
+		logf("session %s: building the session failed, closing session: %v", cs.id, err)
+		s.closeSession(cs)
 		return
 	}
 	if n := sess.Stats().WarmGroups; n > 0 {
@@ -943,7 +855,7 @@ func (cs *columnSession) run(ctx context.Context, s *Service) {
 	}
 	var restored []*goldrec.Group
 	if cs.resume {
-		restored, err = cs.replay(ctx, s, sess)
+		restored, err = s.replay(ctx, cs, sess)
 		if err != nil {
 			logf("session %s: WAL replay failed, closing session: %v", cs.id, err)
 			cs.d.applyMu.Lock()
@@ -953,75 +865,29 @@ func (cs *columnSession) run(ctx context.Context, s *Service) {
 			return
 		}
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return
-	}
-	cs.sess = sess
-	cs.pending = restored
-	cs.stats = sess.Stats()
-	cs.bumpLocked()
-	// Phase accounting: the engine accumulates per-phase nanoseconds;
-	// the service observes the deltas each NextGroup produced. The first
-	// observation also carries context prep (and replay work on resume).
-	lastTimings := sess.Timings()
-	s.metrics.observePhases(goldrec.PhaseTimings{}, lastTimings)
-	firstGroupSeen := cs.resume // resumed sessions already had groups
+	// Logged before publish: from then on decisions may use sess.
 	if cs.resume {
 		logf("session %s: restored (%d group(s) issued, %d pending)",
 			cs.id, sess.Stats().GroupsSeen, len(restored))
 	} else {
 		logf("session %s: %d candidate replacements", cs.id, sess.Stats().Candidates)
 	}
-	for {
-		for len(cs.pending) >= s.opts.Prefetch && !cs.closed {
-			cs.cond.Wait()
-		}
-		if cs.closed {
-			return
-		}
-		// NextGroup runs with cs.mu released, so a reviewer can read
-		// group 0 while groups 1..prefetch-1 are still being computed.
-		// busy keeps every other engine user out meanwhile; the WAL
-		// append and the publish below happen under cs.mu again, after
-		// the closed check, so closeSession never interleaves with them.
-		cs.busy = true
-		cs.mu.Unlock()
-		g, ok := sess.NextGroupCtx(ctx)
-		cs.mu.Lock()
-		cs.busy = false
-		cs.stats = sess.Stats()
-		cs.cond.Broadcast()
-		now := sess.Timings()
-		s.metrics.observePhases(lastTimings, now)
-		lastTimings = now
-		if cs.closed {
-			return
-		}
-		if !ok {
-			cs.exhausted = true
-			cs.bumpLocked()
-			logf("session %s: group stream exhausted after %d group(s)", cs.id, sess.Stats().GroupsSeen)
-			s.maybeCompactLocked(ctx, cs)
-			return
-		}
+	if !cs.publish(sess, restored) {
+		return
+	}
+	firstGroupSeen := cs.resume // resumed sessions already had groups
+	issue := func(g *goldrec.Group, pending int) error {
 		// Log the issue before exposing the group. A crash in between
 		// re-derives the same group on replay (generation is
 		// deterministic); an unlogged group must never be decided, or
-		// the WAL could not replay the decision.
+		// the WAL could not replay the decision. A failed append stalls
+		// the session: the column slot stays owned (a replacement
+		// session would corrupt the durable log's replay base), and a
+		// restart resumes from the WAL.
 		if err := s.store.AppendWAL(ctx, cs.datasetID, cs.id, store.WALRecord{Op: store.OpIssue, GroupID: g.ID}); err != nil {
-			// Stop producing but stay registered and decidable: issued
-			// groups are still reviewable, the column slot stays owned
-			// (a replacement session would corrupt the durable log's
-			// replay base), and a restart resumes from the WAL. The
-			// stalled flag unblocks long-polling group fetches.
-			cs.stalled = true
-			cs.bumpLocked()
 			logf("session %s: WAL append failed, group generation stalled: %v", cs.id, err)
-			return
+			return err
 		}
-		cs.pending = append(cs.pending, g)
 		if !firstGroupSeen {
 			firstGroupSeen = true
 			s.metrics.firstGroup.ObserveSince(openedAt)
@@ -1036,122 +902,67 @@ func (cs *columnSession) run(ctx context.Context, s *Service) {
 			Tenant:  cs.owner,
 			Dataset: cs.datasetID,
 			Session: cs.id,
-			Data:    map[string]any{"group_id": g.ID, "pending": len(cs.pending)},
+			Data:    map[string]any{"group_id": g.ID, "pending": pending},
 		})
-		cs.bumpLocked()
+		return nil
 	}
-}
-
-// replay rebuilds the session's state by re-executing its WAL: issue
-// records re-derive groups through NextGroup (deterministic), decide
-// records re-apply the recorded verdicts. It returns the groups that
-// were issued but undecided at the time of passivation — the restored
-// pending buffer. The session is not yet published, so no lock is held;
-// applyMu still orders the replayed applies against exports.
-func (cs *columnSession) replay(ctx context.Context, s *Service, sess *goldrec.Session) ([]*goldrec.Group, error) {
-	var pending []*goldrec.Group
-	err := s.store.ReplayWAL(ctx, cs.datasetID, cs.id, func(rec store.WALRecord) error {
-		switch rec.Op {
-		case store.OpWarm:
-			// Already consumed: the engine was built from this record
-			// (loadWarmRecord) before replay began, and its groups came
-			// pre-decided out of the session build.
-			return nil
-		case store.OpIssue:
-			g, ok := sess.NextGroupCtx(ctx)
-			if !ok {
-				return fmt.Errorf("issue record %d: group stream exhausted early", rec.GroupID)
-			}
-			if g.ID != rec.GroupID {
-				return fmt.Errorf("issue record mismatch: regenerated group %d, log says %d", g.ID, rec.GroupID)
-			}
-			pending = append(pending, g)
-			return nil
-		case store.OpDecide:
-			d, err := goldrec.ParseDecision(rec.Decision)
-			if err != nil {
-				return err
-			}
-			cs.d.applyMu.RLock()
-			_, err = sess.Decide(rec.GroupID, d)
-			cs.d.applyMu.RUnlock()
-			if err != nil {
-				return fmt.Errorf("decide record: %w", err)
-			}
-			for i, g := range pending {
-				if g.ID == rec.GroupID {
-					pending = append(pending[:i], pending[i+1:]...)
-					break
-				}
-			}
-			return nil
-		default:
-			return fmt.Errorf("unknown WAL op %q", rec.Op)
-		}
-	})
-	if err != nil {
-		return nil, err
+	exhausted := func() {
+		logf("session %s: group stream exhausted after %d group(s)", cs.id, sess.Stats().GroupsSeen)
+		s.maybeCompactLocked(ctx, cs)
 	}
-	return pending, nil
-}
-
-// columnValues copies one column's cell values, indexed [cluster][row].
-func columnValues(ds *table.Dataset, col int) [][]string {
-	out := make([][]string, len(ds.Clusters))
-	for ci := range ds.Clusters {
-		recs := ds.Clusters[ci].Records
-		vals := make([]string, len(recs))
-		for ri := range recs {
-			vals[ri] = recs[ri].Values[col]
-		}
-		out[ci] = vals
-	}
-	return out
-}
-
-// setColumnValues restores one column's cell values from a
-// columnValues copy.
-func setColumnValues(ds *table.Dataset, col int, values [][]string) {
-	for ci := range ds.Clusters {
-		recs := ds.Clusters[ci].Records
-		for ri := range recs {
-			recs[ri].Values[col] = values[ci][ri]
+	// Phase accounting: the engine accumulates per-phase nanoseconds
+	// (atomics, safe to read at any time); the service observes the
+	// deltas each step produced. The first observation also carries
+	// context prep (and replay work on resume).
+	lastTimings := sess.Timings()
+	s.metrics.observePhases(goldrec.PhaseTimings{}, lastTimings)
+	for {
+		more := cs.step(ctx, issue, exhausted)
+		now := sess.Timings()
+		s.metrics.observePhases(lastTimings, now)
+		lastTimings = now
+		if !more {
+			return
 		}
 	}
 }
 
-// lookupSession is session plus visibility: a foreign session id — or,
-// on a dataset-scoped route (datasetID != ""), a session of another
-// dataset — reads as missing, exactly like lookupDataset. Like it, the
-// probe is resolved before the touch/restore side effects, so an
-// address that is rejected never restores a passivated dataset. The
-// dataset id is part of the address, not a hint.
+// lookupSession fetches a session and touches it and its dataset, so a
+// dataset never expires under an active reviewer; a passivated session
+// is transparently restored (with its whole dataset) from the store. A
+// foreign session id — or, on a dataset-scoped route (datasetID != ""),
+// a session of another dataset — reads as missing, exactly like
+// lookupDataset. Like it, the probe is resolved before the
+// touch/restore side effects, so an address that is rejected never
+// restores a passivated dataset. The dataset id is part of the
+// address, not a hint.
 func (s *Service) lookupSession(owner, datasetID, id string) (*columnSession, error) {
-	if owner != "" || datasetID != "" {
-		if cs, ok := s.sessions.peek(id); ok {
-			if !sessionVisible(owner, datasetID, cs.owner, cs.datasetID) {
-				return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
-			}
-		} else {
-			sm, err := s.store.FindSession(id)
-			if errors.Is(err, store.ErrNotExist) {
-				return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%w: looking up session %s: %v", ErrStorage, id, err)
-			}
-			if !sessionVisible(owner, datasetID, sm.Owner, sm.DatasetID) {
-				return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
-			}
+	cs, ok := s.sessions.peek(id)
+	if !ok {
+		sm, err := s.store.FindSession(id)
+		if errors.Is(err, store.ErrNotExist) {
+			return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
 		}
-	}
-	cs, err := s.session(id)
-	if err != nil {
-		return nil, err
+		if err != nil {
+			return nil, fmt.Errorf("%w: looking up session %s: %v", ErrStorage, id, err)
+		}
+		if !sessionVisible(owner, datasetID, sm.Owner, sm.DatasetID) {
+			return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
+		}
+		if _, _, err := s.restoreDataset(sm.DatasetID); err != nil {
+			return nil, err
+		}
+		if cs, ok = s.sessions.peek(id); !ok {
+			// The dataset is live but this session did not restore
+			// (e.g. its replay failed and closed it).
+			return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
+		}
 	}
 	if !sessionVisible(owner, datasetID, cs.owner, cs.datasetID) {
 		return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
 	}
+	s.sessions.touch(id)
+	s.datasets.touch(cs.datasetID)
 	return cs, nil
 }
 
@@ -1186,19 +997,6 @@ func (s *Service) listSessions(owner string) []SessionInfo {
 	return out
 }
 
-// ownedLiveSessions counts the live sessions owned by a tenant, shard
-// by shard (no global lock) — the MaxSessions quota check.
-func (s *Service) ownedLiveSessions(owner string) int {
-	n := 0
-	s.sessions.rangeAll(func(_ string, cs *columnSession) bool {
-		if cs.owner == owner {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
 // deleteSession closes a session and frees its column for a new one.
 // Deletion is permanent: the session's WAL and archive are purged —
 // but not before its applied decisions are folded into the dataset
@@ -1230,32 +1028,20 @@ func (s *Service) deleteSession(ctx context.Context, owner, id string) error {
 	if err != nil {
 		return err
 	}
-	cs.mu.Lock()
-	// A resuming session must finish its replay first: deleting the WAL
-	// mid-replay would strand applied changes that were never folded.
-	// The fold below reads the engine, so it also waits out a NextGroup.
-	for (cs.resume && cs.sess == nil && !cs.closed && cs.archived == nil) || cs.busy {
-		cs.cond.Wait()
-	}
-	if cs.closed {
-		cs.mu.Unlock()
-		return fmt.Errorf("session %s: %w", id, ErrNotFound)
-	}
-	// Close first (under mu) so no decision can slip in after the fold
-	// below and be lost when the WAL is deleted.
-	cs.closed = true
-	cs.bumpLocked()
-	if cs.sess != nil && !cs.compacted && cs.sess.Stats().GroupsApplied > 0 {
+	err = cs.retire(func() error {
+		if cs.sess == nil || cs.compacted || cs.sess.Stats().GroupsApplied == 0 {
+			return nil
+		}
 		if err := s.compactLocked(ctx, cs); err != nil {
 			// Without the fold, deleting the WAL would discard applied
 			// work. Abort the delete; the session stays usable.
-			cs.closed = false
-			cs.bumpLocked()
-			cs.mu.Unlock()
 			return fmt.Errorf("%w: folding session %s before delete: %v", ErrStorage, id, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	cs.mu.Unlock()
 	s.closeSession(cs)
 	if err := s.store.DeleteSession(cs.datasetID, cs.id); err != nil {
 		return fmt.Errorf("%w: deleting session %s: %v", ErrStorage, id, err)
@@ -1274,198 +1060,20 @@ func (s *Service) closeSession(cs *columnSession) {
 		delete(cs.d.columns, cs.col)
 	}
 	cs.d.mu.Unlock()
-	cs.mu.Lock()
-	cs.closed = true
-	cs.bumpLocked()
-	cs.mu.Unlock()
+	cs.close()
 	s.store.CloseWAL(cs.datasetID, cs.id)
 }
 
-// session fetches a live session and touches its dataset so a dataset
-// never expires under an active reviewer. A passivated session is
-// transparently restored (with its whole dataset) from the store.
-func (s *Service) session(id string) (*columnSession, error) {
-	cs, ok := s.sessions.get(id)
-	if !ok {
-		sm, err := s.store.FindSession(id)
-		if errors.Is(err, store.ErrNotExist) {
-			return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: looking up session %s: %v", ErrStorage, id, err)
-		}
-		if _, _, err := s.restoreDataset(sm.DatasetID); err != nil {
-			return nil, err
-		}
-		if cs, ok = s.sessions.get(id); !ok {
-			// The dataset is live but this session did not restore
-			// (e.g. its replay failed and closed it).
-			return nil, fmt.Errorf("session %s: %w", id, ErrNotFound)
-		}
-	}
-	s.datasets.touch(cs.datasetID)
-	return cs, nil
-}
-
-func (cs *columnSession) info() SessionInfo {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	info := SessionInfo{
-		ID:        cs.id,
-		DatasetID: cs.datasetID,
-		Column:    cs.column,
-		Status:    cs.statusLocked(),
-		Pending:   len(cs.pending),
-		Stats:     cs.stats,
-	}
-	if cs.sess != nil {
-		// The phase timings are atomics: safe while the generator is busy.
-		info.Timings = cs.sess.Timings()
-	}
-	return info
-}
-
-func (cs *columnSession) statusLocked() string {
-	switch {
-	case cs.closed:
-		return StatusClosed
-	case cs.archived != nil:
-		return StatusExhausted
-	case cs.sess == nil:
-		return StatusInitializing
-	case cs.exhausted && len(cs.pending) == 0:
-		return StatusExhausted
-	case cs.stalled:
-		return StatusStalled
-	default:
-		return StatusReviewing
-	}
-}
-
-// pendingGroups returns up to limit undecided groups (0 = all
-// buffered), oldest first; datasetID "" addresses the session route.
-// When wait is non-nil, it blocks until the buffer holds min(limit,
-// prefetch) groups (limit 0 counts as prefetch), the stream ends or
-// stalls, or wait is canceled: a one-at-a-time reviewer gets group 0
-// the moment it is logged, while a page-everything reviewer still sees
-// a full buffer.
-func (s *Service) pendingGroups(owner, datasetID, id string, limit int, wait <-chan struct{}) (GroupPage, error) {
-	var ready func(*columnSession) bool
-	if wait != nil {
-		want := s.opts.Prefetch
-		if limit > 0 && limit < want {
-			want = limit
-		}
-		ready = func(cs *columnSession) bool {
-			return len(cs.pending) >= want || cs.exhausted || cs.stalled
-		}
-	}
-	page, _, err := s.waitPage(owner, datasetID, id, limit, wait, ready)
-	return page, err
-}
-
-// waitPage renders a session's groups page and the rev it was rendered
-// at, after waiting — when ready is non-nil, which needs a non-nil
-// wait — until ready holds, the session closes or wait closes. It is
-// the one page wait: the long poll waits for a full enough buffer, the
-// SSE stream for the rev to move. datasetID "" addresses the session
-// route.
-func (s *Service) waitPage(owner, datasetID, id string, limit int, wait <-chan struct{}, ready func(*columnSession) bool) (GroupPage, uint64, error) {
+// waitPage looks up a session and renders its groups page (see
+// columnSession.page); datasetID "" addresses the session route. A long
+// poll (non-nil wait) also ends on graceful shutdown's drain, so held
+// polls answer and free their connections for the listener drain.
+func (s *Service) waitPage(owner, datasetID, id string, limit int, wait <-chan struct{}) (GroupPage, uint64, <-chan struct{}, error) {
 	cs, err := s.lookupSession(owner, datasetID, id)
 	if err != nil {
-		return GroupPage{}, 0, err
+		return GroupPage{}, 0, nil, err
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for ready != nil && !ready(cs) && !cs.closed && !chanClosed(wait) {
-		cs.waitOrCancel(wait)
-	}
-	if cs.closed {
-		return GroupPage{}, 0, fmt.Errorf("session %s: %w", id, ErrNotFound)
-	}
-	return cs.pageLocked(limit), cs.rev, nil
-}
-
-// pageLocked renders the current undecided-group page. Caller holds
-// cs.mu.
-func (cs *columnSession) pageLocked(limit int) GroupPage {
-	page := GroupPage{Status: cs.statusLocked(), Pending: len(cs.pending)}
-	n := len(cs.pending)
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	if cs.sess != nil {
-		page.ApproveRate = cs.sess.ApproveRate()
-	}
-	page.Groups = make([]goldrec.GroupState, 0, n)
-	for _, g := range cs.pending[:n] {
-		// Buffered groups are undecided by invariant, so their gain is
-		// sites × the page's approve rate.
-		sites := g.RemainingSites()
-		page.Groups = append(page.Groups, goldrec.GroupState{
-			ID:        g.ID,
-			Program:   g.Program,
-			Structure: g.Structure,
-			Pairs:     append([]goldrec.Replacement(nil), g.Pairs...),
-			Decision:  g.Decision(),
-			Sites:     sites,
-			Gain:      float64(sites) * page.ApproveRate,
-		})
-	}
-	return page
-}
-
-// awaitParkedLocked blocks until the generator is parked: its buffer
-// is full, or the stream is exhausted, stalled or closed (or the
-// session is not yet published, which the callers reject). A decision
-// admitted only here lands between the same two engine steps as when
-// the generator held cs.mu across the whole prefetch: a reviewer who
-// answers one group at a time sees the lag-prefetch schedule (issue
-// prefetch groups, then decide k / issue k+prefetch) whatever the
-// timing, so the group sequence and the WAL depend on the decisions
-// alone. Caller holds cs.mu.
-func (cs *columnSession) awaitParkedLocked(prefetch int) {
-	for cs.sess != nil && !cs.closed && !cs.exhausted && !cs.stalled &&
-		(cs.busy || len(cs.pending) < prefetch) {
-		cs.cond.Wait()
-	}
-}
-
-// bumpLocked marks an observable state change (pending buffer, status)
-// and wakes every waiter. Caller holds cs.mu. Pure wake-ups that change
-// nothing (waitOrCancel's cancel watcher) call cond.Broadcast directly
-// and must NOT bump rev, or idle SSE streams would re-send unchanged
-// pages.
-func (cs *columnSession) bumpLocked() {
-	cs.rev++
-	cs.cond.Broadcast()
-}
-
-// waitOrCancel waits on cond but also wakes when cancel closes. The
-// watcher goroutine re-broadcasts so every waiter rechecks its
-// predicate (including chanClosed(cancel)).
-func (cs *columnSession) waitOrCancel(cancel <-chan struct{}) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-cancel:
-			cs.mu.Lock()
-			cs.cond.Broadcast()
-			cs.mu.Unlock()
-		case <-done:
-		}
-	}()
-	cs.cond.Wait()
-	close(done)
-}
-
-func chanClosed(c <-chan struct{}) bool {
-	select {
-	case <-c:
-		return true
-	default:
-		return false
-	}
+	return cs.page(limit, wait, s.drain)
 }
 
 // decide records the reviewer's verdict for one issued group: a batch
@@ -1548,107 +1156,46 @@ func (s *Service) decideGroups(ctx context.Context, owner, datasetID, id string,
 			return BatchDecisionsResult{}, &RateLimitError{RetryAfter: retry}
 		}
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.awaitParkedLocked(s.opts.Prefetch)
-	if cs.closed {
-		return BatchDecisionsResult{}, fmt.Errorf("session %s: %w", id, ErrNotFound)
-	}
-	if cs.archived != nil {
-		return BatchDecisionsResult{}, fmt.Errorf("session %s is finished and compacted: %w", id, ErrConflict)
-	}
-	if cs.sess == nil {
-		return BatchDecisionsResult{}, fmt.Errorf("session %s is still initializing: %w", id, ErrConflict)
-	}
-	// Validate here (rather than letting sess.Decide fail) so only
-	// decisions that will succeed reach the WAL — replay must never hit
-	// a failing record, and a reviewer must never get half a submission
-	// applied.
-	for _, gid := range ids {
-		g, ok := cs.sess.Group(gid)
-		if !ok {
-			return BatchDecisionsResult{}, fmt.Errorf("%w: no issued group %d", ErrConflict, gid)
+	return cs.decide(ids, decisions, func() error {
+		recs := make([]store.WALRecord, len(ids))
+		for i, gid := range ids {
+			recs[i] = store.WALRecord{Op: store.OpDecide, GroupID: gid, Decision: decisions[i].String()}
 		}
-		if g.Decision() != goldrec.Pending {
-			return BatchDecisionsResult{}, fmt.Errorf("%w: group %d already decided (%s)", ErrConflict, gid, g.Decision())
+		if err := s.store.AppendWAL(ctx, cs.datasetID, cs.id, recs...); err != nil {
+			return fmt.Errorf("%w: logging decisions: %v", ErrStorage, err)
 		}
-		// Undecided groups must also be in the pending buffer: a group
-		// enters it exactly when its issue record lands in the WAL. A
-		// group the generator pulled but failed to log (stall window)
-		// is issued in the engine yet absent here — deciding it would
-		// write a decide record replay can never satisfy.
-		if !slices.ContainsFunc(cs.pending, func(p *goldrec.Group) bool { return p.ID == gid }) {
-			return BatchDecisionsResult{}, fmt.Errorf("%w: group %d is not awaiting a decision", ErrConflict, gid)
+		return nil
+	}, func() {
+		// Acknowledged decisions are metered against the session's owner
+		// (the tenant whose review budget is being spent), so an admin
+		// reviewing on a tenant's behalf still shows up on that tenant.
+		s.metrics.bumpDecisionsN(cs.owner, len(ids))
+		for i, gid := range ids {
+			s.emitEvent(ctx, events.Event{
+				Type:    events.TypeDecisionRecorded,
+				Tenant:  cs.owner,
+				Dataset: cs.datasetID,
+				Session: cs.id,
+				Data:    map[string]any{"group_id": gid, "decision": decisions[i].String()},
+			})
 		}
-	}
-	// Built only now, so a rejected request (the 409 path the obs and
-	// trace overhead benchmarks time) allocates nothing here.
-	recs := make([]store.WALRecord, len(ids))
-	for i, gid := range ids {
-		recs[i] = store.WALRecord{Op: store.OpDecide, GroupID: gid, Decision: decisions[i].String()}
-	}
-	if err := s.store.AppendWAL(ctx, cs.datasetID, cs.id, recs...); err != nil {
-		return BatchDecisionsResult{}, fmt.Errorf("%w: logging decisions: %v", ErrStorage, err)
-	}
-	results := make([]DecisionResult, len(ids))
-	cs.d.applyMu.RLock()
-	for i, gid := range ids {
-		stats, err := cs.sess.Decide(gid, decisions[i])
-		if err != nil {
-			cs.d.applyMu.RUnlock()
-			// Unreachable given the validation above; the WAL now holds
-			// records the session does not. Surface loudly.
-			return BatchDecisionsResult{}, fmt.Errorf("%w: decision on group %d logged but not applied: %v", ErrStorage, gid, err)
+		if batch {
+			s.emitEvent(ctx, events.Event{
+				Type:    events.TypeBatchApplied,
+				Tenant:  cs.owner,
+				Dataset: cs.datasetID,
+				Session: cs.id,
+				Data:    map[string]any{"decisions": len(ids)},
+			})
 		}
-		results[i] = DecisionResult{GroupID: gid, Decision: decisions[i], Applied: stats, Stats: cs.sess.Stats()}
-	}
-	cs.d.applyMu.RUnlock()
-	cs.pending = slices.DeleteFunc(cs.pending, func(g *goldrec.Group) bool { return slices.Contains(ids, g.ID) })
-	cs.stats = cs.sess.Stats()
-	// Freed buffer slots let the generator pull the next groups while
-	// the reviewer reads the response, and long-polling group fetches
-	// re-check their predicate.
-	cs.bumpLocked()
-	res := BatchDecisionsResult{
-		Results:     results,
-		Status:      cs.statusLocked(),
-		Pending:     len(cs.pending),
-		ApproveRate: cs.sess.ApproveRate(),
-		Stats:       cs.stats,
-	}
-	for _, g := range cs.pending {
-		res.RemainingGain += float64(g.RemainingSites()) * res.ApproveRate
-	}
-	// Acknowledged decisions are metered against the session's owner
-	// (the tenant whose review budget is being spent), so an admin
-	// reviewing on a tenant's behalf still shows up on that tenant.
-	s.metrics.bumpDecisionsN(cs.owner, len(ids))
-	for i, gid := range ids {
-		s.emitEvent(ctx, events.Event{
-			Type:    events.TypeDecisionRecorded,
-			Tenant:  cs.owner,
-			Dataset: cs.datasetID,
-			Session: cs.id,
-			Data:    map[string]any{"group_id": gid, "decision": decisions[i].String()},
-		})
-	}
-	if batch {
-		s.emitEvent(ctx, events.Event{
-			Type:    events.TypeBatchApplied,
-			Tenant:  cs.owner,
-			Dataset: cs.datasetID,
-			Session: cs.id,
-			Data:    map[string]any{"decisions": len(ids)},
-		})
-	}
-	// Every verdict also teaches the owner's transformation library, so
-	// the tenant's next upload can pre-decide groups this program
-	// explains. Attributed to the owner for the same reason as above.
-	for i, gid := range ids {
-		s.recordVerdict(ctx, cs, gid, decisions[i])
-	}
-	s.maybeCompactLocked(ctx, cs)
-	return res, nil
+		// Every verdict also teaches the owner's transformation library,
+		// so the tenant's next upload can pre-decide groups this program
+		// explains. Attributed to the owner for the same reason as above.
+		for i, gid := range ids {
+			s.recordVerdict(ctx, cs, gid, decisions[i])
+		}
+		s.maybeCompactLocked(ctx, cs)
+	})
 }
 
 // maybeCompactLocked folds a finished session (stream exhausted, every
@@ -1699,19 +1246,7 @@ func (s *Service) reviewState(owner, id string) (goldrec.ReviewState, error) {
 	if err != nil {
 		return goldrec.ReviewState{}, err
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for cs.busy {
-		cs.cond.Wait()
-	}
-	if cs.archived != nil {
-		return *cs.archived, nil
-	}
-	if cs.sess == nil {
-		ds := cs.d.cons.Dataset()
-		return goldrec.ReviewState{Dataset: ds.Name, Column: cs.column}, nil
-	}
-	return cs.sess.ReviewState(), nil
+	return cs.state(), nil
 }
 
 // export renders the dataset's records. Golden exports run truth

@@ -92,7 +92,8 @@ func (sc Scope) ListSessions() []SessionInfo { return sc.svc.listSessions(sc.own
 func (sc Scope) DeleteSession(id string) error { return sc.svc.deleteSession(sc.ctx, sc.owner, id) }
 
 func (sc Scope) PendingGroups(id string, limit int, wait <-chan struct{}) (GroupPage, error) {
-	return sc.svc.pendingGroups(sc.owner, "", id, limit, wait)
+	page, _, _, err := sc.svc.waitPage(sc.owner, "", id, limit, wait)
+	return page, err
 }
 
 func (sc Scope) Decide(id string, groupID int, decision goldrec.Decision) (DecisionResult, error) {
@@ -101,10 +102,6 @@ func (sc Scope) Decide(id string, groupID int, decision goldrec.Decision) (Decis
 
 func (sc Scope) DecideBatch(datasetID, id string, reqs []DecisionRequest) (BatchDecisionsResult, error) {
 	return sc.svc.decideBatch(sc.ctx, sc.owner, datasetID, id, reqs)
-}
-
-func (sc Scope) SessionPendingGroups(datasetID, id string, limit int, wait <-chan struct{}) (GroupPage, error) {
-	return sc.svc.pendingGroups(sc.owner, datasetID, id, limit, wait)
 }
 
 func (sc Scope) ReviewState(id string) (goldrec.ReviewState, error) {
@@ -154,9 +151,6 @@ func (s *Service) Decide(id string, groupID int, decision goldrec.Decision) (Dec
 }
 func (s *Service) DecideBatch(datasetID, id string, reqs []DecisionRequest) (BatchDecisionsResult, error) {
 	return s.As("").DecideBatch(datasetID, id, reqs)
-}
-func (s *Service) SessionPendingGroups(datasetID, id string, limit int, wait <-chan struct{}) (GroupPage, error) {
-	return s.As("").SessionPendingGroups(datasetID, id, limit, wait)
 }
 func (s *Service) ReviewState(id string) (goldrec.ReviewState, error) {
 	return s.As("").ReviewState(id)

@@ -498,6 +498,17 @@ func TestForeignProbeHasNoSideEffects(t *testing.T) {
 	if _, live := svc.datasets.peek(aDS.ID); !live {
 		t.Fatal("owner's touch did not restore the dataset")
 	}
+
+	// A foreign DELETE of the live dataset is a probe too: 404, and the
+	// idle timer the owner's touch set keeps running.
+	fc.Advance(50 * time.Second)
+	if status, _ := keyedJSON(t, "DELETE", ts.URL+"/v1/datasets/"+aDS.ID, bKey, nil, nil); status != http.StatusNotFound {
+		t.Fatalf("foreign DELETE of live dataset: status %d", status)
+	}
+	fc.Advance(20 * time.Second)
+	if d, _ := svc.EvictExpired(); d != 1 {
+		t.Fatalf("evicted %d datasets after a foreign DELETE, want 1: the probe kept the dataset alive", d)
+	}
 }
 
 // TestTenantOwnershipRecovery is the crash/recovery leg: tenants and
