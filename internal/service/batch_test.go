@@ -198,11 +198,11 @@ func TestGroupsLongPoll204(t *testing.T) {
 
 	// Seed a session with issued-but-undecided groups, then crash.
 	svc := bootService(t, dir, prefetch)
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, "Name")
+	sess, err := svc.As("").OpenSession(ds.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +302,11 @@ func TestBatchDecisionsCrashRecovery(t *testing.T) {
 
 	dir := storeDir(t)
 	svc := bootService(t, dir, prefetch)
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, "Name")
+	sess, err := svc.As("").OpenSession(ds.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestBatchDecisionsCrashRecovery(t *testing.T) {
 		for j, gid := range ids {
 			reqs[j] = DecisionRequest{GroupID: gid, Decision: scriptedDecision(i + j).String()}
 		}
-		res, err := svc.DecideBatch(dsID, sessID, reqs)
+		res, err := svc.As("").DecideBatch(dsID, sessID, reqs)
 		if err != nil {
 			t.Fatalf("batch %d (%v): %v", i, ids, err)
 		}
@@ -350,14 +350,14 @@ func TestBatchDecisionsCrashRecovery(t *testing.T) {
 	if got, want := mustJSON(t, final), mustJSON(t, wantState); !bytes.Equal(got, want) {
 		t.Fatalf("final state diverged from uninterrupted run\n got: %s\nwant: %s", got, want)
 	}
-	records, err := svc.Export(dsID, false)
+	records, err := svc.As("").Export(dsID, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := mustJSON(t, records), mustJSON(t, wantRecords); !bytes.Equal(got, want) {
 		t.Fatalf("standardized export diverged\n got: %s\nwant: %s", got, want)
 	}
-	golden, err := svc.Export(dsID, true)
+	golden, err := svc.As("").Export(dsID, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +373,11 @@ func TestBatchCrashTornTail(t *testing.T) {
 	const prefetch = 2
 	dir := storeDir(t)
 	svc := bootService(t, dir, prefetch)
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, "Name")
+	sess, err := svc.As("").OpenSession(ds.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestBatchCrashTornTail(t *testing.T) {
 	if len(ids) < 2 {
 		t.Fatalf("only %d pending groups, need 2", len(ids))
 	}
-	if _, err := svc.DecideBatch(ds.ID, sess.ID, []DecisionRequest{
+	if _, err := svc.As("").DecideBatch(ds.ID, sess.ID, []DecisionRequest{
 		{GroupID: ids[0], Decision: "approve"},
 		{GroupID: ids[1], Decision: "reject"},
 	}); err != nil {
@@ -430,7 +430,7 @@ func TestBatchCrashTornTail(t *testing.T) {
 		t.Errorf("group %d = %s after torn-tail recovery, want pending (torn record dropped)", ids[1], decided[ids[1]])
 	}
 	// The torn group must be decidable again on the recovered service.
-	if _, err := svc.Decide(sess.ID, ids[1], goldrec.Rejected); err != nil {
+	if _, err := svc.As("").Decide(sess.ID, ids[1], goldrec.Rejected); err != nil {
 		t.Errorf("re-deciding torn group %d: %v", ids[1], err)
 	}
 }

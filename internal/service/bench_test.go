@@ -55,7 +55,7 @@ func raiseProcs(n int) func() {
 func benchFirstGroup(svc *Service, sessionID string) (int, error) {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		page, err := svc.PendingGroups(sessionID, 1, nil)
+		page, err := svc.As("").PendingGroups(sessionID, 1, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -93,11 +93,11 @@ func BenchmarkConcurrentDecide(b *testing.B) {
 			}
 			targets := make([]target, datasets)
 			for i := range targets {
-				ds, err := svc.CreateDataset(fmt.Sprintf("bench-%d", i), "key", "", strings.NewReader(paperCSV))
+				ds, err := svc.As("").CreateDataset(fmt.Sprintf("bench-%d", i), "key", "", strings.NewReader(paperCSV))
 				if err != nil {
 					b.Fatal(err)
 				}
-				sess, err := svc.OpenSession(ds.ID, "Name")
+				sess, err := svc.As("").OpenSession(ds.ID, "Name")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -105,7 +105,7 @@ func BenchmarkConcurrentDecide(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := svc.Decide(sess.ID, gid, goldrec.Rejected); err != nil {
+				if _, err := svc.As("").Decide(sess.ID, gid, goldrec.Rejected); err != nil {
 					b.Fatal(err)
 				}
 				targets[i] = target{sess: sess.ID, gid: gid}
@@ -116,7 +116,7 @@ func BenchmarkConcurrentDecide(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				tg := targets[int(next.Add(1)-1)%datasets]
 				for pb.Next() {
-					if _, err := svc.Decide(tg.sess, tg.gid, goldrec.Approved); !errors.Is(err, ErrConflict) {
+					if _, err := svc.As("").Decide(tg.sess, tg.gid, goldrec.Approved); !errors.Is(err, ErrConflict) {
 						b.Fatalf("Decide = %v, want ErrConflict", err)
 					}
 				}
@@ -139,11 +139,11 @@ func BenchmarkReviewChurn(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					ds, err := svc.CreateDataset("churn", "key", "", strings.NewReader(paperCSV))
+					ds, err := svc.As("").CreateDataset("churn", "key", "", strings.NewReader(paperCSV))
 					if err != nil {
 						b.Fatal(err)
 					}
-					sess, err := svc.OpenSession(ds.ID, "Name")
+					sess, err := svc.As("").OpenSession(ds.ID, "Name")
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -151,13 +151,13 @@ func BenchmarkReviewChurn(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := svc.Decide(sess.ID, gid, goldrec.Rejected); err != nil {
+					if _, err := svc.As("").Decide(sess.ID, gid, goldrec.Rejected); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := svc.Export(ds.ID, false); err != nil {
+					if _, err := svc.As("").Export(ds.ID, false); err != nil {
 						b.Fatal(err)
 					}
-					if err := svc.DeleteDataset(ds.ID); err != nil {
+					if err := svc.As("").DeleteDataset(ds.ID); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -414,12 +414,12 @@ func BenchmarkPlan(b *testing.B) {
 			const datasets = 8
 			var sessions []string
 			for i := 0; i < datasets; i++ {
-				ds, err := svc.CreateDataset(fmt.Sprintf("bench-%d", i), "key", "", strings.NewReader(paperCSV))
+				ds, err := svc.As("").CreateDataset(fmt.Sprintf("bench-%d", i), "key", "", strings.NewReader(paperCSV))
 				if err != nil {
 					b.Fatal(err)
 				}
 				for _, col := range []string{"Name", "Address"} {
-					sess, err := svc.OpenSession(ds.ID, col)
+					sess, err := svc.As("").OpenSession(ds.ID, col)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -431,7 +431,7 @@ func BenchmarkPlan(b *testing.B) {
 			deadline := time.Now().Add(60 * time.Second)
 			for _, id := range sessions {
 				for {
-					st, err := svc.ReviewState(id)
+					st, err := svc.As("").ReviewState(id)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -444,7 +444,7 @@ func BenchmarkPlan(b *testing.B) {
 					time.Sleep(time.Millisecond)
 				}
 			}
-			probe, err := svc.Plan(1 << 20)
+			probe, err := svc.As("").Plan(1 << 20)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -455,7 +455,7 @@ func BenchmarkPlan(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					plan, err := svc.Plan(budget)
+					plan, err := svc.As("").Plan(budget)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -500,7 +500,7 @@ func BenchmarkAuthMiddleware(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		svc := New(Options{})
 		defer svc.Close()
-		ds, err := svc.CreateDataset("bench", "key", "", strings.NewReader(paperCSV))
+		ds, err := svc.As("").CreateDataset("bench", "key", "", strings.NewReader(paperCSV))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -514,7 +514,7 @@ func BenchmarkAuthMiddleware(b *testing.B) {
 		}
 		svc := New(Options{Tenants: reg, AdminKey: adminKey})
 		defer svc.Close()
-		ds, err := svc.CreateDataset("bench", "key", "", strings.NewReader(paperCSV))
+		ds, err := svc.As("").CreateDataset("bench", "key", "", strings.NewReader(paperCSV))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -553,11 +553,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 		opts.Prefetch = 2
 		svc := New(opts)
 		defer svc.Close()
-		ds, err := svc.CreateDataset("bench", "key", "", strings.NewReader(paperCSV))
+		ds, err := svc.As("").CreateDataset("bench", "key", "", strings.NewReader(paperCSV))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sess, err := svc.OpenSession(ds.ID, "Name")
+		sess, err := svc.As("").OpenSession(ds.ID, "Name")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -565,7 +565,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := svc.Decide(sess.ID, gid, goldrec.Rejected); err != nil {
+		if _, err := svc.As("").Decide(sess.ID, gid, goldrec.Rejected); err != nil {
 			b.Fatal(err)
 		}
 		h := svc.Handler()
@@ -605,11 +605,11 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		opts.Logger = obs.NewLogger(io.Discard, obs.LogJSON, slog.LevelInfo)
 		svc := New(opts)
 		defer svc.Close()
-		ds, err := svc.CreateDataset("bench", "key", "", strings.NewReader(paperCSV))
+		ds, err := svc.As("").CreateDataset("bench", "key", "", strings.NewReader(paperCSV))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sess, err := svc.OpenSession(ds.ID, "Name")
+		sess, err := svc.As("").OpenSession(ds.ID, "Name")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -617,7 +617,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := svc.Decide(sess.ID, gid, goldrec.Rejected); err != nil {
+		if _, err := svc.As("").Decide(sess.ID, gid, goldrec.Rejected); err != nil {
 			b.Fatal(err)
 		}
 		h := svc.Handler()
@@ -686,7 +686,7 @@ func BenchmarkTenantScopedPlan(b *testing.B) {
 			deadline := time.Now().Add(60 * time.Second)
 			for _, id := range sessions {
 				for {
-					st, err := svc.ReviewState(id)
+					st, err := svc.As("").ReviewState(id)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -707,7 +707,7 @@ func BenchmarkTenantScopedPlan(b *testing.B) {
 			if probe.Pending == 0 {
 				b.Fatal("no pending groups to plan over")
 			}
-			global, err := svc.Plan(1 << 20)
+			global, err := svc.As("").Plan(1 << 20)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -740,11 +740,11 @@ func BenchmarkRecover(b *testing.B) {
 	seed := New(Options{Prefetch: 2, Store: seedStore})
 	const datasets = 6
 	for i := 0; i < datasets; i++ {
-		ds, err := seed.CreateDataset(fmt.Sprintf("bench-%d", i), "key", "", strings.NewReader(paperCSV))
+		ds, err := seed.As("").CreateDataset(fmt.Sprintf("bench-%d", i), "key", "", strings.NewReader(paperCSV))
 		if err != nil {
 			b.Fatal(err)
 		}
-		sess, err := seed.OpenSession(ds.ID, "Name")
+		sess, err := seed.As("").OpenSession(ds.ID, "Name")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -752,7 +752,7 @@ func BenchmarkRecover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := seed.Decide(sess.ID, gid, goldrec.Approved); err != nil {
+		if _, err := seed.As("").Decide(sess.ID, gid, goldrec.Approved); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -786,7 +786,7 @@ func BenchmarkRecover(b *testing.B) {
 func benchExhaust(svc *Service, sessionID string) error {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		st, err := svc.ReviewState(sessionID)
+		st, err := svc.As("").ReviewState(sessionID)
 		if err != nil {
 			return err
 		}
@@ -814,16 +814,16 @@ func BenchmarkWarmStartUpload(b *testing.B) {
 		svc := New(Options{Prefetch: 1 << 20})
 		defer svc.Close()
 		if teach {
-			ds, err := svc.CreateDataset("teach", "key", "", strings.NewReader(paperCSV))
+			ds, err := svc.As("").CreateDataset("teach", "key", "", strings.NewReader(paperCSV))
 			if err != nil {
 				b.Fatal(err)
 			}
-			sess, err := svc.OpenSession(ds.ID, "Name")
+			sess, err := svc.As("").OpenSession(ds.ID, "Name")
 			if err != nil {
 				b.Fatal(err)
 			}
 			for {
-				page, err := svc.PendingGroups(sess.ID, 1, nil)
+				page, err := svc.As("").PendingGroups(sess.ID, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -834,21 +834,21 @@ func BenchmarkWarmStartUpload(b *testing.B) {
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
-				if _, err := svc.Decide(sess.ID, page.Groups[0].ID, goldrec.Approved); err != nil {
+				if _, err := svc.As("").Decide(sess.ID, page.Groups[0].ID, goldrec.Approved); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if err := svc.DeleteDataset(ds.ID); err != nil {
+			if err := svc.As("").DeleteDataset(ds.ID); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ds, err := svc.CreateDataset(fmt.Sprintf("up-%d", i), "key", "", strings.NewReader(paperCSV))
+			ds, err := svc.As("").CreateDataset(fmt.Sprintf("up-%d", i), "key", "", strings.NewReader(paperCSV))
 			if err != nil {
 				b.Fatal(err)
 			}
-			sess, err := svc.OpenSession(ds.ID, "Name")
+			sess, err := svc.As("").OpenSession(ds.ID, "Name")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -856,7 +856,7 @@ func BenchmarkWarmStartUpload(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			st, err := svc.ReviewState(sess.ID)
+			st, err := svc.As("").ReviewState(sess.ID)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -866,7 +866,7 @@ func BenchmarkWarmStartUpload(b *testing.B) {
 			if !teach && st.Stats.WarmGroups != 0 {
 				b.Fatal("cold leg unexpectedly opened warm")
 			}
-			if err := svc.DeleteDataset(ds.ID); err != nil {
+			if err := svc.As("").DeleteDataset(ds.ID); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
@@ -881,8 +881,9 @@ func BenchmarkWarmStartUpload(b *testing.B) {
 // that records a fresh decision, which on the "on" leg emits
 // decision.recorded and library.taught into a durably-backed event log
 // and on the "off" leg hits the nil-log no-ops. Fetching the next
-// undecided group (and rebuilding sessions as they exhaust) happens
-// off-timer, so the quotient isolates what emission adds to a decide.
+// undecided group, waiting for the generator to park, and rebuilding
+// sessions as they exhaust all happen off-timer, so the quotient
+// isolates what emission adds to a decide.
 // The event store runs NoSync like the gated WAL benchmarks — the
 // flusher's sync is off the decide path by construction, and on a
 // small runner a disk-bound background fsync would measure the disk,
@@ -914,30 +915,45 @@ func BenchmarkEventsOverhead(b *testing.B) {
 		var sid string
 		openSess := func() {
 			builds++
-			ds, err := svc.CreateDataset(fmt.Sprintf("bench%d", builds), "key", "", strings.NewReader(paperCSV))
+			ds, err := svc.As("").CreateDataset(fmt.Sprintf("bench%d", builds), "key", "", strings.NewReader(paperCSV))
 			if err != nil {
 				b.Fatal(err)
 			}
-			sess, err := svc.OpenSession(ds.ID, "Name")
+			sess, err := svc.As("").OpenSession(ds.ID, "Name")
 			if err != nil {
 				b.Fatal(err)
 			}
 			sid = sess.ID
 		}
+		// parked reports whether the generator has stopped: out of
+		// NextGroup with a full buffer or an exhausted stream. A decide
+		// admitted earlier would wait out the generator's next engine
+		// step inside the timed window.
+		parked := func() bool {
+			cs, ok := svc.sessions.peek(sid)
+			if !ok {
+				b.Fatalf("session %s vanished", sid)
+			}
+			cs.mu.Lock()
+			defer cs.mu.Unlock()
+			return !cs.busy && (cs.exhausted || len(cs.pending) >= cs.prefetch)
+		}
 		next := func() (int, bool) {
 			deadline := time.Now().Add(30 * time.Second)
 			for time.Now().Before(deadline) {
-				st, err := svc.ReviewState(sid)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, g := range st.Groups {
-					if g.Decision == goldrec.Pending {
-						return g.ID, true
+				if parked() {
+					st, err := svc.As("").ReviewState(sid)
+					if err != nil {
+						b.Fatal(err)
 					}
-				}
-				if st.Exhausted {
-					return 0, false
+					for _, g := range st.Groups {
+						if g.Decision == goldrec.Pending {
+							return g.ID, true
+						}
+					}
+					if st.Exhausted {
+						return 0, false
+					}
 				}
 				time.Sleep(50 * time.Microsecond)
 			}

@@ -200,7 +200,7 @@ func (cs *columnSession) awaitParkedLocked() {
 
 // decide records decisions[i] on groups ids[i] once the generator has
 // parked: validate the whole batch, make it durable through log, apply
-// it, then run applied (see Service.decideGroups). A rejected request
+// it, then run applied (see Scope.decideGroups). A rejected request
 // allocates nothing here.
 func (cs *columnSession) decide(ids []int, decisions []goldrec.Decision, log func() error, applied func()) (BatchDecisionsResult, error) {
 	cs.mu.Lock()

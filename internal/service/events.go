@@ -193,31 +193,17 @@ func (s *Service) serveEventsSSE(w http.ResponseWriter, r *http.Request, stream 
 			if !ok {
 				return
 			}
-			// Events already sent from the backlog replay overlap the
-			// subscription's buffer; drop them by seq. Gap markers carry
-			// seq 0 and always go through.
-			if e.Seq > 0 && e.Seq <= lastSent {
-				continue
-			}
-			writeSSEEvent(w, e)
-			if e.Seq > lastSent {
-				lastSent = e.Seq
-			}
-			// Drain whatever else is buffered before flushing once.
+			// Write this event and whatever else is buffered, then flush
+			// once. Events already sent from the backlog replay overlap
+			// the subscription's buffer; drop them by seq. Gap markers
+			// carry seq 0 and always go through.
 			for more := true; more; {
-				select {
-				case e, ok := <-sub.C():
-					if !ok {
-						more = false
-						break
-					}
-					if e.Seq > 0 && e.Seq <= lastSent {
-						continue
-					}
+				if e.Seq == 0 || e.Seq > lastSent {
 					writeSSEEvent(w, e)
-					if e.Seq > lastSent {
-						lastSent = e.Seq
-					}
+					lastSent = max(lastSent, e.Seq)
+				}
+				select {
+				case e, more = <-sub.C():
 				default:
 					more = false
 				}
@@ -267,7 +253,7 @@ func (s *Service) sseHeartbeat() time.Duration {
 // an "end" event when the session reaches a terminal page (exhausted,
 // nothing pending) or disappears, and a "close" event on graceful
 // shutdown.
-func (s *Service) serveGroupsSSE(w http.ResponseWriter, r *http.Request, owner, datasetID, id string, limit int) {
+func (s *Service) serveGroupsSSE(w http.ResponseWriter, r *http.Request, sc Scope, datasetID, id string, limit int) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, fmt.Errorf("streaming unsupported by connection"))
@@ -275,7 +261,7 @@ func (s *Service) serveGroupsSSE(w http.ResponseWriter, r *http.Request, owner, 
 	}
 	// First page before committing to the stream content type, so an
 	// unknown session still gets the JSON error envelope.
-	page, rev, changed, err := s.waitPage(owner, datasetID, id, limit, nil)
+	page, rev, changed, err := sc.waitPage(datasetID, id, limit, nil)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -307,7 +293,7 @@ func (s *Service) serveGroupsSSE(w http.ResponseWriter, r *http.Request, owner, 
 				flusher.Flush()
 				return
 			}
-			page, rev, changed, err = s.waitPage(owner, datasetID, id, limit, nil)
+			page, rev, changed, err = sc.waitPage(datasetID, id, limit, nil)
 			if err != nil {
 				// Session deleted mid-stream: terminal for this watcher.
 				io.WriteString(w, "event: end\ndata: {}\n\n")

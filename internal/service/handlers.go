@@ -242,9 +242,9 @@ func (s *Service) handleGroups(w http.ResponseWriter, r *http.Request) {
 	if sid := r.PathValue("sid"); sid != "" {
 		datasetID, id = id, sid
 	}
-	owner := principalFrom(r).tenant
+	sc := s.scope(r)
 	if wantsSSE(r) {
-		s.serveGroupsSSE(w, r, owner, datasetID, id, limit)
+		s.serveGroupsSSE(w, r, sc, datasetID, id, limit)
 		return
 	}
 	var wait <-chan struct{}
@@ -260,7 +260,7 @@ func (s *Service) handleGroups(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		wait = ctx.Done()
 	}
-	page, _, _, err := s.waitPage(owner, datasetID, id, limit, wait)
+	page, _, _, err := sc.waitPage(datasetID, id, limit, wait)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -17,7 +17,9 @@ import (
 // (internal/library) into the service: every acknowledged reviewer
 // verdict is folded into the owning tenant's library, every session
 // open consults it for warm-start priors, and GET/DELETE /v1/library
-// expose the memory under the usual Scope rules.
+// expose the memory through Scope, the service's data API: a tenant
+// reads and purges only its own library, and svc.As("") — the unscoped
+// view — addresses the open-mode library.
 //
 // The library is advisory memory, never the system of record: the
 // session WAL is. A library write that fails is logged and dropped —
@@ -49,9 +51,12 @@ type LibraryInfo struct {
 	Eligible int `json:"eligible"`
 }
 
-// libraryInfo assembles the owner's library view.
-func (s *Service) libraryInfo(owner string) LibraryInfo {
-	lib := s.library.For(owner)
+// Library returns the scope's transformation memory: the per-program
+// approve/reject stats accumulated across the owner's uploads. A
+// tenant only ever sees (and deletes) its own library; the unscoped
+// view addresses the open-mode library.
+func (sc Scope) Library() LibraryInfo {
+	lib := sc.svc.library.For(sc.owner)
 	eligible := make(map[string]bool)
 	for _, p := range lib.Priors() {
 		eligible[p.Key] = true
@@ -70,15 +75,17 @@ func (s *Service) libraryInfo(owner string) LibraryInfo {
 	return out
 }
 
-// deleteLibrary purges the owner's transformation memory, in memory and
-// on disk. Sessions already opened warm keep their frozen priors (the
-// OpWarm WAL record, not the live library, is their replay base).
-func (s *Service) deleteLibrary(ctx context.Context, owner string) error {
-	if err := s.library.Delete(owner); err != nil {
+// DeleteLibrary purges the scope's transformation memory, in memory and
+// on disk: future uploads open cold until new decisions accumulate.
+// Sessions already opened warm keep their frozen priors (the OpWarm WAL
+// record, not the live library, is their replay base).
+func (sc Scope) DeleteLibrary() error {
+	s := sc.svc
+	if err := s.library.Delete(sc.owner); err != nil {
 		return fmt.Errorf("%w: deleting library: %v", ErrStorage, err)
 	}
-	s.opts.Logf("library %q: deleted", owner)
-	s.emitEvent(ctx, events.Event{Type: events.TypeLibraryPurged, Tenant: owner})
+	s.opts.Logf("library %q: deleted", sc.owner)
+	s.emitEvent(sc.ctx, events.Event{Type: events.TypeLibraryPurged, Tenant: sc.owner})
 	return nil
 }
 

@@ -211,11 +211,11 @@ func TestWarmStartCrashRestart(t *testing.T) {
 	dir := storeDir(t)
 	svc := bootService(t, dir, prefetch)
 
-	ds1, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds1, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess1, err := svc.OpenSession(ds1.ID, "Name")
+	sess1, err := svc.As("").OpenSession(ds1.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,17 +224,17 @@ func TestWarmStartCrashRestart(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := svc.Decide(sess1.ID, id, goldrec.Approved); err != nil {
+		if _, err := svc.As("").Decide(sess1.ID, id, goldrec.Approved); err != nil {
 			t.Fatal(err)
 		}
 	}
 	quiesce(t, svc, sess1.ID, prefetch)
 
-	ds2, err := svc.CreateDataset("paper2", "key", "", strings.NewReader(paperCSV))
+	ds2, err := svc.As("").CreateDataset("paper2", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess2, err := svc.OpenSession(ds2.ID, "Name")
+	sess2, err := svc.As("").OpenSession(ds2.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestWarmStartCrashRestart(t *testing.T) {
 	if preKill.Stats.WarmGroups == 0 {
 		t.Fatal("second upload opened cold before the crash")
 	}
-	preLib := mustJSON(t, svc.Library())
+	preLib := mustJSON(t, svc.As("").Library())
 
 	// Crash between library appends and between WAL appends: nothing
 	// below gets a chance to flush beyond what each ack made durable.
@@ -254,7 +254,7 @@ func TestWarmStartCrashRestart(t *testing.T) {
 	if got, want := mustJSON(t, restored), mustJSON(t, preKill); !bytes.Equal(got, want) {
 		t.Fatalf("restored warm session diverged\n got: %s\nwant: %s", got, want)
 	}
-	if got := mustJSON(t, svc.Library()); !bytes.Equal(got, preLib) {
+	if got := mustJSON(t, svc.As("").Library()); !bytes.Equal(got, preLib) {
 		t.Fatalf("restored library diverged\n got: %s\nwant: %s", got, preLib)
 	}
 
@@ -264,7 +264,7 @@ func TestWarmStartCrashRestart(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := svc.Decide(sess2.ID, id, goldrec.Approved); err != nil {
+		if _, err := svc.As("").Decide(sess2.ID, id, goldrec.Approved); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,11 +284,11 @@ func TestLibraryCrashBetweenDecisions(t *testing.T) {
 	dir := storeDir(t)
 	svc := bootService(t, dir, prefetch)
 
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, "Name")
+	sess, err := svc.As("").OpenSession(ds.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +296,11 @@ func TestLibraryCrashBetweenDecisions(t *testing.T) {
 
 	for i := 0; ; i++ {
 		quiesce(t, svc, sessID, prefetch)
-		preKill := mustJSON(t, svc.Library())
+		preKill := mustJSON(t, svc.As("").Library())
 		killService(svc)
 
 		svc = bootService(t, dir, prefetch)
-		if got := mustJSON(t, svc.Library()); !bytes.Equal(got, preKill) {
+		if got := mustJSON(t, svc.As("").Library()); !bytes.Equal(got, preKill) {
 			t.Fatalf("decision %d: replayed library diverged\n got: %s\nwant: %s", i, got, preKill)
 		}
 
@@ -308,13 +308,13 @@ func TestLibraryCrashBetweenDecisions(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := svc.Decide(sessID, id, scriptedDecision(i)); err != nil {
+		if _, err := svc.As("").Decide(sessID, id, scriptedDecision(i)); err != nil {
 			t.Fatalf("decision %d on group %d: %v", i, id, err)
 		}
 	}
 	defer killService(svc)
 
-	lib := svc.Library()
+	lib := svc.As("").Library()
 	if len(lib.Programs) == 0 {
 		t.Fatal("library empty after a reviewed column")
 	}

@@ -85,36 +85,38 @@ type planCandidate struct {
 	approveRate float64
 }
 
-// plan ranks the pending groups of the owner's live sessions ("" =
-// every session) by expected gain and greedily allocates a review
-// budget of budget groups across them. Collection is shard-friendly:
+// Plan ranks the pending groups of the scope's live sessions (every
+// session when unscoped) by expected gain and greedily allocates a
+// review budget of budget groups across them. Collection is shard-friendly:
 // session pointers are gathered one registry shard at a time (no
 // cross-shard or global lock), the tenant filter is applied during that
 // walk, and each session's groups are read under that session's own
 // mutex. Passivated sessions are not restored — planning is advisory
 // and must not defeat passivation; touch a session to bring it back
 // into the pool.
-func (s *Service) plan(owner string, budget int) (BudgetPlan, error) {
+func (sc Scope) Plan(budget int) (BudgetPlan, error) {
+	s := sc.svc
 	if err := s.alive(); err != nil {
 		return BudgetPlan{}, err
 	}
 	if budget <= 0 {
 		return BudgetPlan{}, fmt.Errorf("budget must be positive, got %d", budget)
 	}
-	return assemblePlan(budget, s.collectCandidates(s.allSessions(owner))), nil
+	return assemblePlan(budget, s.collectCandidates(s.allSessions(sc.owner))), nil
 }
 
-// planDataset is plan restricted to one dataset's live sessions. It
+// PlanDataset is Plan restricted to one dataset's live sessions. It
 // touches the dataset (and restores a passivated one), exactly like
 // every other dataset-addressed call.
-func (s *Service) planDataset(owner, datasetID string, budget int) (BudgetPlan, error) {
+func (sc Scope) PlanDataset(datasetID string, budget int) (BudgetPlan, error) {
+	s := sc.svc
 	if err := s.alive(); err != nil {
 		return BudgetPlan{}, err
 	}
 	if budget <= 0 {
 		return BudgetPlan{}, fmt.Errorf("budget must be positive, got %d", budget)
 	}
-	d, err := s.lookupDataset(owner, datasetID)
+	d, err := s.lookupDataset(sc.owner, datasetID)
 	if err != nil {
 		return BudgetPlan{}, err
 	}

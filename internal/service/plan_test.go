@@ -36,12 +36,12 @@ func planFixture(t *testing.T, svc *Service, uploads map[string]string, columns 
 	t.Helper()
 	var out []planSession
 	for name, csv := range uploads {
-		ds, err := svc.CreateDataset(name, "key", "", strings.NewReader(csv))
+		ds, err := svc.As("").CreateDataset(name, "key", "", strings.NewReader(csv))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, col := range columns[name] {
-			sess, err := svc.OpenSession(ds.ID, col)
+			sess, err := svc.As("").OpenSession(ds.ID, col)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestPlanGreedyMatchesBruteForce(t *testing.T) {
 	planFixture(t, svc, planUploads, planColumns)
 
 	// The full candidate pool: plan with an unbounded budget.
-	all, err := svc.Plan(1 << 20)
+	all, err := svc.As("").Plan(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPlanGreedyMatchesBruteForce(t *testing.T) {
 	}
 
 	for _, budget := range []int{1, 2, 3, len(gains) / 2} {
-		plan, err := svc.Plan(budget)
+		plan, err := svc.As("").Plan(budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestPlanAllocation(t *testing.T) {
 	defer svc.Close()
 	planFixture(t, svc, planUploads, planColumns)
 
-	full, err := svc.Plan(1 << 20)
+	full, err := svc.As("").Plan(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPlanAllocation(t *testing.T) {
 	}
 
 	budget := full.Pending / 2
-	plan, err := svc.Plan(budget)
+	plan, err := svc.As("").Plan(budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestPlanStableAcrossShards(t *testing.T) {
 	for _, shards := range []int{1, 16} {
 		svc := New(Options{Prefetch: 1 << 20, Shards: shards})
 		planFixture(t, svc, planUploads, planColumns)
-		plan, err := svc.Plan(7)
+		plan, err := svc.As("").Plan(7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestPlanDatasetScope(t *testing.T) {
 			alphaID = ps.dataset.ID
 		}
 	}
-	plan, err := svc.PlanDataset(alphaID, 1<<20)
+	plan, err := svc.As("").PlanDataset(alphaID, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,17 +263,17 @@ func TestPlanDatasetScope(t *testing.T) {
 			t.Errorf("dataset plan includes foreign column %s/%s", c.DatasetID, c.Column)
 		}
 	}
-	global, err := svc.Plan(1 << 20)
+	global, err := svc.As("").Plan(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Pending >= global.Pending {
 		t.Errorf("dataset plan considered %d groups, global %d — scope did not narrow", plan.Pending, global.Pending)
 	}
-	if _, err := svc.PlanDataset("ds_nope", 1); !errors.Is(err, ErrNotFound) {
+	if _, err := svc.As("").PlanDataset("ds_nope", 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown dataset: %v, want ErrNotFound", err)
 	}
-	if _, err := svc.Plan(0); err == nil {
+	if _, err := svc.As("").Plan(0); err == nil {
 		t.Error("non-positive budget accepted")
 	}
 }
@@ -292,7 +292,7 @@ func TestPlanReflectsDecisionHistory(t *testing.T) {
 			victim = ps
 		}
 	}
-	before, err := svc.Plan(1 << 20)
+	before, err := svc.As("").Plan(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +315,11 @@ func TestPlanReflectsDecisionHistory(t *testing.T) {
 		if !ok {
 			t.Fatal("victim ran out of groups")
 		}
-		if _, err := svc.Decide(victim.session.ID, id, goldrec.Rejected); err != nil {
+		if _, err := svc.As("").Decide(victim.session.ID, id, goldrec.Rejected); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after, err := svc.Plan(1 << 20)
+	after, err := svc.As("").Plan(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestPlanReflectsDecisionHistory(t *testing.T) {
 		t.Fatalf("approve rate after 2 rejections = %v (found %v), want < %v", r1, ok, r0)
 	}
 	// The page annotations agree with the plan's numbers.
-	page, err := svc.PendingGroups(victim.session.ID, 0, nil)
+	page, err := svc.As("").PendingGroups(victim.session.ID, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +377,11 @@ func TestRecoverGainRoundTrip(t *testing.T) {
 	dir := storeDir(t)
 	const prefetch = 1 << 20
 	svc := bootService(t, dir, prefetch)
-	ds, err := svc.CreateDataset("gain", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("gain", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, "Name")
+	sess, err := svc.As("").OpenSession(ds.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestRecoverGainRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatal("stream too short")
 		}
-		if _, err := svc.Decide(sess.ID, id, goldrec.Rejected); err != nil {
+		if _, err := svc.As("").Decide(sess.ID, id, goldrec.Rejected); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,7 +400,7 @@ func TestRecoverGainRoundTrip(t *testing.T) {
 	if before.ApproveRate == 0.5 {
 		t.Fatalf("approve rate still at the default prior; fixture decided nothing")
 	}
-	planBefore, err := svc.Plan(1 << 20)
+	planBefore, err := svc.As("").Plan(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestRecoverGainRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("review state did not round-trip:\nbefore: %+v\nafter:  %+v", before, after)
 	}
-	planAfter, err := svc2.Plan(1 << 20)
+	planAfter, err := svc2.As("").Plan(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}

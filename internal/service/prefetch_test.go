@@ -234,14 +234,14 @@ func TestLagScheduleDifferential(t *testing.T) {
 								}
 								// A full-buffer wait returns once the generator parks.
 								doJSON(t, "GET", fmt.Sprintf("%s/v1/sessions/%s/groups?limit=%d&wait=true", ts.URL, sess.ID, prefetch), nil, nil)
-								st, err := svc.ReviewState(sess.ID)
+								st, err := svc.As("").ReviewState(sess.ID)
 								if err != nil {
 									t.Fatal(err)
 								}
 								if got := issuedGroups(st); !reflect.DeepEqual(got, issued) {
 									t.Fatalf("service issued\n %+v\nlag-%d schedule issued\n %+v", got, prefetch, issued)
 								}
-								exp, err := svc.Export(sess.DatasetID, false)
+								exp, err := svc.As("").Export(sess.DatasetID, false)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -331,7 +331,7 @@ func TestLongPollReleaseRule(t *testing.T) {
 			if page.Pending != prefetch {
 				// Only the end of the stream releases a short page, and
 				// exhaustion is permanent, so the state still shows it.
-				st, err := svc.ReviewState(sess.ID)
+				st, err := svc.As("").ReviewState(sess.ID)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -84,7 +84,7 @@ func quiesce(t *testing.T, svc *Service, sessionID string, prefetch int) goldrec
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		st, err := svc.ReviewState(sessionID)
+		st, err := svc.As("").ReviewState(sessionID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func nextUndecided(t *testing.T, svc *Service, sessionID string) (int, bool) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		page, err := svc.PendingGroups(sessionID, 1, nil)
+		page, err := svc.As("").PendingGroups(sessionID, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +147,11 @@ func uninterruptedRun(t *testing.T, column string) (goldrec.ReviewState, ExportD
 	t.Helper()
 	svc := New(Options{Prefetch: 2})
 	defer svc.Close()
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, column)
+	sess, err := svc.As("").OpenSession(ds.ID, column)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,16 +160,16 @@ func uninterruptedRun(t *testing.T, column string) (goldrec.ReviewState, ExportD
 		if !ok {
 			break
 		}
-		if _, err := svc.Decide(sess.ID, id, scriptedDecision(i)); err != nil {
+		if _, err := svc.As("").Decide(sess.ID, id, scriptedDecision(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := quiesce(t, svc, sess.ID, 2)
-	records, err := svc.Export(ds.ID, false)
+	records, err := svc.As("").Export(ds.ID, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := svc.Export(ds.ID, true)
+	golden, err := svc.As("").Export(ds.ID, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestCrashBetweenEveryDecision(t *testing.T) {
 
 	dir := storeDir(t)
 	svc := bootService(t, dir, prefetch)
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, "Name")
+	sess, err := svc.As("").OpenSession(ds.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCrashBetweenEveryDecision(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := svc.Decide(sessID, id, scriptedDecision(i)); err != nil {
+		if _, err := svc.As("").Decide(sessID, id, scriptedDecision(i)); err != nil {
 			t.Fatalf("decision %d on group %d: %v", i, id, err)
 		}
 	}
@@ -231,14 +231,14 @@ func TestCrashBetweenEveryDecision(t *testing.T) {
 	if got, want := mustJSON(t, final), mustJSON(t, wantState); !bytes.Equal(got, want) {
 		t.Fatalf("final state diverged from uninterrupted run\n got: %s\nwant: %s", got, want)
 	}
-	records, err := svc.Export(dsID, false)
+	records, err := svc.As("").Export(dsID, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := mustJSON(t, records), mustJSON(t, wantRecords); !bytes.Equal(got, want) {
 		t.Fatalf("standardized export diverged\n got: %s\nwant: %s", got, want)
 	}
-	golden, err := svc.Export(dsID, true)
+	golden, err := svc.As("").Export(dsID, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestPassivationReloadsOnTouch(t *testing.T) {
 	if !ok {
 		t.Fatal("no group to decide")
 	}
-	if _, err := svc.Decide(sess.ID, gid, goldrec.Approved); err != nil {
+	if _, err := svc.As("").Decide(sess.ID, gid, goldrec.Approved); err != nil {
 		t.Fatal(err)
 	}
 	preEvict := quiesce(t, svc, sess.ID, 2)
@@ -463,11 +463,11 @@ func TestCompactionFoldsFinishedSession(t *testing.T) {
 	const prefetch = 2
 	dir := storeDir(t)
 	svc := bootService(t, dir, prefetch)
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, "Name")
+	sess, err := svc.As("").OpenSession(ds.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,12 +476,12 @@ func TestCompactionFoldsFinishedSession(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := svc.Decide(sess.ID, id, scriptedDecision(i)); err != nil {
+		if _, err := svc.As("").Decide(sess.ID, id, scriptedDecision(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want := quiesce(t, svc, sess.ID, prefetch)
-	wantRecords, err := svc.Export(ds.ID, false)
+	wantRecords, err := svc.As("").Export(ds.ID, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,22 +505,22 @@ func TestCompactionFoldsFinishedSession(t *testing.T) {
 
 	svc = bootService(t, dir, prefetch)
 	defer killService(svc)
-	got, err := svc.ReviewState(sess.ID)
+	got, err := svc.As("").ReviewState(sess.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotJSON, wantJSON := mustJSON(t, got), mustJSON(t, want); !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("archived state diverged\n got: %s\nwant: %s", gotJSON, wantJSON)
 	}
-	info, err := svc.GetSession(sess.ID)
+	info, err := svc.As("").GetSession(sess.ID)
 	if err != nil || info.Status != StatusExhausted {
 		t.Fatalf("restored compacted session = %+v, %v", info, err)
 	}
 	// Deciding against a compacted session is a conflict, not a crash.
-	if _, err := svc.Decide(sess.ID, 0, goldrec.Approved); err == nil {
+	if _, err := svc.As("").Decide(sess.ID, 0, goldrec.Approved); err == nil {
 		t.Fatal("decide on compacted session succeeded")
 	}
-	gotRecords, err := svc.Export(ds.ID, false)
+	gotRecords, err := svc.As("").Export(ds.ID, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,11 +537,11 @@ func TestDeleteSessionFoldsAppliedWork(t *testing.T) {
 	const prefetch = 2
 	dir := storeDir(t)
 	svc := bootService(t, dir, prefetch)
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, "Name")
+	sess, err := svc.As("").OpenSession(ds.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,24 +550,24 @@ func TestDeleteSessionFoldsAppliedWork(t *testing.T) {
 	if !ok {
 		t.Fatal("no groups")
 	}
-	if _, err := svc.Decide(sess.ID, gid, goldrec.Approved); err != nil {
+	if _, err := svc.As("").Decide(sess.ID, gid, goldrec.Approved); err != nil {
 		t.Fatal(err)
 	}
-	wantRecords, err := svc.Export(ds.ID, false)
+	wantRecords, err := svc.As("").Export(ds.ID, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.DeleteSession(sess.ID); err != nil {
+	if err := svc.As("").DeleteSession(sess.ID); err != nil {
 		t.Fatal(err)
 	}
 	killService(svc)
 
 	svc = bootService(t, dir, prefetch)
 	defer killService(svc)
-	if _, err := svc.GetSession(sess.ID); err == nil {
+	if _, err := svc.As("").GetSession(sess.ID); err == nil {
 		t.Fatal("deleted session restored")
 	}
-	gotRecords, err := svc.Export(ds.ID, false)
+	gotRecords, err := svc.As("").Export(ds.ID, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestDeleteSessionFoldsAppliedWork(t *testing.T) {
 		t.Fatalf("applied work lost on delete+restart\n got: %s\nwant: %s", a, b)
 	}
 	// The column is free again.
-	if _, err := svc.OpenSession(ds.ID, "Name"); err != nil {
+	if _, err := svc.As("").OpenSession(ds.ID, "Name"); err != nil {
 		t.Fatalf("reopening deleted column: %v", err)
 	}
 }
@@ -586,28 +586,28 @@ func TestDeleteSessionFoldsAppliedWork(t *testing.T) {
 func TestDeleteDatasetPurgesStore(t *testing.T) {
 	dir := storeDir(t)
 	svc := bootService(t, dir, 2)
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.OpenSession(ds.ID, "Name")
+	sess, err := svc.As("").OpenSession(ds.ID, "Name")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.DeleteDataset(ds.ID); err != nil {
+	if err := svc.As("").DeleteDataset(ds.ID); err != nil {
 		t.Fatal(err)
 	}
 	killService(svc)
 
 	svc = bootService(t, dir, 2)
 	defer killService(svc)
-	if _, err := svc.GetDataset(ds.ID); err == nil {
+	if _, err := svc.As("").GetDataset(ds.ID); err == nil {
 		t.Fatal("deleted dataset restored")
 	}
-	if _, err := svc.GetSession(sess.ID); err == nil {
+	if _, err := svc.As("").GetSession(sess.ID); err == nil {
 		t.Fatal("session of deleted dataset restored")
 	}
-	if list := svc.ListDatasets(); len(list) != 0 {
+	if list := svc.As("").ListDatasets(); len(list) != 0 {
 		t.Fatalf("datasets after purge = %v", list)
 	}
 }
@@ -618,7 +618,7 @@ func TestRecoverConcurrentColumns(t *testing.T) {
 	const prefetch = 2
 	dir := storeDir(t)
 	svc := bootService(t, dir, prefetch)
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func TestRecoverConcurrentColumns(t *testing.T) {
 	states := make(map[string]goldrec.ReviewState)
 	ids := make(map[string]string)
 	for _, col := range columns {
-		sess, err := svc.OpenSession(ds.ID, col)
+		sess, err := svc.As("").OpenSession(ds.ID, col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -635,7 +635,7 @@ func TestRecoverConcurrentColumns(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no groups", col)
 		}
-		if _, err := svc.Decide(sess.ID, gid, goldrec.Approved); err != nil {
+		if _, err := svc.As("").Decide(sess.ID, gid, goldrec.Approved); err != nil {
 			t.Fatal(err)
 		}
 		states[col] = quiesce(t, svc, sess.ID, prefetch)
@@ -657,12 +657,12 @@ func TestRecoverConcurrentColumns(t *testing.T) {
 			if !ok {
 				break
 			}
-			if _, err := svc.Decide(ids[col], gid, scriptedDecision(i)); err != nil {
+			if _, err := svc.As("").Decide(ids[col], gid, scriptedDecision(i)); err != nil {
 				t.Fatalf("%s decision %d: %v", col, i, err)
 			}
 		}
 	}
-	if _, err := svc.Export(ds.ID, true); err != nil {
+	if _, err := svc.As("").Export(ds.ID, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -27,13 +27,18 @@
 // columns apply concurrently (read side) while golden-record export
 // (write side) sees a quiescent dataset.
 //
+// Data API: every dataset, session, review, plan and library operation
+// is a method of Scope, the service as seen by one principal
+// (Service.As). Each HTTP data route runs on the request's scope, and
+// svc.As("") is the unscoped view that sees everything.
+//
 // Multi-tenancy: with Options.Tenants set, every request authenticates
-// with an API key and runs inside a Scope — datasets and sessions carry
-// their owning tenant, every lookup, listing and plan filters by it
-// (foreign ids read as 404), and the registry's quotas (datasets,
-// sessions, upload bytes) and decisions/sec token buckets are enforced
-// with 403/413/429. Without it the service behaves exactly as before
-// tenancy existed: one implicit, unlimited, unauthenticated principal.
+// with an API key and runs inside that tenant's Scope — datasets and
+// sessions carry their owning tenant, every lookup, listing and plan
+// filters by it (foreign ids read as 404), and the registry's quotas
+// (datasets, sessions, upload bytes) and decisions/sec token buckets
+// are enforced with 403/413/429. Without it every request runs in the
+// unscoped view: one implicit, unlimited, unauthenticated principal.
 //
 // Durability: every state transition is persisted through a store.Store
 // before it is acknowledged — uploads snapshot the dataset, session
@@ -470,11 +475,12 @@ type dataset struct {
 	columns map[int]string // column index → owning session id
 }
 
-// createDataset ingests a clustered CSV (key column identifies
+// CreateDataset ingests a clustered CSV (key column identifies
 // clusters; optional source column populates Record.Source) and
-// registers it under the owning tenant ("" = unowned). The context
-// carries the request's trace span, if any.
-func (s *Service) createDataset(ctx context.Context, owner, name, keyCol, srcCol string, csv io.Reader) (DatasetInfo, error) {
+// registers it under the scope's tenant ("" = unowned). The scope's
+// context carries the request's trace span, if any.
+func (sc Scope) CreateDataset(name, keyCol, srcCol string, csv io.Reader) (DatasetInfo, error) {
+	s, owner := sc.svc, sc.owner
 	if err := s.alive(); err != nil {
 		return DatasetInfo{}, err
 	}
@@ -510,7 +516,7 @@ func (s *Service) createDataset(ctx context.Context, owner, name, keyCol, srcCol
 		mu := s.admissionLock(owner)
 		mu.Lock()
 		if q, ok := s.quotasFor(owner); ok && q.MaxDatasets > 0 {
-			if n := len(s.listDatasets(owner)); n >= q.MaxDatasets {
+			if n := len(sc.ListDatasets()); n >= q.MaxDatasets {
 				mu.Unlock()
 				return DatasetInfo{}, fmt.Errorf("%w: dataset quota reached (max %d)", ErrQuota, q.MaxDatasets)
 			}
@@ -524,13 +530,13 @@ func (s *Service) createDataset(ctx context.Context, owner, name, keyCol, srcCol
 	// the dataset: this version-1 snapshot is what every session WAL
 	// replays over.
 	meta := store.DatasetMeta{ID: d.id, Name: ds.Name, KeyCol: keyCol, Created: d.created, Owner: owner}
-	if err := s.store.PutDataset(ctx, meta, ds); err != nil {
+	if err := s.store.PutDataset(sc.ctx, meta, ds); err != nil {
 		s.datasets.remove(d.id)
 		return DatasetInfo{}, fmt.Errorf("%w: snapshotting dataset: %v", ErrStorage, err)
 	}
 	s.opts.Logf("dataset %s: %q ingested (%d clusters, %d records)",
 		d.id, name, len(ds.Clusters), ds.NumRecords())
-	s.emitEvent(ctx, events.Event{
+	s.emitEvent(sc.ctx, events.Event{
 		Type:    events.TypeDatasetUploaded,
 		Tenant:  owner,
 		Dataset: d.id,
@@ -585,21 +591,22 @@ func (s *Service) probeDataset(owner, id string) error {
 	return fmt.Errorf("dataset %s: %w", id, ErrNotFound)
 }
 
-// getDatasetInfo returns a dataset's info and refreshes its idle timer.
-func (s *Service) getDatasetInfo(owner, id string) (DatasetInfo, error) {
-	d, err := s.lookupDataset(owner, id)
+// GetDataset returns a dataset's info and refreshes its idle timer.
+func (sc Scope) GetDataset(id string) (DatasetInfo, error) {
+	d, err := sc.svc.lookupDataset(sc.owner, id)
 	if err != nil {
 		return DatasetInfo{}, err
 	}
-	return s.datasetInfo(d), nil
+	return sc.svc.datasetInfo(d), nil
 }
 
-// listDatasets returns the owner-visible live datasets in creation
-// order, followed by any passivated datasets still restorable from the
-// store (marked Passive, with only their meta fields populated —
-// restoring each just to count its clusters would defeat passivation).
-// An empty owner sees everything.
-func (s *Service) listDatasets(owner string) []DatasetInfo {
+// ListDatasets returns the scope's live datasets in creation order,
+// followed by any passivated datasets still restorable from the store
+// (marked Passive, with only their meta fields populated — restoring
+// each just to count its clusters would defeat passivation). The
+// unscoped view sees everything.
+func (sc Scope) ListDatasets() []DatasetInfo {
+	s, owner := sc.svc, sc.owner
 	ds := s.datasets.list()
 	out := make([]DatasetInfo, 0, len(ds))
 	live := make(map[string]bool, len(ds))
@@ -624,18 +631,19 @@ func (s *Service) listDatasets(owner string) []DatasetInfo {
 	return out
 }
 
-// deleteDataset removes a dataset and closes its sessions. Unlike
+// DeleteDataset removes a dataset and closes its sessions. Unlike
 // eviction, deletion purges the durable state too: a deleted dataset is
 // gone for good. It holds the dataset's shard restore lock so a
 // concurrent touch of one of the dataset's ids cannot resurrect it from
 // the store between the in-memory remove and the durable purge.
-func (s *Service) deleteDataset(owner, id string) error {
+func (sc Scope) DeleteDataset(id string) error {
+	s := sc.svc
 	mu := &s.restoreMu[s.datasets.shardIndex(id)]
 	mu.Lock()
 	defer mu.Unlock()
 	// Resolve ownership before removing anything: a foreign id must
 	// read as missing with no side effects.
-	if err := s.probeDataset(owner, id); err != nil {
+	if err := s.probeDataset(sc.owner, id); err != nil {
 		return err
 	}
 	_, live := s.datasets.remove(id)
@@ -703,22 +711,23 @@ func (s *Service) datasetInfo(d *dataset) DatasetInfo {
 	}
 }
 
-// openSession starts reviewing one column of a dataset. Candidate
+// OpenSession starts reviewing one column of a dataset. Candidate
 // generation and grouping run in a background goroutine; the call
 // returns as soon as the session is registered. The session belongs to
 // the dataset's tenant, whose MaxSessions quota it counts against
 // (even when an unscoped admin opens it).
 //
-// The context carries the opening request's trace span: the generator
-// goroutine detaches it (span only, no cancellation) so the engine's
-// context_prep/graph_build/group_search work records on the trace of
-// the request that opened the session, even though the goroutine
-// outlives it.
-func (s *Service) openSession(ctx context.Context, owner, datasetID, column string) (SessionInfo, error) {
+// The scope's context carries the opening request's trace span: the
+// generator goroutine detaches it (span only, no cancellation) so the
+// engine's context_prep/graph_build/group_search work records on the
+// trace of the request that opened the session, even though the
+// goroutine outlives it.
+func (sc Scope) OpenSession(datasetID, column string) (SessionInfo, error) {
+	s, ctx := sc.svc, sc.ctx
 	if err := s.alive(); err != nil {
 		return SessionInfo{}, err
 	}
-	d, err := s.lookupDataset(owner, datasetID)
+	d, err := s.lookupDataset(sc.owner, datasetID)
 	if err != nil {
 		return SessionInfo{}, err
 	}
@@ -973,23 +982,23 @@ func sessionVisible(owner, datasetID, sessOwner, sessDataset string) bool {
 	return (owner == "" || sessOwner == owner) && (datasetID == "" || sessDataset == datasetID)
 }
 
-// getSessionInfo returns a session's info and refreshes its idle timer
+// GetSession returns a session's info and refreshes its idle timer
 // (and its dataset's).
-func (s *Service) getSessionInfo(owner, id string) (SessionInfo, error) {
-	cs, err := s.lookupSession(owner, "", id)
+func (sc Scope) GetSession(id string) (SessionInfo, error) {
+	cs, err := sc.svc.lookupSession(sc.owner, "", id)
 	if err != nil {
 		return SessionInfo{}, err
 	}
 	return cs.info(), nil
 }
 
-// listSessions returns the owner-visible live sessions in creation
-// order. An empty owner sees everything.
-func (s *Service) listSessions(owner string) []SessionInfo {
-	css := s.sessions.list()
+// ListSessions returns the scope's live sessions in creation order.
+// The unscoped view sees everything.
+func (sc Scope) ListSessions() []SessionInfo {
+	css := sc.svc.sessions.list()
 	out := make([]SessionInfo, 0, len(css))
 	for _, cs := range css {
-		if owner != "" && cs.owner != owner {
+		if sc.owner != "" && cs.owner != sc.owner {
 			continue
 		}
 		out = append(out, cs.info())
@@ -997,13 +1006,14 @@ func (s *Service) listSessions(owner string) []SessionInfo {
 	return out
 }
 
-// deleteSession closes a session and frees its column for a new one.
+// DeleteSession closes a session and frees its column for a new one.
 // Deletion is permanent: the session's WAL and archive are purged —
 // but not before its applied decisions are folded into the dataset
 // snapshot, so standardization work done through a deleted session
 // still survives a restart.
-func (s *Service) deleteSession(ctx context.Context, owner, id string) error {
-	cs, err := s.lookupSession(owner, "", id)
+func (sc Scope) DeleteSession(id string) error {
+	s := sc.svc
+	cs, err := s.lookupSession(sc.owner, "", id)
 	if errors.Is(err, ErrNotFound) {
 		// Not live and not restorable (the dataset is live but this
 		// session is not — e.g. a prior delete purged the memory side
@@ -1016,7 +1026,7 @@ func (s *Service) deleteSession(ctx context.Context, owner, id string) error {
 		if ferr != nil {
 			return fmt.Errorf("%w: looking up session %s: %v", ErrStorage, id, ferr)
 		}
-		if owner != "" && sm.Owner != owner {
+		if sc.owner != "" && sm.Owner != sc.owner {
 			return err
 		}
 		if derr := s.store.DeleteSession(sm.DatasetID, id); derr != nil {
@@ -1032,7 +1042,7 @@ func (s *Service) deleteSession(ctx context.Context, owner, id string) error {
 		if cs.sess == nil || cs.compacted || cs.sess.Stats().GroupsApplied == 0 {
 			return nil
 		}
-		if err := s.compactLocked(ctx, cs); err != nil {
+		if err := s.compactLocked(sc.ctx, cs); err != nil {
 			// Without the fold, deleting the WAL would discard applied
 			// work. Abort the delete; the session stays usable.
 			return fmt.Errorf("%w: folding session %s before delete: %v", ErrStorage, id, err)
@@ -1064,29 +1074,38 @@ func (s *Service) closeSession(cs *columnSession) {
 	s.store.CloseWAL(cs.datasetID, cs.id)
 }
 
-// waitPage looks up a session and renders its groups page (see
-// columnSession.page); datasetID "" addresses the session route. A long
-// poll (non-nil wait) also ends on graceful shutdown's drain, so held
-// polls answer and free their connections for the listener drain.
-func (s *Service) waitPage(owner, datasetID, id string, limit int, wait <-chan struct{}) (GroupPage, uint64, <-chan struct{}, error) {
-	cs, err := s.lookupSession(owner, datasetID, id)
+// PendingGroups returns up to limit (0 = all) buffered, undecided
+// groups of a session. A non-nil wait blocks until a group is
+// reviewable, the stream ends, or wait closes.
+func (sc Scope) PendingGroups(id string, limit int, wait <-chan struct{}) (GroupPage, error) {
+	page, _, _, err := sc.waitPage("", id, limit, wait)
+	return page, err
+}
+
+// waitPage looks up a session and renders its groups page with the
+// page's rev and change channel (see columnSession.page); datasetID ""
+// addresses the session route. A long poll (non-nil wait) also ends on
+// graceful shutdown's drain, so held polls answer and free their
+// connections for the listener drain.
+func (sc Scope) waitPage(datasetID, id string, limit int, wait <-chan struct{}) (GroupPage, uint64, <-chan struct{}, error) {
+	cs, err := sc.svc.lookupSession(sc.owner, datasetID, id)
 	if err != nil {
 		return GroupPage{}, 0, nil, err
 	}
-	return cs.page(limit, wait, s.drain)
+	return cs.page(limit, wait, sc.svc.drain)
 }
 
-// decide records the reviewer's verdict for one issued group: a batch
+// Decide records the reviewer's verdict for one issued group: a batch
 // of one through decideGroups, which is where validation, the WAL,
 // apply, events and teaching live. Only the batch.applied event is
 // left out.
-func (s *Service) decide(ctx context.Context, owner, id string, groupID int, decision goldrec.Decision) (DecisionResult, error) {
+func (sc Scope) Decide(id string, groupID int, decision goldrec.Decision) (DecisionResult, error) {
 	switch decision {
 	case goldrec.Approved, goldrec.ApprovedBackward, goldrec.Rejected:
 	default:
 		return DecisionResult{}, fmt.Errorf("invalid decision %d", int(decision))
 	}
-	res, err := s.decideGroups(ctx, owner, "", id, []int{groupID}, []goldrec.Decision{decision}, false)
+	res, err := sc.decideGroups("", id, []int{groupID}, []goldrec.Decision{decision}, false)
 	if err != nil {
 		return DecisionResult{}, err
 	}
@@ -1099,9 +1118,9 @@ func (s *Service) decide(ctx context.Context, owner, id string, groupID int, dec
 // full batch admitted (AllowDecisions is all-or-nothing).
 const maxBatchDecisions = 256
 
-// decideBatch records many verdicts for one session atomically. It
+// DecideBatch records many verdicts for one session atomically. It
 // parses and dedupes the request, then hands it to decideGroups.
-func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, reqs []DecisionRequest) (BatchDecisionsResult, error) {
+func (sc Scope) DecideBatch(datasetID, id string, reqs []DecisionRequest) (BatchDecisionsResult, error) {
 	if len(reqs) == 0 {
 		return BatchDecisionsResult{}, fmt.Errorf("empty batch: at least one decision required")
 	}
@@ -1127,7 +1146,7 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 		seen[req.GroupID] = i
 		ids[i], decisions[i] = req.GroupID, d
 	}
-	return s.decideGroups(ctx, owner, datasetID, id, ids, decisions, true)
+	return sc.decideGroups(datasetID, id, ids, decisions, true)
 }
 
 // decideGroups records the verdicts decisions[i] on groups ids[i] (no
@@ -1145,7 +1164,8 @@ func (s *Service) decideBatch(ctx context.Context, owner, datasetID, id string, 
 // RateLimitError before any work is done (unscoped callers are never
 // rate limited). batch marks the batch route, the only one that emits
 // batch.applied.
-func (s *Service) decideGroups(ctx context.Context, owner, datasetID, id string, ids []int, decisions []goldrec.Decision, batch bool) (BatchDecisionsResult, error) {
+func (sc Scope) decideGroups(datasetID, id string, ids []int, decisions []goldrec.Decision, batch bool) (BatchDecisionsResult, error) {
+	s, owner, ctx := sc.svc, sc.owner, sc.ctx
 	cs, err := s.lookupSession(owner, datasetID, id)
 	if err != nil {
 		return BatchDecisionsResult{}, err
@@ -1238,23 +1258,23 @@ func (s *Service) compactLocked(ctx context.Context, cs *columnSession) error {
 	return nil
 }
 
-// reviewState snapshots a session's full review progress. For a
+// ReviewState snapshots a session's full review progress. For a
 // compacted session restored from the store, the archived final state
 // is served instead.
-func (s *Service) reviewState(owner, id string) (goldrec.ReviewState, error) {
-	cs, err := s.lookupSession(owner, "", id)
+func (sc Scope) ReviewState(id string) (goldrec.ReviewState, error) {
+	cs, err := sc.svc.lookupSession(sc.owner, "", id)
 	if err != nil {
 		return goldrec.ReviewState{}, err
 	}
 	return cs.state(), nil
 }
 
-// export renders the dataset's records. Golden exports run truth
+// Export renders the dataset's records. Golden exports run truth
 // discovery over the standardized dataset (Algorithm 1 line 10);
 // standardized exports dump the current cell values. Both hold the
 // dataset's write lock so no session applies mid-read.
-func (s *Service) export(ctx context.Context, owner, datasetID string, golden bool) (ExportData, error) {
-	d, err := s.lookupDataset(owner, datasetID)
+func (sc Scope) Export(datasetID string, golden bool) (ExportData, error) {
+	d, err := sc.svc.lookupDataset(sc.owner, datasetID)
 	if err != nil {
 		return ExportData{}, err
 	}
@@ -1279,7 +1299,7 @@ func (s *Service) export(ctx context.Context, owner, datasetID string, golden bo
 			}
 		}
 	}
-	s.emitEvent(ctx, events.Event{
+	sc.svc.emitEvent(sc.ctx, events.Event{
 		Type:    events.TypeExportCreated,
 		Tenant:  d.owner,
 		Dataset: datasetID,

@@ -121,7 +121,7 @@ func TestJanitorTicks(t *testing.T) {
 	svc := New(Options{TTL: time.Minute, JanitorInterval: 30 * time.Second, Shards: 4, clock: fc})
 	defer svc.Close()
 
-	ds, err := svc.CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
+	ds, err := svc.As("").CreateDataset("paper", "key", "", strings.NewReader(paperCSV))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +139,13 @@ func TestJanitorTicks(t *testing.T) {
 	// not refresh the idle timer, so the entry stays expired until a
 	// janitor sweeps its shard.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(svc.ListDatasets()) > 0 {
+	for len(svc.As("").ListDatasets()) > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("janitor never evicted the idle dataset")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := svc.GetDataset(ds.ID); err == nil {
+	if _, err := svc.As("").GetDataset(ds.ID); err == nil {
 		t.Fatal("evicted dataset still resolves")
 	}
 }
@@ -168,11 +168,11 @@ func TestRecoverShardCounts(t *testing.T) {
 	const datasets = 5
 	sessionIDs := make([]string, 0, datasets)
 	for i := 0; i < datasets; i++ {
-		ds, err := seed.CreateDataset(fmt.Sprintf("paper-%d", i), "key", "", strings.NewReader(paperCSV))
+		ds, err := seed.As("").CreateDataset(fmt.Sprintf("paper-%d", i), "key", "", strings.NewReader(paperCSV))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := seed.OpenSession(ds.ID, "Name")
+		sess, err := seed.As("").OpenSession(ds.ID, "Name")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestRecoverShardCounts(t *testing.T) {
 				if !ok {
 					break
 				}
-				if _, err := seed.Decide(sess.ID, gid, scriptedDecision(j)); err != nil {
+				if _, err := seed.As("").Decide(sess.ID, gid, scriptedDecision(j)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -194,7 +194,7 @@ func TestRecoverShardCounts(t *testing.T) {
 			if !ok {
 				t.Fatalf("dataset %d: no groups", i)
 			}
-			if _, err := seed.Decide(sess.ID, gid, scriptedDecision(i)); err != nil {
+			if _, err := seed.As("").Decide(sess.ID, gid, scriptedDecision(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -214,11 +214,11 @@ func TestRecoverShardCounts(t *testing.T) {
 		for _, id := range sorted {
 			buf.Write(mustJSON(t, quiesce(t, svc, id, prefetch)))
 		}
-		infos := svc.ListDatasets()
+		infos := svc.As("").ListDatasets()
 		sort.Slice(infos, func(a, b int) bool { return infos[a].ID < infos[b].ID })
 		for _, info := range infos {
 			buf.Write(mustJSON(t, info))
-			records, err := svc.Export(info.ID, false)
+			records, err := svc.As("").Export(info.ID, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,11 +266,11 @@ func TestDecideCrossShardIsolation(t *testing.T) {
 
 	var sessions []string
 	for i := 0; i < 4; i++ {
-		ds, err := svc.CreateDataset(fmt.Sprintf("d%d", i), "key", "", strings.NewReader(paperCSV))
+		ds, err := svc.As("").CreateDataset(fmt.Sprintf("d%d", i), "key", "", strings.NewReader(paperCSV))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := svc.OpenSession(ds.ID, "Name")
+		sess, err := svc.As("").OpenSession(ds.ID, "Name")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestDecideCrossShardIsolation(t *testing.T) {
 		if !ok {
 			t.Fatalf("session %d: no groups", i)
 		}
-		if _, err := svc.Decide(id, gid, goldrec.Approved); err != nil {
+		if _, err := svc.As("").Decide(id, gid, goldrec.Approved); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -170,6 +170,9 @@ func TestTenantIsolation(t *testing.T) {
 		{"GET", "/v1/sessions/" + aSess.ID + "/groups", ""},
 		{"GET", "/v1/sessions/" + aSess.ID + "/state", ""},
 		{"POST", "/v1/sessions/" + aSess.ID + "/decisions", fmt.Sprintf(`{"group_id":%d,"decision":"approve"}`, g.ID)},
+		{"GET", "/v1/sessions/" + aSess.ID + "/groups?wait=1s", ""},
+		{"GET", "/v1/datasets/" + aDS.ID + "/sessions/" + aSess.ID + "/groups", ""},
+		{"POST", "/v1/datasets/" + aDS.ID + "/sessions/" + aSess.ID + "/decisions", fmt.Sprintf(`{"decisions":[{"group_id":%d,"decision":"approve"}]}`, g.ID)},
 		{"DELETE", "/v1/sessions/" + aSess.ID, ""},
 	}
 	for _, f := range foreign {
@@ -180,6 +183,25 @@ func TestTenantIsolation(t *testing.T) {
 		if status, _ := keyedJSON(t, f.method, ts.URL+f.path, bKey, body, nil); status != http.StatusNotFound {
 			t.Errorf("%s %s as beta: status %d, want 404", f.method, f.path, status)
 		}
+	}
+	// The SSE variant of the long poll 404s too, as the JSON error
+	// envelope: the lookup fails before the response commits to a stream.
+	sseReq, err := http.NewRequest("GET", ts.URL+"/v1/sessions/"+aSess.ID+"/groups?wait=1s", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sseReq.Header.Set("Authorization", "Bearer "+bKey)
+	sseReq.Header.Set("Accept", "text/event-stream")
+	sseResp, err := http.DefaultClient.Do(sseReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envelope map[string]string
+	decErr := json.NewDecoder(sseResp.Body).Decode(&envelope)
+	sseResp.Body.Close()
+	if sseResp.StatusCode != http.StatusNotFound || decErr != nil || envelope["code"] != "not_found" {
+		t.Errorf("SSE groups as beta: status %d, content type %q, envelope %v (%v), want a 404 not_found envelope",
+			sseResp.StatusCode, sseResp.Header.Get("Content-Type"), envelope, decErr)
 	}
 
 	// Beta's plan never includes alpha's pending groups.
