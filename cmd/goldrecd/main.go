@@ -23,7 +23,8 @@
 // structured (-log-format text|json) and request-scoped lines carry the
 // request id the server also returns in the X-Request-ID header;
 // GET /metrics/prometheus exposes counters and latency histograms in
-// Prometheus text format; -debug-addr serves the same exposition plus
+// Prometheus text format (admin key only with -auth, since it carries
+// every tenant's series); -debug-addr serves the same exposition plus
 // net/http/pprof on a separate listener that bypasses -auth (bind it to
 // localhost). GET /healthz is pure liveness and answers 200 as soon as
 // the listener is up; GET /readyz answers 503 until boot recovery has

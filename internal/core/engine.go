@@ -263,9 +263,6 @@ func (e *Engine) preapplyWarm(ctx context.Context) {
 // engine; callers must not mutate it.
 func (e *Engine) WarmGroups() []*Group { return e.warm }
 
-// NumContexts returns the number of structure groups.
-func (e *Engine) NumContexts() int { return len(e.ctxs) }
-
 // Skipped returns how many replacements could not be graphed (empty or
 // overlong strings) and were excluded from grouping.
 func (e *Engine) Skipped() int { return int(e.skipped.Load()) }

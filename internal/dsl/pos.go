@@ -76,16 +76,7 @@ type MatchPos struct {
 
 // Eval implements Pos.
 func (p MatchPos) Eval(s []rune) (int, bool) {
-	return p.eval(Matches(s, p.Term))
-}
-
-// EvalWith is Eval with precomputed matches, used by the graph builder to
-// avoid rescanning.
-func (p MatchPos) EvalWith(matches []Span) (int, bool) {
-	return p.eval(matches)
-}
-
-func (p MatchPos) eval(matches []Span) (int, bool) {
+	matches := Matches(s, p.Term)
 	m := len(matches)
 	idx := 0
 	switch {

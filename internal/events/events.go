@@ -554,17 +554,6 @@ func (sub *Subscriber) offer(l *Log, e Event) {
 	}
 }
 
-// Subscribers reports the tenant's live subscriber count.
-func (l *Log) Subscribers(tenant string) int {
-	if l == nil {
-		return 0
-	}
-	st := l.stream(tenant)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.subs)
-}
-
 // DeleteTenant purges one tenant's stream: live subscribers are
 // closed, the ring and sequence counter reset, and the durable log
 // removed.

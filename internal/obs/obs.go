@@ -353,74 +353,20 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 // Sample is one series' scraped state.
 type Sample struct {
 	// Name is the family name; Labels/Values are the label pairs.
-	Name   string   `json:"name"`
-	Labels []string `json:"labels,omitempty"`
-	Values []string `json:"values,omitempty"`
-	Kind   Kind     `json:"-"`
+	Name   string
+	Labels []string
+	Values []string
+	Kind   Kind
 	// Count is the counter value or histogram observation count.
-	Count int64 `json:"count,omitempty"`
+	Count int64
 	// Value is the gauge value.
-	Value float64 `json:"value,omitempty"`
+	Value float64
 	// Sum and Buckets are histogram state; Buckets[i] counts
 	// observations ≤ BucketBounds[i] (non-cumulative per bucket here;
 	// the exposition writer cumulates).
-	Sum          float64   `json:"sum,omitempty"`
-	Buckets      []int64   `json:"buckets,omitempty"`
-	BucketBounds []float64 `json:"bucket_bounds,omitempty"`
-}
-
-// HistogramSummary condenses one histogram series for JSON consumers:
-// count, sum, mean and bucket-interpolated quantiles.
-type HistogramSummary struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	// P50/P95/P99 are estimated by linear interpolation inside the
-	// bucket containing the quantile — the same estimate a Prometheus
-	// histogram_quantile() would produce.
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-}
-
-// Summary condenses a scraped histogram sample (zero value for
-// non-histograms or empty histograms).
-func (s Sample) Summary() HistogramSummary {
-	out := HistogramSummary{Count: s.Count, Sum: s.Sum}
-	if s.Kind != KindHistogram || s.Count == 0 {
-		return out
-	}
-	out.Mean = s.Sum / float64(s.Count)
-	out.P50 = s.quantile(0.50)
-	out.P95 = s.quantile(0.95)
-	out.P99 = s.quantile(0.99)
-	return out
-}
-
-// quantile interpolates the q-quantile from the bucket counts. The
-// +Inf bucket has no upper bound; observations there report the last
-// finite bound (a floor, like Prometheus).
-func (s Sample) quantile(q float64) float64 {
-	rank := q * float64(s.Count)
-	var seen int64
-	lower := 0.0
-	for i, n := range s.Buckets {
-		if n == 0 {
-			lower = s.BucketBounds[i]
-			continue
-		}
-		if float64(seen+n) >= rank {
-			frac := (rank - float64(seen)) / float64(n)
-			return lower + (s.BucketBounds[i]-lower)*frac
-		}
-		seen += n
-		lower = s.BucketBounds[i]
-	}
-	// rank falls in the +Inf bucket.
-	if len(s.BucketBounds) > 0 {
-		return s.BucketBounds[len(s.BucketBounds)-1]
-	}
-	return 0
+	Sum          float64
+	Buckets      []int64
+	BucketBounds []float64
 }
 
 // Snapshot scrapes every series, sorted by family name then label

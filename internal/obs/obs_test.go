@@ -99,112 +99,6 @@ func TestHistogramBadBucketsPanics(t *testing.T) {
 	r.NewHistogram("goldrec_bad_seconds", "Bad.", []float64{1, 0.5})
 }
 
-func TestSummaryQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("goldrec_q_seconds", "Q.", []float64{0.1, 0.2, 0.4, 0.8}).Histogram()
-	// 100 observations uniformly in (0, 0.1]: all land in the first bucket.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) / 1000)
-	}
-	sum := r.Snapshot()[0].Summary()
-	if sum.Count != 100 {
-		t.Fatalf("count = %d, want 100", sum.Count)
-	}
-	if math.Abs(sum.Mean-0.0505) > 1e-9 {
-		t.Fatalf("mean = %v, want 0.0505", sum.Mean)
-	}
-	// Interpolation inside the 0–0.1 bucket: p50 ≈ 0.05, p95 ≈ 0.095.
-	if sum.P50 < 0.04 || sum.P50 > 0.06 {
-		t.Fatalf("p50 = %v, want ~0.05", sum.P50)
-	}
-	if sum.P95 < 0.09 || sum.P95 > 0.1 {
-		t.Fatalf("p95 = %v, want ~0.095", sum.P95)
-	}
-	if sum.P99 > 0.1 {
-		t.Fatalf("p99 = %v, want <= first bucket bound", sum.P99)
-	}
-}
-
-// TestSummaryQuantileEdgeCases pins the interpolation behaviour on the
-// shapes a live scrape can produce but a uniform workload never does:
-// no observations, one hot bucket, everything past the last finite
-// bound, and a histogram with no finite buckets at all. Samples are
-// constructed directly — Buckets[i] is the per-bucket (non-cumulative)
-// count for BucketBounds[i], and the +Inf overflow is Count minus the
-// finite-bucket total.
-func TestSummaryQuantileEdgeCases(t *testing.T) {
-	bounds := []float64{1, 2, 4}
-
-	t.Run("empty histogram", func(t *testing.T) {
-		s := Sample{Kind: KindHistogram, Count: 0, BucketBounds: bounds, Buckets: []int64{0, 0, 0}}
-		sum := s.Summary()
-		if sum.Mean != 0 || sum.P50 != 0 || sum.P95 != 0 || sum.P99 != 0 {
-			t.Fatalf("empty histogram summary not zero: %+v", sum)
-		}
-	})
-
-	t.Run("non-histogram kind", func(t *testing.T) {
-		s := Sample{Kind: KindCounter, Count: 7, Value: 7}
-		if sum := s.Summary(); sum.P50 != 0 || sum.Mean != 0 {
-			t.Fatalf("counter summary has quantiles: %+v", sum)
-		}
-	})
-
-	t.Run("all in one bucket", func(t *testing.T) {
-		// Ten observations, all in (1, 2]: quantiles interpolate
-		// linearly from the bucket's lower bound.
-		s := Sample{Kind: KindHistogram, Count: 10, Sum: 15,
-			BucketBounds: bounds, Buckets: []int64{0, 10, 0}}
-		sum := s.Summary()
-		if math.Abs(sum.P50-1.5) > 1e-9 {
-			t.Fatalf("p50 = %v, want 1.5", sum.P50)
-		}
-		if math.Abs(sum.P95-1.95) > 1e-9 {
-			t.Fatalf("p95 = %v, want 1.95", sum.P95)
-		}
-		if math.Abs(sum.P99-1.99) > 1e-9 {
-			t.Fatalf("p99 = %v, want 1.99", sum.P99)
-		}
-	})
-
-	t.Run("mass in +Inf overflow", func(t *testing.T) {
-		// Count exceeds the finite-bucket total: every quantile that
-		// lands in the overflow reports the last finite bound (a
-		// floor, matching histogram_quantile).
-		s := Sample{Kind: KindHistogram, Count: 5, Sum: 50,
-			BucketBounds: bounds, Buckets: []int64{0, 0, 0}}
-		sum := s.Summary()
-		if sum.P50 != 4 || sum.P95 != 4 || sum.P99 != 4 {
-			t.Fatalf("overflow quantiles = %v/%v/%v, want 4", sum.P50, sum.P95, sum.P99)
-		}
-	})
-
-	t.Run("partial overflow", func(t *testing.T) {
-		// p50 still resolves inside the finite buckets; p95/p99 fall
-		// into +Inf and floor at the last finite bound.
-		s := Sample{Kind: KindHistogram, Count: 10, Sum: 20,
-			BucketBounds: bounds, Buckets: []int64{2, 4, 0}}
-		sum := s.Summary()
-		if sum.P50 <= 1 || sum.P50 > 2 {
-			t.Fatalf("p50 = %v, want in (1, 2]", sum.P50)
-		}
-		if sum.P95 != 4 || sum.P99 != 4 {
-			t.Fatalf("p95/p99 = %v/%v, want 4", sum.P95, sum.P99)
-		}
-	})
-
-	t.Run("no finite bounds", func(t *testing.T) {
-		s := Sample{Kind: KindHistogram, Count: 3, Sum: 9}
-		sum := s.Summary()
-		if sum.P50 != 0 || sum.P95 != 0 {
-			t.Fatalf("boundless quantiles = %v/%v, want 0", sum.P50, sum.P95)
-		}
-		if math.Abs(sum.Mean-3) > 1e-9 {
-			t.Fatalf("mean = %v, want 3", sum.Mean)
-		}
-	})
-}
-
 func TestDeleteDropsSeries(t *testing.T) {
 	r := NewRegistry()
 	vec := r.NewCounter("goldrec_t_total", "T.", "tenant")

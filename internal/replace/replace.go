@@ -78,9 +78,6 @@ type Store struct {
 	// clusterCands[ci] lists candidate ids that may have sites in
 	// cluster ci (append-only; filtered on use).
 	clusterCands map[int][]int
-	// newborn counts candidates created after initial generation
-	// (token-level applications can mint genuinely new value pairs).
-	newborn int
 }
 
 // NewStore enumerates the candidate replacements of the column and builds
@@ -118,11 +115,6 @@ func (st *Store) Lookup(p Pair) *Candidate { return st.byPair[p] }
 func (st *Store) Mirror(c *Candidate) *Candidate {
 	return st.byPair[Pair{LHS: c.RHS, RHS: c.LHS}]
 }
-
-// NewbornCount reports how many candidates were created by post-apply
-// recomputation (new value pairs minted by token-level updates). These
-// exist in the store but were never grouped.
-func (st *Store) NewbornCount() int { return st.newborn }
 
 // LiveCount returns the number of candidates with at least one site.
 func (st *Store) LiveCount() int {
@@ -299,9 +291,7 @@ func (st *Store) Apply(c *Candidate) ApplyResult {
 		st.clearCluster(ci)
 	}
 	for ci := range affected {
-		before := len(st.cands)
 		st.generateCluster(ci)
-		st.newborn += len(st.cands) - before
 	}
 	for id, before := range liveBefore {
 		if before > 0 && len(st.cands[id].Sites) == 0 {

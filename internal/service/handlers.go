@@ -90,7 +90,7 @@ func (s *Service) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics/prometheus", s.handlePrometheus)
+	mux.HandleFunc("GET /metrics/prometheus", s.adminOnly(s.handlePrometheus))
 	mux.HandleFunc("POST /v1/datasets", s.handleCreateDataset)
 	mux.HandleFunc("GET /v1/datasets", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"datasets": s.scope(r).ListDatasets()})

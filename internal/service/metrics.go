@@ -2,7 +2,6 @@ package service
 
 import (
 	"net/http"
-	"strings"
 
 	"github.com/goldrec/goldrec"
 	"github.com/goldrec/goldrec/internal/obs"
@@ -168,8 +167,8 @@ type TenantMetrics struct {
 
 // MetricsInfo is the GET /v1/metrics document: per-tenant counters plus
 // registry occupancy, shard by shard (the load-balance view the
-// sharding design is supposed to keep flat), and summaries of every
-// latency histogram the service records.
+// sharding design is supposed to keep flat). Latency histograms are on
+// the Prometheus exposition only.
 type MetricsInfo struct {
 	Tenants map[string]TenantMetrics `json:"tenants"`
 	// Datasets and Sessions count live registry entries.
@@ -182,16 +181,12 @@ type MetricsInfo struct {
 	// LibraryPrograms counts remembered transformation programs: the
 	// caller's own library when tenant-scoped, every library otherwise.
 	LibraryPrograms int `json:"library_programs"`
-	// Histograms summarizes every histogram family, keyed by
-	// "name{label=value,...}" ("name" when unlabeled). Full bucket data
-	// is on /metrics/prometheus.
-	Histograms map[string]obs.HistogramSummary `json:"histograms,omitempty"`
 }
 
 // metricsSnapshot assembles the metrics document. A tenant-scoped
-// caller (owner != "") sees only its own counters and no global
-// histograms; registry occupancy is shard cardinality, not ids, so it
-// is safe to share.
+// caller (owner != "") sees only its own counters and library size;
+// registry occupancy is shard cardinality, not ids, so it is safe to
+// share.
 func (s *Service) metricsSnapshot(owner string) MetricsInfo {
 	out := MetricsInfo{
 		Tenants:       make(map[string]TenantMetrics),
@@ -226,36 +221,9 @@ func (s *Service) metricsSnapshot(owner string) MetricsInfo {
 			t := out.Tenants[id]
 			*field(&t) = sample.Count
 			out.Tenants[id] = t
-			continue
-		}
-		if sample.Kind == obs.KindHistogram && owner == "" {
-			if out.Histograms == nil {
-				out.Histograms = make(map[string]obs.HistogramSummary)
-			}
-			out.Histograms[histKey(sample)] = sample.Summary()
 		}
 	}
 	return out
-}
-
-// histKey renders a histogram sample's identity for the JSON document.
-func histKey(s obs.Sample) string {
-	if len(s.Labels) == 0 {
-		return s.Name
-	}
-	var b strings.Builder
-	b.WriteString(s.Name)
-	b.WriteByte('{')
-	for i, l := range s.Labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l)
-		b.WriteByte('=')
-		b.WriteString(s.Values[i])
-	}
-	b.WriteByte('}')
-	return b.String()
 }
 
 // handleMetrics serves GET /v1/metrics. In open mode it is public; with

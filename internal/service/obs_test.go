@@ -158,22 +158,17 @@ func TestPrometheusEndpoint(t *testing.T) {
 		}
 	}
 
-	// The JSON document carries the same histograms as summaries.
+	// The group search that produced g was observed, not merely declared.
+	const searchCount = `goldrec_engine_phase_seconds_count{phase="group_search"} `
+	if i := strings.Index(raw, searchCount); i < 0 {
+		t.Errorf("exposition missing %q", searchCount)
+	} else if v, _, _ := strings.Cut(raw[i+len(searchCount):], "\n"); v == "0" {
+		t.Errorf("%s= %s, want > 0", searchCount, v)
+	}
+
 	var m MetricsInfo
 	if status := doJSON(t, "GET", ts.URL+"/v1/metrics", nil, &m); status != http.StatusOK {
 		t.Fatalf("json metrics: status %d", status)
-	}
-	if len(m.Histograms) == 0 {
-		t.Fatal("json metrics lack histogram summaries")
-	}
-	found := false
-	for k, h := range m.Histograms {
-		if strings.HasPrefix(k, "goldrec_engine_phase_seconds") && h.Count > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no engine-phase summary in %v", m.Histograms)
 	}
 	if m.LibraryPrograms != 1 {
 		t.Errorf("json metrics library_programs = %d, want 1 (one approved program)", m.LibraryPrograms)

@@ -658,7 +658,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Auth mode: tenant keys see only their own slice.
-	_, ts2, reg := newTenantServer(t, Options{}, nil)
+	svc2, ts2, reg := newTenantServer(t, Options{}, nil)
 	aID, aKey := mintTenant(t, reg, "alpha", tenant.Quotas{})
 	bID, bKey := mintTenant(t, reg, "beta", tenant.Quotas{})
 	tenantUpload(t, ts2.URL, aKey, "alpha-data")
@@ -681,5 +681,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if _, ok := full.Tenants[bID]; !ok {
 		t.Error("admin metrics missing beta")
+	}
+
+	// The exposition carries every tenant's series, so on the API
+	// listener it is admin-only; the debug-listener handler stays open.
+	var envelope map[string]any
+	if status, _ := keyedJSON(t, "GET", ts2.URL+"/metrics/prometheus", aKey, nil, &envelope); status != http.StatusForbidden || envelope["code"] != "forbidden" {
+		t.Errorf("tenant exposition: status %d, envelope %v, want a 403 forbidden envelope", status, envelope)
+	}
+	if status, _ := keyedJSON(t, "GET", ts2.URL+"/metrics/prometheus", tenantTestAdminKey, nil, nil); status != http.StatusOK {
+		t.Errorf("admin exposition: status %d, want 200", status)
+	}
+	rec := httptest.NewRecorder()
+	svc2.PrometheusHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/prometheus", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), bID) {
+		t.Errorf("PrometheusHandler without a key: status %d, want 200 with every tenant's series", rec.Code)
 	}
 }

@@ -173,18 +173,7 @@ func (s *Session) ApplyReview(r io.Reader) ([]ApplyStats, error) {
 	}
 	out := make([]ApplyStats, len(s.exported))
 	for i, rg := range rf.Groups {
-		g := s.exported[rg.ID]
-		switch decisions[i] {
-		case Approved:
-			out[rg.ID] = s.Apply(g, Forward)
-		case ApprovedBackward:
-			out[rg.ID] = s.Apply(g, Backward)
-		case Rejected:
-			s.record(g, Rejected, ApplyStats{})
-		case Pending:
-			// Undecided: no action. The group remains decidable through
-			// Session.Decide by its issued id.
-		}
+		out[rg.ID] = s.decide(s.exported[rg.ID], decisions[i])
 	}
 	return out, nil
 }

@@ -445,16 +445,33 @@ func (s *Session) Decide(id int, d Decision) (ApplyStats, error) {
 	if g.decision != Pending {
 		return ApplyStats{}, fmt.Errorf("goldrec: group %d already decided (%s)", id, g.decision)
 	}
+	if d < Pending || d > Rejected {
+		return ApplyStats{}, fmt.Errorf("goldrec: group %d: unknown decision %d", id, int(d))
+	}
+	return s.decide(g, d), nil
+}
+
+// decide carries out a validated verdict on a group: the approvals
+// apply it in their direction, Rejected only records the verdict, and
+// Pending leaves the group open (still decidable through Decide).
+func (s *Session) decide(g *Group, d Decision) ApplyStats {
 	switch d {
 	case Approved:
-		return s.Apply(g, Forward), nil
+		return s.Apply(g, Forward)
 	case ApprovedBackward:
-		return s.Apply(g, Backward), nil
+		return s.Apply(g, Backward)
 	case Rejected:
 		s.record(g, Rejected, ApplyStats{})
-		return ApplyStats{}, nil
 	}
-	return ApplyStats{}, fmt.Errorf("goldrec: group %d: unknown decision %d", id, int(d))
+	return ApplyStats{}
+}
+
+// approval is the approve decision for a direction.
+func approval(dir Direction) Decision {
+	if dir == Backward {
+		return ApprovedBackward
+	}
+	return Approved
 }
 
 // Groups pre-generates up to limit groups (0 = all), largest first,
@@ -504,11 +521,7 @@ type ApplyStats struct {
 func (s *Session) Apply(g *Group, dir Direction) ApplyStats {
 	stats := s.applyMembers(g, dir)
 	if g.decision == Pending {
-		d := Approved
-		if dir == Backward {
-			d = ApprovedBackward
-		}
-		s.record(g, d, stats)
+		s.record(g, approval(dir), stats)
 		s.stats.GroupsApplied++
 		s.stats.CellsChanged += stats.CellsChanged
 	}
@@ -683,11 +696,11 @@ func (s *Session) RunBudget(budget int, verify func(*Group) (bool, Direction)) i
 			break
 		}
 		reviewed++
+		d := Rejected
 		if ok, dir := verify(g); ok {
-			s.Apply(g, dir)
-		} else {
-			s.record(g, Rejected, ApplyStats{})
+			d = approval(dir)
 		}
+		s.decide(g, d)
 	}
 	return reviewed
 }
