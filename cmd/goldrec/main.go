@@ -6,7 +6,10 @@
 // The input CSV must have a header; the -key column identifies clusters
 // (the output of an upstream entity-resolution step). Unclustered CSVs
 // can be clustered on the fly with -resolve-key (exact key equality) or
-// -resolve-match (Jaccard similarity join).
+// -resolve-match (Jaccard similarity join); their -out and -golden files
+// carry the resolved cluster ids in a "cluster" key column (prefixed
+// with "_" while an attribute has that name), so they read back with
+// -key cluster.
 //
 //	goldrec -in clustered.csv -key isbn -col author_list -budget 50
 //	goldrec -in clustered.csv -key ein -col address -yes -golden golden.csv
@@ -17,6 +20,12 @@
 //
 //	goldrec -in c.csv -key k -col v -export-review review.json
 //	goldrec -in c.csv -key k -col v -apply-review review.json -out fixed.csv
+//
+// To inspect a column's largest groups without applying anything, export
+// them and read the JSON: each group lists its program, structure and
+// member pairs, largest first.
+//
+//	goldrec -in c.csv -key k -col v -budget 20 -export-review groups.json
 package main
 
 import (
@@ -28,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/goldrec/goldrec"
@@ -82,6 +92,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	ds, err := loadDataset(stdout, *in, *keyCol, *srcCol, *resolveKey, *resolveMatch, *threshold)
 	if err != nil {
 		return err
+	}
+	// Output files lead with the cluster key column; resolved input has
+	// no key column of its own, so its resolved cluster ids get one.
+	outKey := *keyCol
+	if outKey == "" {
+		outKey = "cluster"
+		for slices.Contains(ds.Attrs, outKey) {
+			outKey = "_" + outKey
+		}
 	}
 	fmt.Fprintf(stdout, "loaded %d clusters, %d records, attributes: %s\n",
 		len(ds.Clusters), ds.NumRecords(), strings.Join(ds.Attrs, ", "))
@@ -167,7 +186,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	if *out != "" {
-		if err := writeCSV(*out, ds, *keyCol); err != nil {
+		if err := writeCSV(*out, ds, outKey); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "standardized records written to %s\n", *out)
@@ -181,7 +200,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				Records: []table.Record{rec},
 			})
 		}
-		if err := writeCSV(*golden, gds, *keyCol); err != nil {
+		if err := writeCSV(*golden, gds, outKey); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "golden records written to %s\n", *golden)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/goldrec/goldrec/table"
 )
 
 const smokeCSV = `key,Name,Address
@@ -104,6 +106,61 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if got := len(strings.Split(strings.TrimSpace(string(stdData)), "\n")); got != 7 {
 		t.Fatalf("standardized csv has %d lines, want header + 6 records", got)
+	}
+}
+
+// TestRunResolveOutputReadsBack: resolve mode has no input key column,
+// yet its -out and -golden files must carry a named one, distinct from
+// every attribute, so they feed back into goldrec with -key.
+func TestRunResolveOutputReadsBack(t *testing.T) {
+	for _, tc := range []struct{ attrs, key string }{
+		{"isbn,title,author", "cluster"},
+		{"isbn,cluster,author", "_cluster"},
+	} {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "flat.csv")
+		flat := tc.attrs + `
+111,Data Cleaning,Mary Lee
+111,Data Cleaning,M. Lee
+222,Entity Resolution,James Smith
+222,Entity Resolution,J. Smith
+`
+		if err := os.WriteFile(in, []byte(flat), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		std := filepath.Join(dir, "std.csv")
+		golden := filepath.Join(dir, "golden.csv")
+		var out strings.Builder
+		err := run([]string{
+			"-in", in, "-resolve-key", "isbn", "-col", "author",
+			"-yes", "-budget", "3", "-out", std, "-golden", golden,
+		}, strings.NewReader(""), &out)
+		if err != nil {
+			t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+		}
+		for path, records := range map[string]int{std: 4, golden: 2} {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := table.ReadCSV(f, path, tc.key, "")
+			f.Close()
+			if err != nil {
+				t.Fatalf("reading %s back with key %q: %v", filepath.Base(path), tc.key, err)
+			}
+			if len(ds.Clusters) != 2 || ds.NumRecords() != records {
+				t.Errorf("%s: %d clusters, %d records, want 2 clusters, %d records",
+					filepath.Base(path), len(ds.Clusters), ds.NumRecords(), records)
+			}
+			if got := strings.Join(ds.Attrs, ","); got != tc.attrs {
+				t.Errorf("%s attrs = %s, want %s", filepath.Base(path), got, tc.attrs)
+			}
+		}
+		out.Reset()
+		if err := run([]string{"-in", std, "-key", tc.key, "-col", "author", "-yes", "-budget", "1"},
+			strings.NewReader(""), &out); err != nil {
+			t.Fatalf("feeding -out back with -key %s: %v", tc.key, err)
+		}
 	}
 }
 

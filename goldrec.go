@@ -48,27 +48,9 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/goldrec/goldrec/internal/core"
 	"github.com/goldrec/goldrec/internal/er"
 	"github.com/goldrec/goldrec/internal/truth"
 	"github.com/goldrec/goldrec/table"
-)
-
-// Algorithm selects the grouping algorithm (Section 8.2 compares all
-// three; they produce the same groups at very different costs).
-type Algorithm int
-
-const (
-	// Incremental generates the next-largest group on demand
-	// (Section 6) — the recommended default.
-	Incremental Algorithm = iota
-	// EarlyTerm generates all groups upfront with threshold-based
-	// early termination (Section 5.2).
-	EarlyTerm
-	// OneShot generates all groups upfront with no pruning
-	// (Algorithm 2 verbatim). Exponential in value length; useful only
-	// for small inputs and for reproducing Figure 9.
-	OneShot
 )
 
 // Direction says which way to apply an approved group's replacements.
@@ -81,100 +63,18 @@ const (
 	Backward
 )
 
-type config struct {
-	tokenCandidates bool
-	affix           bool
-	maxPathLen      int
-	algorithm       Algorithm
-	constantScoring bool
-	minimalSubStr   bool
-	parallel        bool
-	maxStringLen    int
-	strMatchPos     bool
-}
-
-// Option configures a Consolidator.
-type Option func(*config)
-
-// WithTokenCandidates toggles the fine-grained token-level candidate
-// generation of Appendix A (default on).
-func WithTokenCandidates(on bool) Option {
-	return func(c *config) { c.tokenCandidates = on }
-}
-
-// WithAffix toggles the Prefix/Suffix DSL extension of Section 7.3
-// (default on; Figure 10 measures the difference).
-func WithAffix(on bool) Option {
-	return func(c *config) { c.affix = on }
-}
-
-// WithMaxPathLen sets θ, the maximum transformation-path length
-// (default 6, as in Section 8.2).
-func WithMaxPathLen(n int) Option {
-	return func(c *config) { c.maxPathLen = n }
-}
-
-// WithAlgorithm selects the grouping algorithm (default Incremental).
-func WithAlgorithm(a Algorithm) Option {
-	return func(c *config) { c.algorithm = a }
-}
-
-// WithConstantScoring toggles the Appendix E constant-string static
-// order (default on, as in the paper's implementation — Section 7.4
-// forces the static orders for efficiency; without them pivot search on
-// long values does not terminate in reasonable time).
-func WithConstantScoring(on bool) Option {
-	return func(c *config) { c.constantScoring = on }
-}
-
-// WithMinimalSubStr toggles the Appendix E string-function static order
-// (keep one SubStr label per edge; default on, see WithConstantScoring).
-func WithMinimalSubStr(on bool) Option {
-	return func(c *config) { c.minimalSubStr = on }
-}
-
-// WithParallel lets upfront grouping use all CPUs (default on).
-func WithParallel(on bool) Option {
-	return func(c *config) { c.parallel = on }
-}
-
-// WithMaxStringLen bounds the length of values considered for
-// transformation graphs (default 120 runes).
-func WithMaxStringLen(n int) Option {
-	return func(c *config) { c.maxStringLen = n }
-}
-
-// WithLiteralPositions enables constant-string terms in position
-// functions (Appendix B mentions them; off by default).
-func WithLiteralPositions(on bool) Option {
-	return func(c *config) { c.strMatchPos = on }
-}
-
 // Consolidator owns a dataset being consolidated.
 type Consolidator struct {
-	ds  *table.Dataset
-	cfg config
+	ds *table.Dataset
 }
 
 // New validates the dataset and returns a Consolidator. The dataset is
 // standardized in place; Clone it first if the original must survive.
-func New(ds *table.Dataset, opts ...Option) (*Consolidator, error) {
+func New(ds *table.Dataset) (*Consolidator, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := config{
-		tokenCandidates: true,
-		affix:           true,
-		maxPathLen:      core.DefaultMaxPathLen,
-		algorithm:       Incremental,
-		constantScoring: true,
-		minimalSubStr:   true,
-		parallel:        true,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &Consolidator{ds: ds, cfg: cfg}, nil
+	return &Consolidator{ds: ds}, nil
 }
 
 // Dataset returns the underlying (mutable) dataset.
@@ -191,21 +91,16 @@ func (c *Consolidator) Column(attr string) (*Session, error) {
 
 // ColumnIndex starts a standardization session for a column by index.
 func (c *Consolidator) ColumnIndex(col int) (*Session, error) {
-	return c.ColumnIndexCtx(context.Background(), col)
+	return c.ColumnIndexWarmCtx(context.Background(), col, nil)
 }
 
-// ColumnIndexCtx is ColumnIndex carrying a trace context: the engine's
-// context_prep phase (candidate extraction and frequency maps) records
-// as a child span of whatever span the context holds.
-func (c *Consolidator) ColumnIndexCtx(ctx context.Context, col int) (*Session, error) {
-	return c.ColumnIndexWarmCtx(ctx, col, nil)
-}
-
-// ColumnIndexWarmCtx is ColumnIndexCtx with a warm start: programs
-// approved on earlier uploads (carried in warm, nil for a cold open)
-// pre-decide the candidate groups they fully explain before any human
-// review — see WarmStart. Warm pre-application records as a
-// library_preapply span under the context's span.
+// ColumnIndexWarmCtx is ColumnIndex carrying a trace context and a warm
+// start. The engine's context_prep phase (candidate extraction and
+// frequency maps) records as a child span of whatever span the context
+// holds. Programs approved on earlier uploads (carried in warm, nil for
+// a cold open) pre-decide the candidate groups they fully explain
+// before any human review — see WarmStart. Warm pre-application records
+// as a library_preapply span under the context's span.
 func (c *Consolidator) ColumnIndexWarmCtx(ctx context.Context, col int, warm *WarmStart) (*Session, error) {
 	if col < 0 || col >= len(c.ds.Attrs) {
 		return nil, fmt.Errorf("goldrec: column %d out of range", col)
@@ -221,17 +116,6 @@ func (c *Consolidator) GoldenRecords() []table.Record {
 	consByCol := make([][]truth.Consensus, len(c.ds.Attrs))
 	for col := range c.ds.Attrs {
 		consByCol[col] = truth.MajorityConsensus(c.ds, col)
-	}
-	return truth.GoldenRecords(c.ds, consByCol)
-}
-
-// GoldenRecordsWeighted is GoldenRecords with the iterative
-// source-reliability truth discovery instead of plain majority consensus;
-// it needs Record.Source to be populated.
-func (c *Consolidator) GoldenRecordsWeighted() []table.Record {
-	consByCol := make([][]truth.Consensus, len(c.ds.Attrs))
-	for col := range c.ds.Attrs {
-		consByCol[col] = truth.WeightedConsensus(c.ds, col, truth.WeightedOptions{})
 	}
 	return truth.GoldenRecords(c.ds, consByCol)
 }

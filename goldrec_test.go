@@ -117,54 +117,6 @@ func TestColumnLookup(t *testing.T) {
 	}
 }
 
-func TestUpfrontAlgorithmsProduceSameGroupsAsIncremental(t *testing.T) {
-	sizes := func(alg Algorithm) []int {
-		ds, _ := paperTable1()
-		cons, _ := New(ds, WithAlgorithm(alg))
-		sess, _ := cons.Column("Name")
-		var out []int
-		for {
-			g, ok := sess.NextGroup()
-			if !ok {
-				break
-			}
-			out = append(out, g.Size())
-		}
-		return out
-	}
-	inc := sizes(Incremental)
-	early := sizes(EarlyTerm)
-	if len(inc) != len(early) {
-		t.Fatalf("incremental %v, earlyterm %v", inc, early)
-	}
-	for i := range inc {
-		if inc[i] != early[i] {
-			t.Fatalf("incremental %v, earlyterm %v", inc, early)
-		}
-	}
-}
-
-func TestGroupsPreview(t *testing.T) {
-	ds, _ := paperTable1()
-	cons, _ := New(ds, WithAlgorithm(EarlyTerm))
-	sess, _ := cons.Column("Name")
-	groups := sess.Groups(3)
-	if len(groups) != 3 {
-		t.Fatalf("Groups(3) = %d groups", len(groups))
-	}
-	for i := 1; i < len(groups); i++ {
-		if groups[i].Size() > groups[i-1].Size() {
-			t.Error("groups not sorted by size")
-		}
-	}
-	if groups[0].Program == "" || groups[0].Structure == "" {
-		t.Error("group missing program/structure rendering")
-	}
-	if groups[0].TotalSites() <= 0 {
-		t.Error("group has no sites")
-	}
-}
-
 func TestSessionStats(t *testing.T) {
 	ds, tr := paperTable1()
 	cons, _ := New(ds)
@@ -176,39 +128,6 @@ func TestSessionStats(t *testing.T) {
 	}
 	if st.GroupsApplied == 0 || st.CellsChanged == 0 {
 		t.Errorf("stats = %+v: expected some applications", st)
-	}
-}
-
-func TestNoAffixOptionReducesGrouping(t *testing.T) {
-	// Street/Avenue abbreviations only group via affix functions
-	// (Appendix D); without them the session still works.
-	ds := &table.Dataset{
-		Attrs: []string{"A"},
-		Clusters: []table.Cluster{
-			{Records: []table.Record{{Values: []string{"Main Street"}}, {Values: []string{"Main St"}}}},
-			{Records: []table.Record{{Values: []string{"Oak Avenue"}}, {Values: []string{"Oak Ave"}}}},
-		},
-	}
-	count := func(affix bool) int {
-		cons, _ := New(ds.Clone(), WithAffix(affix), WithAlgorithm(EarlyTerm))
-		sess, _ := cons.ColumnIndex(0)
-		best := 0
-		for _, g := range sess.Groups(0) {
-			for _, p := range g.Pairs {
-				if (p.LHS == "Street" && p.RHS == "St") || (p.LHS == "Avenue" && p.RHS == "Ave") {
-					if g.Size() > best {
-						best = g.Size()
-					}
-				}
-			}
-		}
-		return best
-	}
-	if got := count(true); got != 2 {
-		t.Errorf("with affix: best abbreviation group size = %d, want 2", got)
-	}
-	if got := count(false); got != 1 {
-		t.Errorf("without affix: best abbreviation group size = %d, want 1", got)
 	}
 }
 
@@ -241,7 +160,7 @@ func TestBackwardDirection(t *testing.T) {
 			{Records: []table.Record{{Values: []string{"9th"}}, {Values: []string{"9"}}}},
 		},
 	}
-	cons, _ := New(ds, WithAlgorithm(EarlyTerm))
+	cons, _ := New(ds)
 	sess, _ := cons.ColumnIndex(0)
 	for {
 		g, ok := sess.NextGroup()

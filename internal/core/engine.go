@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -48,9 +47,6 @@ type Options struct {
 	// disabled for ablation) at the cost of exactness: a truncated
 	// search may miss the true pivot.
 	MaxSteps int
-	// Parallel prepares structure groups and searches pivots on all
-	// CPUs in AllGroups. Results are deterministic either way.
-	Parallel bool
 	// Warm seeds the engine with prior programs from a transformation
 	// library. Deterministic priors are pre-applied before grouping:
 	// every alive replacement a prior maps exactly (Run(S) == T) is
@@ -103,15 +99,11 @@ type Engine struct {
 	globalFreq map[string]int
 	units      *unitHeap
 	warm       []*Group
-	// skipped is atomic: the serial prepare path (NextGroup's lazy
-	// builds) and AllGroups' parallel workers both add to it, and
-	// Skipped may be read concurrently with either.
-	skipped atomic.Int64
-
-	// Phase timings in nanoseconds, accumulated atomically so the
-	// parallel AllGroups path can contribute from worker goroutines.
-	// With Parallel enabled, build/search sum CPU time across workers
-	// and can exceed wall clock.
+	// The phase timings (in nanoseconds) are atomic because they are
+	// read while grouping runs: goldrecd's session info reads Timings
+	// while its group generator runs NextGroup outside the session
+	// lock. skipped is atomic so Skipped may be read the same way.
+	skipped     atomic.Int64
 	prepNanos   atomic.Int64
 	buildNanos  atomic.Int64
 	searchNanos atomic.Int64
@@ -324,43 +316,12 @@ func (e *Engine) searchOpts(mode Mode) SearchOpts {
 // are returned sorted by size descending (the verification order of
 // Section 3 Step 3).
 func (e *Engine) AllGroups(mode Mode) []*Group {
-	return e.AllGroupsCtx(context.Background(), mode)
-}
-
-// AllGroupsCtx is AllGroups carrying a trace context: the whole call
-// records as one group_search span, and each lazily-built context
-// graph records a graph_build child (parallel builds appear as
-// overlapping siblings in the waterfall).
-func (e *Engine) AllGroupsCtx(ctx context.Context, mode Mode) []*Group {
-	sctx, sp := trace.StartSpan(ctx, "group_search")
-	defer sp.End()
-	workers := 1
-	if e.opts.Parallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type ctxGroups struct {
-		ci     int
-		groups []*Group
-	}
-	results := make([]ctxGroups, len(e.ctxs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for ci, c := range e.ctxs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(ci int, c *Context) {
-			defer func() { <-sem; wg.Done() }()
-			e.prepare(sctx, c)
-			start := time.Now()
-			groups := e.groupContext(c, mode)
-			e.searchNanos.Add(time.Since(start).Nanoseconds())
-			results[ci] = ctxGroups{ci: ci, groups: groups}
-		}(ci, c)
-	}
-	wg.Wait()
 	var all []*Group
-	for _, r := range results {
-		all = append(all, r.groups...)
+	for _, c := range e.ctxs {
+		e.prepare(context.Background(), c)
+		start := time.Now()
+		all = append(all, e.groupContext(c, mode)...)
+		e.searchNanos.Add(time.Since(start).Nanoseconds())
 	}
 	sortGroups(all)
 	return all

@@ -227,19 +227,42 @@ func TestIncrementalRemoveMidStream(t *testing.T) {
 	}
 }
 
-func TestEngineParallelMatchesSequential(t *testing.T) {
-	reps := table1NameReps()
-	seq := NewEngine(reps, Options{})
-	par := NewEngine(reps, Options{Parallel: true})
-	sg := seq.AllGroups(ModeEarlyTerm)
-	pg := par.AllGroups(ModeEarlyTerm)
-	if len(sg) != len(pg) {
-		t.Fatalf("parallel groups %d, sequential %d", len(pg), len(sg))
+// TestNoAffixOptionReducesGrouping: Street/St and Avenue/Ave share a
+// program only through the affix functions of Appendix D, so turning
+// them off splits the abbreviation group (the token-level candidates of
+// a two-cluster Main Street/Main St, Oak Avenue/Oak Ave column).
+func TestNoAffixOptionReducesGrouping(t *testing.T) {
+	reps := []Rep{
+		{S: "Main Street", T: "Main St", Ext: 0},
+		{S: "Street", T: "St", Ext: 1},
+		{S: "St", T: "Street", Ext: 2},
+		{S: "Main St", T: "Main Street", Ext: 3},
+		{S: "Oak Avenue", T: "Oak Ave", Ext: 4},
+		{S: "Avenue", T: "Ave", Ext: 5},
+		{S: "Ave", T: "Avenue", Ext: 6},
+		{S: "Oak Ave", T: "Oak Avenue", Ext: 7},
 	}
-	for i := range sg {
-		if sg[i].Size() != pg[i].Size() || sg[i].Sig != pg[i].Sig {
-			t.Fatalf("group %d differs: %v vs %v", i, sg[i], pg[i])
+	best := func(noAffix bool) int {
+		e := NewEngine(reps, Options{
+			Graph:           tgraph.Options{NoAffix: noAffix, MinimalSubStr: true},
+			MaxPathLen:      DefaultMaxPathLen,
+			ConstantScoring: true,
+		})
+		n := 0
+		for _, g := range e.AllGroups(ModeEarlyTerm) {
+			for _, m := range g.Members {
+				if (m.Ext == 1 || m.Ext == 5) && g.Size() > n {
+					n = g.Size()
+				}
+			}
 		}
+		return n
+	}
+	if got := best(false); got != 2 {
+		t.Errorf("with affix: best abbreviation group size = %d, want 2", got)
+	}
+	if got := best(true); got != 1 {
+		t.Errorf("without affix: best abbreviation group size = %d, want 1", got)
 	}
 }
 

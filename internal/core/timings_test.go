@@ -38,7 +38,7 @@ func TestTimingsAccumulate(t *testing.T) {
 }
 
 func TestTimingsAllGroupsParallel(t *testing.T) {
-	e := NewEngine(timingReps(), Options{Parallel: true})
+	e := NewEngine(timingReps(), Options{})
 	if got := len(e.AllGroups(ModeEarlyTerm)); got == 0 {
 		t.Fatal("AllGroups returned no groups")
 	}

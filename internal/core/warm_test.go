@@ -131,9 +131,9 @@ func TestWarmWithConstantScoring(t *testing.T) {
 }
 
 // TestSkippedConcurrentWithAllGroups is the regression test for the
-// prepare/AllGroups skipped-count race: Skipped must be readable while
-// the parallel group search is publishing unbuildable-replacement
-// counts from its workers. Run under -race this fails on the old plain
+// prepare/AllGroups skipped-count race: Skipped must be readable from
+// another goroutine while the group search is publishing
+// unbuildable-replacement counts. Run under -race this fails on a plain
 // int counter.
 func TestSkippedConcurrentWithAllGroups(t *testing.T) {
 	var reps []Rep
@@ -142,7 +142,7 @@ func TestSkippedConcurrentWithAllGroups(t *testing.T) {
 		reps = append(reps, Rep{S: "ab", T: "ba", Ext: i*3 + 1})
 		reps = append(reps, Rep{S: "Mary Lee", T: "M. Lee", Ext: i*3 + 2})
 	}
-	e := NewEngine(reps, Options{Parallel: true})
+	e := NewEngine(reps, Options{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -130,7 +130,6 @@ func (c Config) engineOptions() core.Options {
 		MaxPathLen:      c.MaxPathLen,
 		ConstantScoring: !c.NoConstantScoring,
 		MaxSteps:        c.MaxSteps,
-		Parallel:        true,
 	}
 }
 
@@ -284,6 +283,7 @@ type TimingResult struct {
 // static orders (constant scoring, minimal SubStr labels) that the
 // paper's implementation always uses — without them the prune-free
 // OneShot baseline would not terminate in reasonable time at any scale.
+// Every algorithm runs single-threaded, as the paper measures.
 func RunGroupingTime(gen *datagen.Generated, k int, cfg Config, skipOneShot bool) TimingResult {
 	g := gen.Clone()
 	store := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true})
@@ -295,7 +295,6 @@ func RunGroupingTime(gen *datagen.Generated, k int, cfg Config, skipOneShot bool
 	cfg.NoConstantScoring = false
 	cfg.NoMinimalSubStr = false
 	opts := cfg.engineOptions()
-	opts.Parallel = false // single-threaded, as the paper measures
 
 	res := TimingResult{Dataset: g.Data.Name, Candidates: len(reps)}
 	if !skipOneShot {

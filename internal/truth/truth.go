@@ -1,8 +1,8 @@
 // Package truth implements the truth-discovery step of the golden-record
 // framework (Algorithm 1, line 10): majority consensus as used in the
-// paper's Section 8.3 evaluation, plus an iterative source-reliability
-// method in the spirit of the truth-discovery literature the paper cites
-// [31, 33, 44] for source-annotated datasets.
+// paper's Section 8.3 evaluation, plus TruthFinder, the iterative
+// source-trust method from the truth-discovery literature the paper
+// cites [44], for source-annotated datasets.
 package truth
 
 import (
@@ -58,108 +58,6 @@ func pickMajority(counts map[string]int) Consensus {
 		}
 	}
 	if bestN == 0 || tie {
-		return Consensus{}
-	}
-	return Consensus{Value: best, OK: true}
-}
-
-// WeightedOptions tune the iterative source-reliability method.
-type WeightedOptions struct {
-	// Iterations of the accuracy/vote fixpoint (default 10).
-	Iterations int
-	// Smoothing is Laplace smoothing for source accuracy (default 0.5).
-	Smoothing float64
-}
-
-// WeightedConsensus runs a simple iterative truth-discovery algorithm:
-// source weights start uniform; each round, every cluster elects the
-// value with the highest total source weight, then each source's weight
-// is re-estimated as its (smoothed) agreement rate with the elected
-// values. This is the classic TruthFinder/Accu-style fixpoint in its
-// simplest form and reduces to majority consensus when all records come
-// from one source.
-func WeightedConsensus(ds *table.Dataset, col int, opts WeightedOptions) []Consensus {
-	if opts.Iterations <= 0 {
-		opts.Iterations = 10
-	}
-	if opts.Smoothing <= 0 {
-		opts.Smoothing = 0.5
-	}
-	weights := make(map[string]float64)
-	for ci := range ds.Clusters {
-		for _, r := range ds.Clusters[ci].Records {
-			weights[r.Source] = 1
-		}
-	}
-	var elected []Consensus
-	for it := 0; it < opts.Iterations; it++ {
-		elected = electAll(ds, col, weights)
-		// Re-estimate source accuracy.
-		agree := make(map[string]float64)
-		total := make(map[string]float64)
-		for ci := range ds.Clusters {
-			if !elected[ci].OK {
-				continue
-			}
-			for _, r := range ds.Clusters[ci].Records {
-				v := r.Values[col]
-				if v == "" {
-					continue
-				}
-				total[r.Source]++
-				if v == elected[ci].Value {
-					agree[r.Source]++
-				}
-			}
-		}
-		changed := false
-		for s := range weights {
-			w := (agree[s] + opts.Smoothing) / (total[s] + 2*opts.Smoothing)
-			if diff := w - weights[s]; diff > 1e-9 || diff < -1e-9 {
-				changed = true
-			}
-			weights[s] = w
-		}
-		if !changed {
-			break
-		}
-	}
-	return electAll(ds, col, weights)
-}
-
-func electAll(ds *table.Dataset, col int, weights map[string]float64) []Consensus {
-	out := make([]Consensus, len(ds.Clusters))
-	for ci := range ds.Clusters {
-		votes := make(map[string]float64)
-		for _, r := range ds.Clusters[ci].Records {
-			v := r.Values[col]
-			if v == "" {
-				continue
-			}
-			votes[v] += weights[r.Source]
-		}
-		out[ci] = pickWeighted(votes)
-	}
-	return out
-}
-
-func pickWeighted(votes map[string]float64) Consensus {
-	keys := make([]string, 0, len(votes))
-	for v := range votes {
-		keys = append(keys, v)
-	}
-	sort.Strings(keys)
-	best, bestW, tie := "", 0.0, false
-	for _, v := range keys {
-		w := votes[v]
-		switch {
-		case w > bestW+1e-12:
-			best, bestW, tie = v, w, false
-		case w > bestW-1e-12 && bestW > 0 && v != best:
-			tie = true
-		}
-	}
-	if bestW == 0 || tie {
 		return Consensus{}
 	}
 	return Consensus{Value: best, OK: true}

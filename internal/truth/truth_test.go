@@ -48,48 +48,6 @@ func TestMajorityConsensusAllEmpty(t *testing.T) {
 	}
 }
 
-func TestWeightedConsensusBreaksTieWithReliableSource(t *testing.T) {
-	// Source s1 is right in clusters 0 and 1; in cluster 2 it ties
-	// 1-vs-1 with the unreliable s2, and the learned weights break the
-	// tie toward s1.
-	d := &table.Dataset{Attrs: []string{"A"}}
-	add := func(vals map[string]string) {
-		var recs []table.Record
-		for _, src := range []string{"s1", "s1b", "s2"} {
-			if v, ok := vals[src]; ok {
-				recs = append(recs, table.Record{Source: src, Values: []string{v}})
-			}
-		}
-		d.Clusters = append(d.Clusters, table.Cluster{Records: recs})
-	}
-	add(map[string]string{"s1": "a", "s1b": "a", "s2": "wrong"})
-	add(map[string]string{"s1": "b", "s1b": "b", "s2": "wrong2"})
-	add(map[string]string{"s1": "c", "s2": "not-c"})
-
-	mc := MajorityConsensus(d, 0)
-	if mc[2].OK {
-		t.Fatalf("MC on tied cluster should fail, got %+v", mc[2])
-	}
-	wc := WeightedConsensus(d, 0, WeightedOptions{})
-	if !wc[2].OK || wc[2].Value != "c" {
-		t.Errorf("weighted consensus = %+v, want c", wc[2])
-	}
-	if !wc[0].OK || wc[0].Value != "a" {
-		t.Errorf("weighted consensus cluster 0 = %+v, want a", wc[0])
-	}
-}
-
-func TestWeightedEqualsMajorityForSingleSource(t *testing.T) {
-	d := ds([]string{"a", "a", "b"}, []string{"x", "x", "y"})
-	mc := MajorityConsensus(d, 0)
-	wc := WeightedConsensus(d, 0, WeightedOptions{})
-	for i := range mc {
-		if mc[i] != wc[i] {
-			t.Errorf("cluster %d: mc %+v, wc %+v", i, mc[i], wc[i])
-		}
-	}
-}
-
 func TestPrecision(t *testing.T) {
 	cons := []Consensus{
 		{Value: "A", OK: true},

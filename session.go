@@ -31,11 +31,6 @@ type Session struct {
 	store *replace.Store
 	eng   *core.Engine
 
-	// upfront holds the remaining pre-generated groups for the OneShot
-	// and EarlyTerm algorithms.
-	upfront    []*core.Group
-	upfrontSet bool
-
 	// issued tracks the groups handed out by NextGroup, indexed by
 	// Group.ID, so that decisions can arrive by id (for example over
 	// the wire) rather than via the *Group pointer.
@@ -71,7 +66,8 @@ type Session struct {
 type SessionStats struct {
 	// Candidates is the number of candidate replacements generated.
 	Candidates int `json:"candidates"`
-	// GroupsSeen counts groups handed out by NextGroup/Groups.
+	// GroupsSeen counts issued groups: those handed out by NextGroup
+	// plus the warm groups pre-decided at session open.
 	GroupsSeen int `json:"groups_seen"`
 	// GroupsApplied counts approved + applied groups.
 	GroupsApplied int `json:"groups_applied"`
@@ -99,10 +95,9 @@ type Replacement struct {
 // Group is a replacement group sharing one transformation program, ready
 // for human verification (Section 3 Step 3).
 type Group struct {
-	// ID addresses the group within its session: groups handed out by
-	// NextGroup get sequential ids starting at 0, usable with
-	// Session.Group and Session.Decide. Preview groups from
-	// Session.Groups are not issued and carry ID -1.
+	// ID addresses the group within its session: issued groups get
+	// sequential ids starting at 0 (warm groups first, then NextGroup's
+	// in hand-out order), usable with Session.Group and Session.Decide.
 	ID int
 	// Program renders the shared transformation in the paper's DSL
 	// notation, e.g. "SubStr(...) ⊕ ConstantStr(". ") ⊕ SubStr(...)".
@@ -284,10 +279,7 @@ type WarmStart struct {
 
 func newSession(ctx context.Context, cons *Consolidator, col int, warm *WarmStart) *Session {
 	s := &Session{cons: cons, col: col}
-	s.store = replace.NewStore(cons.ds, col, replace.Options{
-		TokenLevel:  cons.cfg.tokenCandidates,
-		MaxValueLen: cons.cfg.maxStringLen,
-	})
+	s.store = replace.NewStore(cons.ds, col, replace.Options{TokenLevel: true})
 	cands := s.store.Candidates()
 	reps := make([]core.Rep, 0, len(cands))
 	for _, c := range cands {
@@ -305,16 +297,14 @@ func newSession(ctx context.Context, cons *Consolidator, col int, warm *WarmStar
 			s.priorN += wp.Approvals + wp.Rejections
 		}
 	}
+	// The paper's configuration: token-level candidates (Appendix A),
+	// the affix extension (Section 7.3), θ = 6 (Section 8.2) and both
+	// Appendix E static orders, which Section 7.4 needs for pivot search
+	// on long values to terminate in reasonable time.
 	s.eng = core.NewEngineCtx(ctx, reps, core.Options{
-		Graph: tgraph.Options{
-			NoAffix:       !cons.cfg.affix,
-			MaxStringLen:  cons.cfg.maxStringLen,
-			StrMatchPos:   cons.cfg.strMatchPos,
-			MinimalSubStr: cons.cfg.minimalSubStr,
-		},
-		MaxPathLen:      cons.cfg.maxPathLen,
-		ConstantScoring: cons.cfg.constantScoring,
-		Parallel:        cons.cfg.parallel,
+		Graph:           tgraph.Options{MinimalSubStr: true},
+		MaxPathLen:      core.DefaultMaxPathLen,
+		ConstantScoring: true,
 		Warm:            priors,
 	})
 	s.stats.Candidates = len(cands)
@@ -324,7 +314,7 @@ func newSession(ctx context.Context, cons *Consolidator, col int, warm *WarmStar
 	// touching the human decision counters — the library's pseudo-counts
 	// already carry this history into ApproveRate.
 	for _, wg := range s.eng.WarmGroups() {
-		g := s.issue(s.publicGroup(wg))
+		g := s.issue(wg)
 		g.Warm = true
 		stats := s.applyMembers(g, Forward)
 		g.decision = Approved
@@ -337,11 +327,16 @@ func newSession(ctx context.Context, cons *Consolidator, col int, warm *WarmStar
 	return s
 }
 
-// publicGroup converts an engine group, dropping members whose
-// replacement sets have emptied since grouping.
-func (s *Session) publicGroup(g *core.Group) *Group {
+// issue converts an engine group to its public form, registers it as
+// issued and assigns its id. It keeps every member: a group from
+// NextGroup holds no emptied candidate, because applyMembers prunes
+// each candidate whose replacement set empties (eng.Remove) before the
+// engine forms its next group. Warm groups all form at engine
+// construction, so an earlier warm group's application can empty a
+// later one's members; those pairs show zero Sites.
+func (s *Session) issue(g *core.Group) *Group {
 	out := &Group{
-		ID:        -1,
+		ID:        len(s.issued),
 		Program:   g.Program.String(),
 		Structure: strings.ReplaceAll(g.Sig, "\x00", " → "),
 		sess:      s,
@@ -372,20 +367,13 @@ func (s *Session) publicGroup(g *core.Group) *Group {
 		members[i] = out.members[j]
 	}
 	out.Pairs, out.members = pairs, members
+	s.issued = append(s.issued, out)
+	s.stats.GroupsSeen++
 	return out
 }
 
-// issue registers a group handed out by NextGroup and assigns its id.
-func (s *Session) issue(g *Group) *Group {
-	g.ID = len(s.issued)
-	s.issued = append(s.issued, g)
-	s.stats.GroupsSeen++
-	return g
-}
-
-// NextGroup returns the next largest remaining group (Algorithm 7 when
-// the algorithm is Incremental; otherwise the next entry of the upfront
-// list). ok is false when no groups remain.
+// NextGroup returns the next largest remaining group (Algorithm 7). ok
+// is false when no groups remain.
 func (s *Session) NextGroup() (*Group, bool) {
 	return s.NextGroupCtx(context.Background())
 }
@@ -395,25 +383,12 @@ func (s *Session) NextGroup() (*Group, bool) {
 // of whatever span the context holds. With a plain context it behaves
 // exactly like NextGroup.
 func (s *Session) NextGroupCtx(ctx context.Context) (*Group, bool) {
-	if s.cons.cfg.algorithm == Incremental {
-		g := s.eng.NextGroupCtx(ctx)
-		if g == nil {
-			s.exhausted = true
-			return nil, false
-		}
-		return s.issue(s.publicGroup(g)), true
-	}
-	if !s.upfrontSet {
-		s.upfront = s.eng.AllGroupsCtx(ctx, s.mode())
-		s.upfrontSet = true
-	}
-	if len(s.upfront) == 0 {
+	g := s.eng.NextGroupCtx(ctx)
+	if g == nil {
 		s.exhausted = true
 		return nil, false
 	}
-	g := s.upfront[0]
-	s.upfront = s.upfront[1:]
-	return s.issue(s.publicGroup(g)), true
+	return s.issue(g), true
 }
 
 // Exhausted reports whether NextGroup has run out of groups. More
@@ -472,32 +447,6 @@ func approval(dir Direction) Decision {
 		return ApprovedBackward
 	}
 	return Approved
-}
-
-// Groups pre-generates up to limit groups (0 = all), largest first,
-// without consuming them from NextGroup's stream. Only meaningful for
-// the upfront algorithms.
-func (s *Session) Groups(limit int) []*Group {
-	if !s.upfrontSet {
-		s.upfront = s.eng.AllGroups(s.mode())
-		s.upfrontSet = true
-	}
-	n := len(s.upfront)
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]*Group, 0, n)
-	for _, g := range s.upfront[:n] {
-		out = append(out, s.publicGroup(g))
-	}
-	return out
-}
-
-func (s *Session) mode() core.Mode {
-	if s.cons.cfg.algorithm == OneShot {
-		return core.ModeOneShot
-	}
-	return core.ModeEarlyTerm
 }
 
 // ApplyStats reports one Apply call's effect.
@@ -560,9 +509,8 @@ func (s *Session) Stats() SessionStats { return s.stats }
 // PhaseTimings reports the cumulative time the session's engine spent
 // in each phase: context preparation (structure split and frequency
 // maps), graph build (transformation-graph construction and indexing),
-// and group search (pivot path search and group assembly). With the
-// Parallel option, build and search sum CPU time across workers and can
-// exceed wall clock. Durations marshal to JSON as nanoseconds.
+// and group search (pivot path search and group assembly). Durations
+// marshal to JSON as nanoseconds.
 type PhaseTimings struct {
 	ContextPrep time.Duration `json:"context_prep_ns"`
 	GraphBuild  time.Duration `json:"graph_build_ns"`
@@ -580,7 +528,7 @@ func (s *Session) Timings() PhaseTimings {
 }
 
 // GraphStats sums the sizes of the transformation graphs built so far
-// (graphs build lazily under the incremental algorithm, so the counts
+// (graphs build lazily as NextGroup needs them, so the counts
 // grow as the session progresses).
 type GraphStats struct {
 	Nodes  int `json:"nodes"`

@@ -131,6 +131,9 @@ func ReadCSV(r io.Reader, name, keyCol, sourceCol string) (*Dataset, error) {
 // goldrec.Resolve to cluster the records into a Dataset.
 func ReadFlatCSV(r io.Reader, name, sourceCol string) (attrs []string, records []Record, err error) {
 	cr := csv.NewReader(r)
+	// Field counts are checked below, so a ragged row's error names
+	// the file, as CSVReader's does.
+	cr.FieldsPerRecord = -1
 	rows, err := cr.ReadAll()
 	if err != nil {
 		return nil, nil, fmt.Errorf("table: reading csv: %w", err)

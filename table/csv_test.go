@@ -71,6 +71,16 @@ func TestCSVReaderErrors(t *testing.T) {
 	}
 }
 
+// TestReadFlatCSVRaggedRow: a row with the wrong field count fails with
+// an error naming the file and the row.
+func TestReadFlatCSVRaggedRow(t *testing.T) {
+	_, _, err := ReadFlatCSV(strings.NewReader("a,b\nx,y\nz\n"), "flat.csv", "")
+	want := `table: csv "flat.csv" row 3 has 1 fields, want 2`
+	if err == nil || err.Error() != want {
+		t.Fatalf("ragged row error = %v, want %q", err, want)
+	}
+}
+
 // TestReadCSVStreamsEquivalence checks the streaming ReadCSV produces
 // the same dataset as before: clusters ordered by key, rows in input
 // order within a cluster.
