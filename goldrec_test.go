@@ -117,6 +117,36 @@ func TestColumnLookup(t *testing.T) {
 	}
 }
 
+// TestGroupsPreview: the first groups NextGroup hands out come largest
+// first, rendered, and with sites.
+func TestGroupsPreview(t *testing.T) {
+	ds, _ := paperTable1()
+	cons, _ := New(ds)
+	sess, _ := cons.Column("Name")
+	var groups []*Group
+	for len(groups) < 3 {
+		g, ok := sess.NextGroup()
+		if !ok {
+			break
+		}
+		groups = append(groups, g)
+	}
+	if len(groups) != 3 {
+		t.Fatalf("NextGroup issued %d groups, want 3", len(groups))
+	}
+	for i := 1; i < len(groups); i++ {
+		if groups[i].Size() > groups[i-1].Size() {
+			t.Error("groups not sorted by size")
+		}
+	}
+	if groups[0].Program == "" || groups[0].Structure == "" {
+		t.Error("group missing program/structure rendering")
+	}
+	if groups[0].TotalSites() <= 0 {
+		t.Error("group has no sites")
+	}
+}
+
 func TestSessionStats(t *testing.T) {
 	ds, tr := paperTable1()
 	cons, _ := New(ds)
