@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -113,9 +114,48 @@ func BenchmarkIntersect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := intersect(l, r, alive)
+		out := intersectInto(nil, l, r, alive)
 		if len(out) != 512 {
 			b.Fatal("bad intersection")
+		}
+	}
+}
+
+// sessionOptions is the engine configuration goldrec.Session ships:
+// both Appendix E static orders and θ = 6.
+func sessionOptions() Options {
+	return Options{
+		Graph:           graphOptionsMinimal(),
+		MaxPathLen:      DefaultMaxPathLen,
+		ConstantScoring: true,
+	}
+}
+
+// BenchmarkPrepareAddress builds every structure group's graphs of an
+// Address ×0.3 pool under the shipped configuration: the graph_build
+// phase with nothing of the pivot search.
+func BenchmarkPrepareAddress(b *testing.B) {
+	reps := datagenReps("address", 1000, 0.3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(reps, sessionOptions())
+		for _, c := range e.ctxs {
+			e.prepare(context.Background(), c)
+		}
+	}
+}
+
+// BenchmarkNextGroupFirstCallAddress is the first question a reviewer
+// waits for on a fresh Address ×0.3 upload: engine construction plus
+// the first NextGroup, graph builds included.
+func BenchmarkNextGroupFirstCallAddress(b *testing.B) {
+	reps := datagenReps("address", 1000, 0.3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g := NewEngine(reps, sessionOptions()).NextGroup(); g == nil {
+			b.Fatal("no group")
 		}
 	}
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/goldrec/goldrec/internal/dsl"
 	"github.com/goldrec/goldrec/internal/structure"
@@ -71,25 +74,25 @@ func (c *Context) Prepare(opt tgraph.Options) {
 	if c.prepared {
 		return
 	}
+	c.buildGraphs(opt)
+	c.index()
+}
+
+// index completes Prepare over the built graphs: liveness, the inverted
+// index, the initial bounds and the seed list.
+func (c *Context) index() {
 	c.prepared = true
 	n := len(c.Reps)
-	c.Reg = tgraph.NewRegistry()
-	c.Graphs = make([]*tgraph.Graph, n)
 	c.alive = make([]bool, n)
 	c.lo = make([]int, n)
 	c.up = make([]int, n)
 	c.witness = make([][]tgraph.LabelID, n)
 	c.witnessGen = make([]int64, n)
-	for i, r := range c.Reps {
-		if c.preDead[i] {
-			continue
-		}
-		g := tgraph.Build(r.S, r.T, c.Reg, opt)
+	for i, g := range c.Graphs {
 		if g == nil {
 			continue
 		}
 		g.ID = i
-		c.Graphs[i] = g
 		c.alive[i] = true
 		c.aliveN++
 	}
@@ -102,6 +105,43 @@ func (c *Context) Prepare(opt tgraph.Options) {
 		c.up[i] = c.upperBound(g)
 	}
 	c.refreshSeeds()
+}
+
+// buildGraphs builds the graphs of the alive replacements (Section 7.2
+// makes them independent apart from the label registry) on GOMAXPROCS
+// workers, each interning into a registry of its own. A serial pass then
+// rebases them onto c.Reg in replacement order, so c.Reg assigns exactly
+// the LabelIDs of building every graph in order on c.Reg itself.
+func (c *Context) buildGraphs(opt tgraph.Options) {
+	n := len(c.Reps)
+	c.Reg = tgraph.NewRegistry()
+	c.Graphs = make([]*tgraph.Graph, n)
+	regs := make([]*tgraph.Registry, n) // the registry graph i was built on
+	first := make([]tgraph.LabelID, n)  // its Len when graph i's build began
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg := tgraph.NewRegistry()
+			// Each worker claims graphs in increasing order, the
+			// order Rebase needs within one registry.
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if c.preDead[i] {
+					continue
+				}
+				regs[i], first[i] = reg, tgraph.LabelID(reg.Len())
+				c.Graphs[i] = tgraph.Build(c.Reps[i].S, c.Reps[i].T, reg, opt)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, g := range c.Graphs {
+		if g != nil {
+			regs[i].Rebase(g, first[i], c.Reg)
+		}
+	}
 }
 
 // upperBound implements Lemma 6.2: for every node position k of t, some
@@ -184,12 +224,12 @@ func (c *Context) remove(i int) {
 func (c *Context) pathSupport(path []tgraph.LabelID) []int32 {
 	l := c.seedList()
 	for _, f := range path {
-		l = intersect(l, c.Index.List(f), c.alive)
+		l = intersectInto(nil, l, c.Index.List(f), c.alive)
 		if len(l) == 0 {
 			return nil
 		}
 	}
-	return spanningGraphs(l, c.Graphs)
+	return spanningGraphsInto(nil, l, c.Graphs)
 }
 
 // Program materializes a label path as a dsl.Program.

@@ -109,10 +109,12 @@ type Engine struct {
 	searchNanos atomic.Int64
 }
 
-// Timings reports cumulative time spent in each engine phase: context
-// preparation (structure split and frequency maps in NewEngine), graph
-// build (tgraph construction and indexing in Context.Prepare), and
-// group search (pivot path search and group assembly).
+// Timings reports cumulative wall time spent in each engine phase:
+// context preparation (structure split and frequency maps in
+// NewEngine), graph build (tgraph construction and indexing in
+// Context.Prepare), and group search (pivot path search and group
+// assembly). Graph build runs on GOMAXPROCS goroutines, so the CPU time
+// it takes can exceed its GraphBuild duration.
 type Timings struct {
 	ContextPrep time.Duration
 	GraphBuild  time.Duration

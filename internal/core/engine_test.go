@@ -266,6 +266,18 @@ func TestNoAffixOptionReducesGrouping(t *testing.T) {
 	}
 }
 
+// optionLegs are the engine configurations the property tests cover:
+// the default and the product's (goldrec.Session's) options.
+func optionLegs() []struct {
+	name string
+	opts Options
+} {
+	return []struct {
+		name string
+		opts Options
+	}{{"default", Options{}}, {"product", sessionOptions()}}
+}
+
 // randomReps builds replacement pools with planted shared
 // transformations for the equivalence property test. Names are kept
 // short so that even the prune-free OneShot mode finishes instantly.
@@ -288,48 +300,54 @@ func randomReps(rng *rand.Rand, n int) []Rep {
 	return reps
 }
 
+// TestModesAgreeOnRandomPools runs under the default options and under
+// the product's (both Appendix E static orders), whose label space is
+// the one the builder's minimal-SubStr and constant-scoring paths make.
 func TestModesAgreeOnRandomPools(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 5; trial++ {
-		reps := randomReps(rng, 20+rng.Intn(20))
-		one := groupSizes(NewEngine(reps, Options{}).AllGroups(ModeOneShot))
-		early := groupSizes(NewEngine(reps, Options{}).AllGroups(ModeEarlyTerm))
-		if len(one) != len(early) {
-			t.Fatalf("trial %d: oneshot %v earlyterm %v", trial, one, early)
-		}
-		for i := range one {
-			if one[i] != early[i] {
-				t.Fatalf("trial %d: oneshot %v earlyterm %v", trial, one, early)
+	for _, leg := range optionLegs() {
+		name, opts := leg.name, leg.opts
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 5; trial++ {
+			reps := randomReps(rng, 20+rng.Intn(20))
+			one := groupSizes(NewEngine(reps, opts).AllGroups(ModeOneShot))
+			early := groupSizes(NewEngine(reps, opts).AllGroups(ModeEarlyTerm))
+			if len(one) != len(early) {
+				t.Fatalf("%s trial %d: oneshot %v earlyterm %v", name, trial, one, early)
 			}
-		}
-		inc := NewEngine(reps, Options{})
-		var incSizes []int
-		total := 0
-		for {
-			g := inc.NextGroup()
-			if g == nil {
-				break
+			for i := range one {
+				if one[i] != early[i] {
+					t.Fatalf("%s trial %d: oneshot %v earlyterm %v", name, trial, one, early)
+				}
 			}
-			incSizes = append(incSizes, g.Size())
-			total += g.Size()
-		}
-		// The incremental engine must cover every replacement and
-		// produce non-increasing sizes that match the one-shot
-		// multiset.
-		if total != len(reps) {
-			t.Fatalf("trial %d: incremental covered %d of %d", trial, total, len(reps))
-		}
-		for i := 1; i < len(incSizes); i++ {
-			if incSizes[i] > incSizes[i-1] {
-				t.Fatalf("trial %d: sizes not non-increasing: %v", trial, incSizes)
+			inc := NewEngine(reps, opts)
+			var incSizes []int
+			total := 0
+			for {
+				g := inc.NextGroup()
+				if g == nil {
+					break
+				}
+				incSizes = append(incSizes, g.Size())
+				total += g.Size()
 			}
-		}
-		if len(incSizes) != len(one) {
-			t.Fatalf("trial %d: incremental %v oneshot %v", trial, incSizes, one)
-		}
-		for i := range one {
-			if incSizes[i] != one[i] {
-				t.Fatalf("trial %d: incremental %v oneshot %v", trial, incSizes, one)
+			// The incremental engine must cover every replacement and
+			// produce non-increasing sizes that match the one-shot
+			// multiset.
+			if total != len(reps) {
+				t.Fatalf("%s trial %d: incremental covered %d of %d", name, trial, total, len(reps))
+			}
+			for i := 1; i < len(incSizes); i++ {
+				if incSizes[i] > incSizes[i-1] {
+					t.Fatalf("%s trial %d: sizes not non-increasing: %v", name, trial, incSizes)
+				}
+			}
+			if len(incSizes) != len(one) {
+				t.Fatalf("%s trial %d: incremental %v oneshot %v", name, trial, incSizes, one)
+			}
+			for i := range one {
+				if incSizes[i] != one[i] {
+					t.Fatalf("%s trial %d: incremental %v oneshot %v", name, trial, incSizes, one)
+				}
 			}
 		}
 	}

@@ -8,7 +8,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/goldrec/goldrec/internal/tgraph"
 )
@@ -65,12 +66,14 @@ func (ix *Index) GraphCount(f tgraph.LabelID) int { return ix.graphCount[f] }
 // NumLabels returns the number of distinct labels indexed.
 func (ix *Index) NumLabels() int { return len(ix.lists) }
 
-// intersect computes the adjacency-aware intersection of Section 5.1: an
-// entry ⟨G,i1,j1⟩ of l and ⟨G,i2,j2⟩ of list join into ⟨G,i1,j2⟩ iff
-// j1 = i2. Postings of graphs for which alive[G] is false are dropped.
-// Both inputs must be sorted by (G,I,J); the output is too.
-func intersect(l, list []Posting, alive []bool) []Posting {
-	var out []Posting
+// intersectInto computes the adjacency-aware intersection of Section
+// 5.1 into dst's storage (dst's contents are discarded): an entry
+// ⟨G,i1,j1⟩ of l and ⟨G,i2,j2⟩ of list join into ⟨G,i1,j2⟩ iff j1 = i2.
+// Postings of graphs for which alive[G] is false are dropped. Both inputs
+// must be sorted by (G,I,J), and neither may share dst's storage; the
+// output is sorted too.
+func intersectInto(dst, l, list []Posting, alive []bool) []Posting {
+	out := dst[:0]
 	a, b := 0, 0
 	for a < len(l) && b < len(list) {
 		switch {
@@ -112,11 +115,11 @@ func sortDedupBlock(out []Posting, start int) []Posting {
 	if len(block) <= 1 {
 		return out
 	}
-	sort.Slice(block, func(p, q int) bool {
-		if block[p].I != block[q].I {
-			return block[p].I < block[q].I
+	slices.SortFunc(block, func(p, q Posting) int {
+		if p.I != q.I {
+			return cmp.Compare(p.I, q.I)
 		}
-		return block[p].J < block[q].J
+		return cmp.Compare(p.J, q.J)
 	})
 	w := start + 1
 	for x := start + 1; x < len(out); x++ {
@@ -141,12 +144,12 @@ func distinctGraphs(l []Posting) int {
 	return n
 }
 
-// spanningGraphs returns the distinct graphs with a posting reaching that
-// graph's final node — the graphs that *contain* the completed path as a
-// transformation path (the support set used for grouping). The input
-// must be sorted by (G,I,J).
-func spanningGraphs(l []Posting, graphs []*tgraph.Graph) []int32 {
-	var out []int32
+// spanningGraphsInto returns, in dst's storage, the distinct graphs with
+// a posting reaching that graph's final node — the graphs that *contain*
+// the completed path as a transformation path (the support set used for
+// grouping). The input must be sorted by (G,I,J).
+func spanningGraphsInto(dst []int32, l []Posting, graphs []*tgraph.Graph) []int32 {
+	out := dst[:0]
 	i := 0
 	for i < len(l) {
 		g := l[i].G

@@ -64,13 +64,13 @@ func TestInvertedListsExample51(t *testing.T) {
 
 	// I[f2] ∩ I[f3] ∩ I[f1] = (⟨G1,1,7⟩, ⟨G2,1,9⟩): the path f2⊕f3⊕f1
 	// is contained by φ1 and φ2 only.
-	l := intersect(c.seedList(), c.Index.List(f2), c.alive)
-	l = intersect(l, c.Index.List(f3), c.alive)
-	l = intersect(l, c.Index.List(f1), c.alive)
+	l := intersectInto(nil, c.seedList(), c.Index.List(f2), c.alive)
+	l = intersectInto(nil, l, c.Index.List(f3), c.alive)
+	l = intersectInto(nil, l, c.Index.List(f1), c.alive)
 	if len(l) != 2 || l[0] != (Posting{0, 1, 7}) || l[1] != (Posting{1, 1, 9}) {
 		t.Fatalf("I[f2]∩I[f3]∩I[f1] = %v, want [{0 1 7} {1 1 9}]", l)
 	}
-	span := spanningGraphs(l, c.Graphs)
+	span := spanningGraphsInto(nil, l, c.Graphs)
 	if len(span) != 2 || span[0] != 0 || span[1] != 1 {
 		t.Fatalf("spanning = %v, want [0 1]", span)
 	}
@@ -80,7 +80,7 @@ func TestIntersectAdjacencyRequired(t *testing.T) {
 	// Entries of the same graph only join when j1 == i2.
 	l := []Posting{{0, 1, 3}}
 	list := []Posting{{0, 2, 5}, {0, 3, 6}}
-	got := intersect(l, list, nil)
+	got := intersectInto(nil, l, list, nil)
 	if len(got) != 1 || got[0] != (Posting{0, 1, 6}) {
 		t.Fatalf("intersect = %v, want [{0 1 6}]", got)
 	}
@@ -90,7 +90,7 @@ func TestIntersectDropsDeadGraphs(t *testing.T) {
 	l := []Posting{{0, 1, 2}, {1, 1, 2}}
 	list := []Posting{{0, 2, 3}, {1, 2, 3}}
 	alive := []bool{true, false}
-	got := intersect(l, list, alive)
+	got := intersectInto(nil, l, list, alive)
 	if len(got) != 1 || got[0].G != 0 {
 		t.Fatalf("intersect = %v, want only graph 0", got)
 	}
@@ -101,7 +101,7 @@ func TestIntersectDeduplicates(t *testing.T) {
 	// once.
 	l := []Posting{{0, 1, 2}, {0, 1, 3}}
 	list := []Posting{{0, 2, 4}, {0, 3, 4}}
-	got := intersect(l, list, nil)
+	got := intersectInto(nil, l, list, nil)
 	if len(got) != 1 || got[0] != (Posting{0, 1, 4}) {
 		t.Fatalf("intersect = %v, want [{0 1 4}]", got)
 	}
@@ -110,7 +110,7 @@ func TestIntersectDeduplicates(t *testing.T) {
 func TestIntersectDisjointGraphs(t *testing.T) {
 	l := []Posting{{0, 1, 2}}
 	list := []Posting{{1, 2, 3}}
-	if got := intersect(l, list, nil); len(got) != 0 {
+	if got := intersectInto(nil, l, list, nil); len(got) != 0 {
 		t.Fatalf("intersect = %v, want empty", got)
 	}
 }
@@ -130,7 +130,7 @@ func TestSpanningGraphsChecksFinalNode(t *testing.T) {
 	// G1 has final node 7; a posting reaching only node 4 must not
 	// count as spanning.
 	l := []Posting{{0, 1, 4}, {1, 1, 9}}
-	span := spanningGraphs(l, c.Graphs)
+	span := spanningGraphsInto(nil, l, c.Graphs)
 	if len(span) != 1 || span[0] != 1 {
 		t.Fatalf("spanning = %v, want [1]", span)
 	}

@@ -49,6 +49,10 @@ type searcher struct {
 	seedCount int // |ℓmax| seed of Algorithm 7 (τ); best must exceed it
 	maxLen    int
 	steps     int
+	// bufs[d] holds the posting list of the current depth-d extension;
+	// siblings reuse it once the subtree below has been searched.
+	bufs    [][]Posting
+	support []int32 // scratch for the support of a completed path
 }
 
 // SearchPivot finds the pivot path of graph g: the transformation path in
@@ -64,6 +68,7 @@ func (c *Context) SearchPivot(g *tgraph.Graph, seedCount int, opts SearchOpts) (
 		opts:      opts,
 		seedCount: seedCount,
 		maxLen:    opts.maxPathLen(),
+		bufs:      make([][]Posting, opts.maxPathLen()),
 	}
 	s.best.count = seedCount
 	s.dfs(1, nil, c.seedList())
@@ -81,16 +86,22 @@ func (s *searcher) dfs(node int, path []tgraph.LabelID, l []Posting) {
 	if node == s.g.FinalNode() {
 		// ρ is a transformation path; its support is the set of graphs
 		// it spans (Line 2-5 of Algorithm 3).
-		support := spanningGraphs(l, s.ctx.Graphs)
+		support := spanningGraphsInto(s.support, l, s.ctx.Graphs)
+		s.support = support
 		n := len(support)
 		if s.opts.GlobalTerm {
 			// Algorithm 4: raise the global lower bounds of every
 			// graph containing ρ, remembering the witness so the
-			// incremental engine can re-validate after removals.
+			// incremental engine can re-validate after removals. The
+			// graphs raised here share one copy of ρ.
+			var witness []tgraph.LabelID
 			for _, gid := range support {
 				if s.ctx.lo[gid] < n {
+					if witness == nil {
+						witness = append([]tgraph.LabelID(nil), path...)
+					}
 					s.ctx.lo[gid] = n
-					s.ctx.witness[gid] = append([]tgraph.LabelID(nil), path...)
+					s.ctx.witness[gid] = witness
 					s.ctx.witnessGen[gid] = s.ctx.gen
 				}
 			}
@@ -107,7 +118,8 @@ func (s *searcher) dfs(node int, path []tgraph.LabelID, l []Posting) {
 	}
 	for _, e := range s.g.Adj[node] {
 		for _, f := range e.Labels {
-			l2 := intersect(l, s.ctx.Index.List(f), s.ctx.alive)
+			l2 := intersectInto(s.bufs[len(path)], l, s.ctx.Index.List(f), s.ctx.alive)
+			s.bufs[len(path)] = l2
 			cnt := distinctGraphs(l2)
 			if cnt == 0 {
 				continue

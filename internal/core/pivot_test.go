@@ -163,3 +163,27 @@ func TestPrepareSkipsUnbuildableReps(t *testing.T) {
 		t.Error("graph for empty string should be nil")
 	}
 }
+
+// TestSearchPivotAllocs guards the per-depth scratch lists of the pivot
+// search: a DFS step reuses its depth's buffer instead of allocating a
+// fresh posting list (before the buffers, this search made ~1 660
+// allocations; with them, ~105).
+func TestSearchPivotAllocs(t *testing.T) {
+	c := newContext("bench", benchPool(128))
+	c.Prepare(graphOptionsMinimal())
+	opts := SearchOpts{LocalTerm: true, GlobalTerm: true}
+	allocs := testing.AllocsPerRun(5, func() {
+		for gi := range c.lo {
+			if c.Graphs[gi] != nil {
+				c.lo[gi] = 1
+			}
+		}
+		if _, ok := c.SearchPivot(c.Graphs[0], 0, opts); !ok {
+			t.Fatal("no pivot")
+		}
+	})
+	t.Logf("allocs %v", allocs)
+	if allocs > 200 {
+		t.Fatalf("SearchPivot made %.0f allocations, want at most 200", allocs)
+	}
+}

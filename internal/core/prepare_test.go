@@ -1,0 +1,181 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
+	"slices"
+	"strconv"
+	"testing"
+
+	"github.com/goldrec/goldrec/internal/datagen"
+	"github.com/goldrec/goldrec/internal/replace"
+	"github.com/goldrec/goldrec/internal/tgraph"
+)
+
+// datagenReps returns the token-level candidate replacements goldrec
+// extracts from one generated dataset's standardization column, as the
+// engine receives them.
+func datagenReps(family string, seed int64, scale float64) []Rep {
+	cfg := datagen.Config{Seed: seed, Scale: scale}
+	var g *datagen.Generated
+	switch family {
+	case "address":
+		g = datagen.Address(cfg)
+	case "author":
+		g = datagen.AuthorList(cfg)
+	case "journal":
+		g = datagen.JournalTitle(cfg)
+	default:
+		panic("unknown dataset family " + family)
+	}
+	cands := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true}).Candidates()
+	reps := make([]Rep, 0, len(cands))
+	for _, c := range cands {
+		reps = append(reps, Rep{S: c.LHS, T: c.RHS, Ext: c.ID})
+	}
+	return reps
+}
+
+// serialPrepare is the reference for Context.Prepare: every graph built
+// in replacement order on one shared registry, then indexed the same way.
+func serialPrepare(c *Context, opt tgraph.Options) *Context {
+	ref := newContext(c.Sig, c.Reps)
+	ref.preDead = c.preDead
+	ref.Reg = tgraph.NewRegistry()
+	ref.Graphs = make([]*tgraph.Graph, len(c.Reps))
+	for i, r := range c.Reps {
+		if !c.preDead[i] {
+			ref.Graphs[i] = tgraph.Build(r.S, r.T, ref.Reg, opt)
+		}
+	}
+	ref.index()
+	return ref
+}
+
+// regKeys lists a registry's functions by canonical key, in id order.
+func regKeys(reg *tgraph.Registry) []string {
+	keys := make([]string, reg.Len())
+	for id := range keys {
+		keys[id] = string(reg.Func(tgraph.LabelID(id)).AppendKey(nil))
+	}
+	return keys
+}
+
+// groupDigest hashes the program keys and members of an engine's first
+// n groups.
+func groupDigest(e *Engine, n int) string {
+	h := sha256.New()
+	for i := 0; i < n; i++ {
+		g := e.NextGroup()
+		if g == nil {
+			break
+		}
+		b := append([]byte(g.Program.Key()), '|')
+		for _, m := range g.Members {
+			b = strconv.AppendInt(b, int64(m.Ext), 10)
+			b = append(b, ',')
+		}
+		h.Write(append(b, '\n'))
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// diffPrepared reports the first difference between a prepared context
+// and its serial reference: registry, graphs, index and upper bounds.
+func diffPrepared(got, want *Context) error {
+	if gk, wk := regKeys(got.Reg), regKeys(want.Reg); !slices.Equal(gk, wk) {
+		return fmt.Errorf("registry keys differ: %d vs %d ids", len(gk), len(wk))
+	}
+	for i, g := range got.Graphs {
+		w := want.Graphs[i]
+		if (g == nil) != (w == nil) {
+			return fmt.Errorf("graph %d: built %v, reference built %v", i, g != nil, w != nil)
+		}
+		if g == nil {
+			continue
+		}
+		if !slices.EqualFunc(g.Adj, w.Adj, func(a, b []tgraph.Edge) bool {
+			return slices.EqualFunc(a, b, func(x, y tgraph.Edge) bool {
+				return x.To == y.To && slices.Equal(x.Labels, y.Labels)
+			})
+		}) {
+			return fmt.Errorf("graph %d (%q→%q): adjacency differs", i, g.S, g.T)
+		}
+	}
+	if got.Index.NumLabels() != want.Index.NumLabels() {
+		return fmt.Errorf("index has %d labels, reference %d", got.Index.NumLabels(), want.Index.NumLabels())
+	}
+	for id := 0; id < want.Reg.Len(); id++ {
+		f := tgraph.LabelID(id)
+		if !slices.Equal(got.Index.List(f), want.Index.List(f)) || got.Index.GraphCount(f) != want.Index.GraphCount(f) {
+			return fmt.Errorf("label %d: inverted list differs", id)
+		}
+	}
+	if !slices.Equal(got.up, want.up) {
+		return fmt.Errorf("upper bounds %v, reference %v", got.up, want.up)
+	}
+	return nil
+}
+
+// TestPrepareMatchesSerialBuild is the differential for the parallel
+// graph build: at GOMAXPROCS 1 and 2, every structure group that
+// Context.Prepare builds must equal the serial reference — registry
+// order, every graph's adjacency, inverted lists, graph counts and
+// upper bounds — and the first 40 groups must match the digests the
+// serial build produced before the build went parallel.
+func TestPrepareMatchesSerialBuild(t *testing.T) {
+	cases := []struct {
+		family string
+		seed   int64
+		scale  float64
+		digest string
+	}{
+		{"address", 1000, 0.1, "b84e62c18cd72959"},
+		{"address", 1001, 0.1, "5dc25fbb2908ae01"},
+		{"author", 1, 0.4, "893c8bd0c02ab2e2"},
+		{"author", 2, 0.4, "3e602d83e979ca8f"},
+		{"journal", 1, 0.25, "a81b4ab84c102ada"},
+		{"journal", 2, 0.25, "797e895da8e03cb1"},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range cases {
+			reps := datagenReps(tc.family, tc.seed, tc.scale)
+			if d := groupDigest(NewEngine(reps, sessionOptions()), 40); d != tc.digest {
+				t.Errorf("GOMAXPROCS=%d %s/%d: first 40 groups digest %s, want %s", procs, tc.family, tc.seed, d, tc.digest)
+			}
+			e := NewEngine(reps, sessionOptions())
+			for _, c := range e.ctxs {
+				want := serialPrepare(c, e.graphOptions(c))
+				c.Prepare(e.graphOptions(c))
+				if err := diffPrepared(c, want); err != nil {
+					t.Fatalf("GOMAXPROCS=%d %s/%d structure %q: %v", procs, tc.family, tc.seed, c.Sig, err)
+				}
+			}
+		}
+	}
+}
+
+// TestPrepareRegistryDeterministic: preparing one structure group twice
+// interns the same labels in the same order. The canonical pivot
+// tie-break of AllGroups hashes LabelIDs, so its groups depend on it.
+func TestPrepareRegistryDeterministic(t *testing.T) {
+	reps := benchPool(64)
+	var first []string
+	for run := 0; run < 5; run++ {
+		e := NewEngine(reps, benchOptions())
+		c := e.ctxs[0]
+		c.Prepare(e.graphOptions(c))
+		keys := regKeys(c.Reg)
+		if run == 0 {
+			first = keys
+			continue
+		}
+		if !slices.Equal(keys, first) {
+			t.Fatalf("run %d: registry order differs from run 0", run)
+		}
+	}
+}

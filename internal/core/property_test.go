@@ -112,23 +112,25 @@ func TestIncrementalSizeMonotonicityInvariant(t *testing.T) {
 // TestUpperBoundInvariant: Lemma 6.2 — the initialized upper bound
 // dominates the true pivot support for every graph.
 func TestUpperBoundInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 10; trial++ {
-		reps := propPool(rng, 10+rng.Intn(25))
-		ctxs := splitByStructure(reps)
-		for _, c := range ctxs {
-			c.Prepare(tgraph.Options{})
-			for gi, g := range c.Graphs {
-				if g == nil {
-					continue
-				}
-				res, ok := c.SearchPivot(g, 0, SearchOpts{})
-				if !ok {
-					t.Fatalf("trial %d: graph %d has no pivot", trial, gi)
-				}
-				if res.count > c.up[gi] {
-					t.Fatalf("trial %d: pivot support %d > upper bound %d for %q→%q",
-						trial, res.count, c.up[gi], g.S, g.T)
+	for _, leg := range optionLegs() {
+		rng := rand.New(rand.NewSource(9))
+		for trial := 0; trial < 10; trial++ {
+			reps := propPool(rng, 10+rng.Intn(25))
+			e := NewEngine(reps, leg.opts)
+			for _, c := range e.ctxs {
+				c.Prepare(e.graphOptions(c))
+				for gi, g := range c.Graphs {
+					if g == nil {
+						continue
+					}
+					res, ok := c.SearchPivot(g, 0, SearchOpts{})
+					if !ok {
+						t.Fatalf("%s trial %d: graph %d has no pivot", leg.name, trial, gi)
+					}
+					if res.count > c.up[gi] {
+						t.Fatalf("%s trial %d: pivot support %d > upper bound %d for %q→%q",
+							leg.name, trial, res.count, c.up[gi], g.S, g.T)
+					}
 				}
 			}
 		}

@@ -1,7 +1,10 @@
 package tgraph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
+	"unicode/utf8"
 
 	"github.com/goldrec/goldrec/internal/dsl"
 )
@@ -98,12 +101,66 @@ type Options struct {
 
 const defaultMaxStringLen = 120
 
-// Build constructs the transformation graph for s→t (Appendix C). It
-// returns nil when either string is empty or exceeds Options.MaxStringLen
-// — such replacements are skipped by the engine rather than failing the
-// whole run.
+// Build constructs the transformation graph for s→t (Appendix C),
+// interning its labels into reg. It returns nil when either string is
+// empty or exceeds Options.MaxStringLen — such replacements are skipped
+// by the engine rather than failing the whole run.
+//
+// Labels are interned in a fixed order — SubStr labels by edge (i,j),
+// then ConstantStr labels by edge, then affix labels — so building the
+// same graphs in the same order on one registry always assigns the same
+// LabelIDs. Build is safe for concurrent use with distinct registries.
 func Build(s, t string, reg *Registry, opt Options) *Graph {
-	rs, rt := []rune(s), []rune(t)
+	b := builders.Get().(*builder)
+	defer builders.Put(b)
+	return b.build(s, t, reg, opt)
+}
+
+// builders pools the scratch buffers of Build, so a run of builds — one
+// per goroutine when a structure group builds in parallel — stops
+// allocating them per graph.
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+// builder is the scratch of one Build call. The tables indexed by two
+// positions are flat: lce and slce by i*(|s|+1)+x, score by i*(|t|+2)+j.
+type builder struct {
+	rs, rt []rune
+	// lce[i*(n+1)+x]: length of the longest common prefix of t[i:] and
+	// s[x:] (0-based). Used both for locating occurrences of t[i,j) in
+	// s and for the affix labels.
+	lce []int32
+	// slce[j*(n+1)+y]: longest common suffix of t[:j] and s[:y]
+	// (0-based exclusive ends).
+	slce []int32
+	// posKeys holds the key of every position function of s back to
+	// back; the key of pos[x][a] ends at posKeyEnd[posBase[x]+a].
+	posKeys   []byte
+	posKeyEnd []int32
+	posBase   []int32
+	// minSub[j] is the smallest SubStr candidate so far for edge
+	// e(i,j) of the node i being scanned (MinimalSubStr mode).
+	minSub      []subStrPick
+	tOff        []int     // byte offset of each rune of t, then len(t)
+	score       []float64 // ConstantScore of t[i,j)
+	bestEnd     []float64 // bestEnd[i]: max score of the t[k,i)
+	bestStart   []float64 // bestStart[j]: max score of the t[j,l)
+	key, minKey []byte
+	occ         []labelOcc // every label of every edge, in intern order
+}
+
+// subStrPick names the SubStr candidate with position functions
+// pos[x][a] and pos[y][c]; x < 0 means none.
+type subStrPick struct{ x, a, y, c int32 }
+
+// labelOcc is one label of edge e(i,j).
+type labelOcc struct {
+	i, j int32
+	id   LabelID
+}
+
+func (b *builder) build(s, t string, reg *Registry, opt Options) *Graph {
+	b.rs, b.rt = appendRunes(b.rs[:0], s), appendRunes(b.rt[:0], t)
+	rs, rt := b.rs, b.rt
 	maxLen := opt.MaxStringLen
 	if maxLen == 0 {
 		maxLen = defaultMaxStringLen
@@ -112,215 +169,221 @@ func Build(s, t string, reg *Registry, opt Options) *Graph {
 		return nil
 	}
 	n, m := len(rs), len(rt)
+	w := n + 1
 
 	matches := dsl.AllMatches(rs)
 	pos := positionLists(rs, matches, opt)
 
-	// lce[i][x]: length of the longest common prefix of t[i:] and s[x:]
-	// (0-based). Used both for locating occurrences of t[i,j) in s and
-	// for the affix labels.
-	lce := make([][]int32, m+1)
-	for i := range lce {
-		lce[i] = make([]int32, n+1)
-	}
+	b.lce = zeroed(b.lce, (m+1)*w)
 	for i := m - 1; i >= 0; i-- {
 		for x := n - 1; x >= 0; x-- {
 			if rt[i] == rs[x] {
-				lce[i][x] = lce[i+1][x+1] + 1
+				b.lce[i*w+x] = b.lce[(i+1)*w+x+1] + 1
 			}
 		}
 	}
-	// slce[j][y]: longest common suffix of t[:j] and s[:y] (0-based
-	// exclusive ends).
-	slce := make([][]int32, m+1)
-	for j := range slce {
-		slce[j] = make([]int32, n+1)
-	}
+	b.slce = zeroed(b.slce, (m+1)*w)
 	for j := 1; j <= m; j++ {
 		for y := 1; y <= n; y++ {
 			if rt[j-1] == rs[y-1] {
-				slce[j][y] = slce[j-1][y-1] + 1
+				b.slce[j*w+y] = b.slce[(j-1)*w+y-1] + 1
 			}
 		}
 	}
 
-	// labels[i][j] accumulates the labels of edge e(i,j), 1-based.
-	labels := make([][][]LabelID, m+2)
-	for i := range labels {
-		labels[i] = make([][]LabelID, m+2)
+	b.occ = b.occ[:0]
+	b.subStrLabels(reg, pos, opt.MinimalSubStr)
+	b.constLabels(t, reg, opt.ConstantScore)
+	if !opt.NoAffix {
+		b.affixLabels(reg, &matches)
 	}
+	return b.assemble(s, t)
+}
 
-	var keyBuf []byte
+// label records id on edge e(i,j).
+func (b *builder) label(i, j int, id LabelID) {
+	b.occ = append(b.occ, labelOcc{i: int32(i), j: int32(j), id: id})
+}
 
-	// SubStr labels: for every occurrence s[x,y) of t[i,j), every
-	// combination of a position function locating x and one locating y.
-	// In MinimalSubStr mode only the smallest key per edge survives.
-	var minSubStr map[[2]int]subStrCand
-	if opt.MinimalSubStr {
-		minSubStr = make(map[[2]int]subStrCand)
+// subStrLabels adds, for every occurrence s[x,y) of t[i,j), every
+// combination of a position function locating x and one locating y. In
+// MinimalSubStr mode only the smallest key per edge survives.
+func (b *builder) subStrLabels(reg *Registry, pos [][]dsl.Pos, minimal bool) {
+	b.posKeys, b.posKeyEnd, b.posBase = b.posKeys[:0], b.posKeyEnd[:0], b.posBase[:0]
+	for _, ps := range pos {
+		b.posBase = append(b.posBase, int32(len(b.posKeyEnd)))
+		for _, p := range ps {
+			b.posKeys = p.AppendKey(b.posKeys)
+			b.posKeyEnd = append(b.posKeyEnd, int32(len(b.posKeys)))
+		}
 	}
+	n, m := len(b.rs), len(b.rt)
+	w := n + 1
 	for i := 1; i <= m; i++ {
+		if minimal {
+			b.minSub = b.minSub[:0]
+			for j := 0; j <= m+1; j++ {
+				b.minSub = append(b.minSub, subStrPick{x: -1})
+			}
+		}
 		for x := 1; x <= n; x++ {
-			maxRun := int(lce[i-1][x-1])
-			for l := 1; l <= maxRun; l++ {
-				j := i + l
-				y := x + l
-				if len(pos[x]) == 0 || len(pos[y]) == 0 {
-					continue
-				}
-				for _, pf := range pos[x] {
-					for _, pg := range pos[y] {
-						keyBuf = keyBuf[:0]
-						keyBuf = append(keyBuf, 'S', '(')
-						keyBuf = pf.AppendKey(keyBuf)
-						keyBuf = append(keyBuf, ',')
-						keyBuf = pg.AppendKey(keyBuf)
-						keyBuf = append(keyBuf, ')')
-						if opt.MinimalSubStr {
-							ek := [2]int{i, j}
-							if prev, ok := minSubStr[ek]; !ok || string(keyBuf) < prev.key {
-								pf, pg := pf, pg
-								minSubStr[ek] = subStrCand{key: string(keyBuf), mk: func() dsl.Func {
-									return dsl.SubStr{L: pf, R: pg}
-								}}
+			run := int(b.lce[(i-1)*w+x-1])
+			for l := 1; l <= run; l++ {
+				j, y := i+l, x+l
+				for a, pf := range pos[x] {
+					for c, pg := range pos[y] {
+						p := subStrPick{int32(x), int32(a), int32(y), int32(c)}
+						b.key = b.appendSubStrKey(b.key[:0], p)
+						if minimal {
+							best := &b.minSub[j]
+							if best.x >= 0 {
+								b.minKey = b.appendSubStrKey(b.minKey[:0], *best)
+							}
+							if best.x < 0 || string(b.key) < string(b.minKey) {
+								*best = p
 							}
 							continue
 						}
-						pf, pg := pf, pg
-						id := reg.internKey(keyBuf, func() dsl.Func {
+						b.label(i, j, reg.internKey(b.key, func() dsl.Func {
 							return dsl.SubStr{L: pf, R: pg}
-						})
-						labels[i][j] = append(labels[i][j], id)
+						}))
 					}
 				}
 			}
 		}
-	}
-	for ek, cand := range minSubStr {
-		id := reg.internKey([]byte(cand.key), cand.mk)
-		labels[ek[0]][ek[1]] = append(labels[ek[0]][ek[1]], id)
-	}
-
-	// ConstantStr labels (with the optional Appendix E scoring order).
-	addConst := func(i, j int) {
-		sub := string(rt[i-1 : j-1])
-		keyBuf = keyBuf[:0]
-		keyBuf = append(keyBuf, 'C')
-		keyBuf = appendQuoted(keyBuf, sub)
-		id := reg.internKey(keyBuf, func() dsl.Func { return dsl.ConstantStr{S: sub} })
-		labels[i][j] = append(labels[i][j], id)
-	}
-	if opt.ConstantScore == nil {
-		for i := 1; i <= m; i++ {
-			for j := i + 1; j <= m+1; j++ {
-				addConst(i, j)
-			}
+		if !minimal {
+			continue
 		}
-	} else {
-		score := func(i, j int) float64 { return opt.ConstantScore(string(rt[i-1 : j-1])) }
-		// bestEndingAt[i] = max score of substrings t[k,i); similarly
-		// bestStartingAt[j] over t[j,l).
-		bestEndingAt := make([]float64, m+2)
-		bestStartingAt := make([]float64, m+2)
-		sc := make([][]float64, m+2)
-		for i := 1; i <= m; i++ {
-			sc[i] = make([]float64, m+2)
-			for j := i + 1; j <= m+1; j++ {
-				v := score(i, j)
-				sc[i][j] = v
-				if v > bestStartingAt[i] {
-					bestStartingAt[i] = v
-				}
-				if v > bestEndingAt[j] {
-					bestEndingAt[j] = v
-				}
-			}
-		}
-		for i := 1; i <= m; i++ {
-			for j := i + 1; j <= m+1; j++ {
-				if i == 1 && j == m+1 {
-					// Always keep the whole-string constant so every
-					// replacement has at least one transformation path.
-					addConst(i, j)
-					continue
-				}
-				if sc[i][j] >= bestEndingAt[i] && sc[i][j] >= bestStartingAt[j] {
-					addConst(i, j)
-				}
-			}
-		}
-	}
-
-	// Affix labels (Appendix D), longest-only static order: for each
-	// match of each term, the longest proper prefix/suffix alignment.
-	if !opt.NoAffix {
-		for term := dsl.Term(0); term < dsl.Term(dsl.NumTerms); term++ {
-			spans := matches[term]
-			mT := len(spans)
-			for k, sp := range spans {
-				x, y := sp.Beg, sp.End // 1-based in s
-				runLen := sp.Len()
-				if runLen < 2 {
-					continue // no proper non-empty prefix/suffix
-				}
-				for i := 1; i <= m; i++ {
-					l := int(lce[i-1][x-1])
-					if l > runLen-1 {
-						l = runLen - 1
-					}
-					if l < 1 {
-						continue
-					}
-					j := i + l
-					labels[i][j] = append(labels[i][j],
-						internAffix(reg, &keyBuf, 'P', term, k+1),
-						internAffix(reg, &keyBuf, 'P', term, k-mT))
-				}
-				for j := 2; j <= m+1; j++ {
-					l := int(slce[j-1][y-1])
-					if l > runLen-1 {
-						l = runLen - 1
-					}
-					if l < 1 {
-						continue
-					}
-					i := j - l
-					labels[i][j] = append(labels[i][j],
-						internAffix(reg, &keyBuf, 'F', term, k+1),
-						internAffix(reg, &keyBuf, 'F', term, k-mT))
-				}
-			}
-		}
-	}
-
-	// Assemble adjacency lists: deduplicate and sort labels, skip
-	// label-less edges.
-	g := &Graph{S: s, T: t, N: m + 1, Adj: make([][]Edge, m+2)}
-	for i := 1; i <= m; i++ {
 		for j := i + 1; j <= m+1; j++ {
-			ls := labels[i][j]
-			if len(ls) == 0 {
+			p := b.minSub[j]
+			if p.x < 0 {
 				continue
 			}
-			ls = dedupLabels(ls)
-			g.Adj[i] = append(g.Adj[i], Edge{To: j, Labels: ls})
+			b.key = b.appendSubStrKey(b.key[:0], p)
+			b.label(i, j, reg.internKey(b.key, func() dsl.Func {
+				return dsl.SubStr{L: pos[p.x][p.a], R: pos[p.y][p.c]}
+			}))
 		}
 	}
-	return g
 }
 
-// subStrCand is a deferred SubStr label candidate in MinimalSubStr mode.
-type subStrCand struct {
-	key string
-	mk  func() dsl.Func
+// appendSubStrKey appends the key of SubStr(pos[p.x][p.a], pos[p.y][p.c]).
+func (b *builder) appendSubStrKey(dst []byte, p subStrPick) []byte {
+	dst = append(dst, 'S', '(')
+	dst = append(dst, b.posKey(p.x, p.a)...)
+	dst = append(dst, ',')
+	dst = append(dst, b.posKey(p.y, p.c)...)
+	return append(dst, ')')
 }
 
-func internAffix(reg *Registry, keyBuf *[]byte, kind byte, term dsl.Term, k int) LabelID {
-	b := (*keyBuf)[:0]
-	b = append(b, kind, term.Sig())
-	b = appendInt(b, k)
-	*keyBuf = b
-	return reg.internKey(b, func() dsl.Func {
+func (b *builder) posKey(x, a int32) []byte {
+	k := b.posBase[x] + a
+	lo := int32(0)
+	if k > 0 {
+		lo = b.posKeyEnd[k-1]
+	}
+	return b.posKeys[lo:b.posKeyEnd[k]]
+}
+
+// constLabels adds the ConstantStr labels, with the optional Appendix E
+// scoring order: ConstantStr(t[i,j)) is kept only when no adjacent
+// extension t[k,i) / t[j,l) scores strictly higher.
+func (b *builder) constLabels(t string, reg *Registry, score func(string) float64) {
+	m := len(b.rt)
+	// sub returns t[i,j) (1-based), sharing t's bytes when t is valid
+	// UTF-8; otherwise it re-encodes the runes, as []rune(t) replaced
+	// the invalid bytes.
+	valid := utf8.ValidString(t)
+	if valid {
+		b.tOff = b.tOff[:0]
+		for off := range t {
+			b.tOff = append(b.tOff, off)
+		}
+		b.tOff = append(b.tOff, len(t))
+	}
+	sub := func(i, j int) string {
+		if valid {
+			return t[b.tOff[i-1]:b.tOff[j-1]]
+		}
+		return string(b.rt[i-1 : j-1])
+	}
+	add := func(i, j int) {
+		c := sub(i, j)
+		b.key = appendQuoted(append(b.key[:0], 'C'), c)
+		b.label(i, j, reg.internKey(b.key, func() dsl.Func { return dsl.ConstantStr{S: c} }))
+	}
+	if score == nil {
+		for i := 1; i <= m; i++ {
+			for j := i + 1; j <= m+1; j++ {
+				add(i, j)
+			}
+		}
+		return
+	}
+	w := m + 2
+	b.score = zeroed(b.score, (m+1)*w)
+	b.bestEnd, b.bestStart = zeroed(b.bestEnd, w), zeroed(b.bestStart, w)
+	for i := 1; i <= m; i++ {
+		for j := i + 1; j <= m+1; j++ {
+			v := score(sub(i, j))
+			b.score[i*w+j] = v
+			if v > b.bestStart[i] {
+				b.bestStart[i] = v
+			}
+			if v > b.bestEnd[j] {
+				b.bestEnd[j] = v
+			}
+		}
+	}
+	for i := 1; i <= m; i++ {
+		for j := i + 1; j <= m+1; j++ {
+			// Always keep the whole-string constant so every
+			// replacement has at least one transformation path.
+			v := b.score[i*w+j]
+			if (i == 1 && j == m+1) || (v >= b.bestEnd[i] && v >= b.bestStart[j]) {
+				add(i, j)
+			}
+		}
+	}
+}
+
+// affixLabels adds the affix labels (Appendix D) in the longest-only
+// static order: for each match of each term, the longest proper
+// prefix/suffix alignment.
+func (b *builder) affixLabels(reg *Registry, matches *[dsl.NumTerms][]dsl.Span) {
+	m, w := len(b.rt), len(b.rs)+1
+	for term := dsl.Term(0); term < dsl.Term(dsl.NumTerms); term++ {
+		spans := matches[term]
+		mT := len(spans)
+		for k, sp := range spans {
+			x, y := sp.Beg, sp.End // 1-based in s
+			runLen := sp.Len()
+			if runLen < 2 {
+				continue // no proper non-empty prefix/suffix
+			}
+			for i := 1; i <= m; i++ {
+				l := min(int(b.lce[(i-1)*w+x-1]), runLen-1)
+				if l < 1 {
+					continue
+				}
+				b.label(i, i+l, b.internAffix(reg, 'P', term, k+1))
+				b.label(i, i+l, b.internAffix(reg, 'P', term, k-mT))
+			}
+			for j := 2; j <= m+1; j++ {
+				l := min(int(b.slce[(j-1)*w+y-1]), runLen-1)
+				if l < 1 {
+					continue
+				}
+				b.label(j-l, j, b.internAffix(reg, 'F', term, k+1))
+				b.label(j-l, j, b.internAffix(reg, 'F', term, k-mT))
+			}
+		}
+	}
+}
+
+func (b *builder) internAffix(reg *Registry, kind byte, term dsl.Term, k int) LabelID {
+	b.key = appendInt(append(b.key[:0], kind, term.Sig()), k)
+	return reg.internKey(b.key, func() dsl.Func {
 		if kind == 'P' {
 			return dsl.Prefix{Term: term, K: k}
 		}
@@ -328,17 +391,59 @@ func internAffix(reg *Registry, keyBuf *[]byte, kind byte, term dsl.Term, k int)
 	})
 }
 
-func dedupLabels(ls []LabelID) []LabelID {
-	sort.Slice(ls, func(a, b int) bool { return ls[a] < ls[b] })
-	out := ls[:0]
-	var prev LabelID = -1
-	for _, id := range ls {
-		if id != prev {
-			out = append(out, id)
-			prev = id
+// assemble turns the recorded labels into adjacency lists: labels sorted
+// and deduplicated per edge, edges sorted by To, label-less edges
+// absent. All edges share one backing array, as do all labels.
+func (b *builder) assemble(s, t string) *Graph {
+	slices.SortFunc(b.occ, func(p, q labelOcc) int {
+		if p.i != q.i {
+			return cmp.Compare(p.i, q.i)
+		}
+		if p.j != q.j {
+			return cmp.Compare(p.j, q.j)
+		}
+		return cmp.Compare(p.id, q.id)
+	})
+	occ := slices.Compact(b.occ)
+	nEdges := 0
+	labels := make([]LabelID, len(occ))
+	for k, o := range occ {
+		labels[k] = o.id
+		if k == 0 || o.i != occ[k-1].i || o.j != occ[k-1].j {
+			nEdges++
 		}
 	}
-	return out
+	m := len(b.rt)
+	g := &Graph{S: s, T: t, N: m + 1, Adj: make([][]Edge, m+2)}
+	edges := make([]Edge, 0, nEdges)
+	for lo, hi, first := 0, 0, 0; lo < len(occ); lo = hi {
+		i, j := occ[lo].i, occ[lo].j
+		for hi = lo; hi < len(occ) && occ[hi].i == i && occ[hi].j == j; hi++ {
+		}
+		if len(g.Adj[i]) == 0 {
+			first = len(edges)
+		}
+		edges = append(edges, Edge{To: int(j), Labels: labels[lo:hi:hi]})
+		g.Adj[i] = edges[first:len(edges):len(edges)]
+	}
+	return g
+}
+
+// zeroed returns buf resized to n zero elements, reusing its storage.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+func appendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 // positionLists computes P[x] for every position x of s (Appendix C)
