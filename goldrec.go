@@ -120,17 +120,6 @@ func (c *Consolidator) GoldenRecords() []table.Record {
 	return truth.GoldenRecords(c.ds, consByCol)
 }
 
-// GoldenRecordsTruthFinder is GoldenRecords with the TruthFinder-style
-// algorithm: iterative source trust and value confidence where similar
-// values reinforce each other. Record.Source should be populated.
-func (c *Consolidator) GoldenRecordsTruthFinder() []table.Record {
-	consByCol := make([][]truth.Consensus, len(c.ds.Attrs))
-	for col := range c.ds.Attrs {
-		consByCol[col] = truth.TruthFinder(c.ds, col, truth.TruthFinderOptions{})
-	}
-	return truth.GoldenRecords(c.ds, consByCol)
-}
-
 // ResolveOptions configure Resolve, the entity-resolution front end for
 // unclustered records.
 type ResolveOptions struct {

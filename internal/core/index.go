@@ -22,21 +22,19 @@ type Posting struct {
 }
 
 // Index is the inverted index from edge labels to postings, built once
-// per grouping context (structure group).
+// per grouping context (structure group). Label ids are dense from 0 in
+// the context's registry, so both tables are slices indexed by LabelID.
 type Index struct {
-	lists map[tgraph.LabelID][]Posting
+	lists [][]Posting
 	// graphCount[f] is the number of distinct graphs with at least one
 	// posting for f, the |I[f]| of Lemma 6.2's upper bounds.
-	graphCount map[tgraph.LabelID]int
+	graphCount []int
 }
 
 // BuildIndex indexes every edge label of every graph. Graph IDs must
 // equal their slice positions.
 func BuildIndex(graphs []*tgraph.Graph) *Index {
-	ix := &Index{
-		lists:      make(map[tgraph.LabelID][]Posting),
-		graphCount: make(map[tgraph.LabelID]int),
-	}
+	ix := &Index{}
 	for _, g := range graphs {
 		if g == nil {
 			continue
@@ -44,6 +42,9 @@ func BuildIndex(graphs []*tgraph.Graph) *Index {
 		for i := 1; i < len(g.Adj); i++ {
 			for _, e := range g.Adj[i] {
 				for _, f := range e.Labels {
+					for int(f) >= len(ix.lists) {
+						ix.lists = append(ix.lists, nil)
+					}
 					ix.lists[f] = append(ix.lists[f], Posting{G: int32(g.ID), I: int16(i), J: int16(e.To)})
 				}
 			}
@@ -51,6 +52,7 @@ func BuildIndex(graphs []*tgraph.Graph) *Index {
 	}
 	// Graphs are visited in ID order and edges in (i,j) order, so each
 	// list is already sorted by (G, I, J). Count distinct graphs.
+	ix.graphCount = make([]int, len(ix.lists))
 	for f, list := range ix.lists {
 		ix.graphCount[f] = distinctGraphs(list)
 	}
@@ -58,13 +60,31 @@ func BuildIndex(graphs []*tgraph.Graph) *Index {
 }
 
 // List returns the postings of a label (nil when absent).
-func (ix *Index) List(f tgraph.LabelID) []Posting { return ix.lists[f] }
+func (ix *Index) List(f tgraph.LabelID) []Posting {
+	if f < 0 || int(f) >= len(ix.lists) {
+		return nil
+	}
+	return ix.lists[f]
+}
 
 // GraphCount returns the number of distinct graphs containing label f.
-func (ix *Index) GraphCount(f tgraph.LabelID) int { return ix.graphCount[f] }
+func (ix *Index) GraphCount(f tgraph.LabelID) int {
+	if f < 0 || int(f) >= len(ix.graphCount) {
+		return 0
+	}
+	return ix.graphCount[f]
+}
 
 // NumLabels returns the number of distinct labels indexed.
-func (ix *Index) NumLabels() int { return len(ix.lists) }
+func (ix *Index) NumLabels() int {
+	n := 0
+	for _, l := range ix.lists {
+		if len(l) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // intersectInto computes the adjacency-aware intersection of Section
 // 5.1 into dst's storage (dst's contents are discarded): an entry

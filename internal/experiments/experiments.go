@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"sort"
 	"time"
 
 	"github.com/goldrec/goldrec/internal/core"
@@ -168,24 +167,47 @@ func RunStandardization(gen *datagen.Generated, method Method, cfg Config) Stand
 			checkpoint(n)
 		}
 	case MethodSingle:
-		res.Approved = runSingle(g, budget, step, &res, checkpoint)
+		res.Approved = runSingle(g, budget, step, checkpoint)
 	default:
-		res.Approved = runGroup(g, budget, step, cfg, checkpoint)
+		o := oracle.New(g.Data, g.Truth, g.Col, oracle.Options{})
+		runGroup(g, replace.Options{TokenLevel: true}, o, cfg, budget, step, checkpoint)
+		res.Approved = o.Approved
 	}
 	return res
 }
 
-// runGroup is the paper's method: incremental largest-group-first
-// verification with the simulated human.
-func runGroup(g *datagen.Generated, budget, step int, cfg Config, checkpoint func(int)) int {
-	store := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true})
+// newStore generates the column's candidate replacements and the
+// grouping engine's input over them.
+func newStore(g *datagen.Generated, ropts replace.Options) (*replace.Store, []core.Rep) {
+	store := replace.NewStore(g.Data, g.Col, ropts)
 	cands := store.Candidates()
 	reps := make([]core.Rep, 0, len(cands))
 	for _, c := range cands {
 		reps = append(reps, core.Rep{S: c.LHS, T: c.RHS, Ext: c.ID})
 	}
+	return store, reps
+}
+
+// reviewMembers returns an engine group's candidates in review order.
+func reviewMembers(store *replace.Store, grp *core.Group) []*replace.Candidate {
+	members := make([]*replace.Candidate, len(grp.Members))
+	for i, m := range grp.Members {
+		members[i] = store.Candidate(m.Ext)
+	}
+	replace.SortForReview(members)
+	return members
+}
+
+// runGroup is the paper's method, the review loop of Algorithm 1 (lines
+// 5-9): incremental largest-group-first verification by the simulated
+// human o, for up to budget groups. Members are verified and applied
+// in review order through replace.SortForReview and
+// replace.Store.ApplyGroup, exactly as the goldrec Session does.
+// checkpoint, when not nil, runs after every step reviewed groups and
+// after the last one.
+func runGroup(g *datagen.Generated, ropts replace.Options, o *oracle.Oracle, cfg Config, budget, step int, checkpoint func(int)) {
+	store, reps := newStore(g, ropts)
 	eng := core.NewEngine(reps, cfg.engineOptions())
-	o := oracle.New(g.Data, g.Truth, g.Col, oracle.Options{})
 	confirmed := 0
 	for confirmed < budget {
 		grp := eng.NextGroup()
@@ -193,24 +215,38 @@ func runGroup(g *datagen.Generated, budget, step int, cfg Config, checkpoint fun
 			break
 		}
 		confirmed++
-		members := make([]*replace.Candidate, 0, len(grp.Members))
-		for _, m := range grp.Members {
-			members = append(members, store.Candidate(m.Ext))
+		members := reviewMembers(store, grp)
+		if d := o.VerifyGroup(members); d.Approved {
+			eng.Remove(store.ApplyGroup(members, d.Invert).Emptied...)
 		}
-		d := o.VerifyGroup(members)
-		if d.Approved {
-			for _, cand := range members {
-				target := cand
-				if d.Invert {
-					if target = store.Mirror(cand); target == nil {
-						continue
-					}
-				}
-				r := store.Apply(target)
-				if len(r.Emptied) > 0 {
-					eng.Remove(r.Emptied...)
-				}
-			}
+		if checkpoint != nil && confirmed%step == 0 {
+			checkpoint(confirmed)
+		}
+	}
+	if checkpoint != nil && confirmed%step != 0 {
+		checkpoint(confirmed)
+	}
+}
+
+// runSingle verifies candidate replacements one at a time, ranked by
+// replacement-set size (profit, the review order), without grouping.
+func runSingle(g *datagen.Generated, budget, step int, checkpoint func(int)) int {
+	store := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true})
+	o := oracle.New(g.Data, g.Truth, g.Col, oracle.Options{})
+	cands := append([]*replace.Candidate(nil), store.Candidates()...)
+	replace.SortForReview(cands)
+	confirmed := 0
+	for _, cand := range cands {
+		if confirmed >= budget {
+			break
+		}
+		if cand.SiteCount() == 0 {
+			continue
+		}
+		confirmed++
+		one := []*replace.Candidate{cand}
+		if d := o.VerifyGroup(one); d.Approved {
+			store.ApplyGroup(one, d.Invert)
 		}
 		if confirmed%step == 0 {
 			checkpoint(confirmed)
@@ -220,45 +256,6 @@ func runGroup(g *datagen.Generated, budget, step int, cfg Config, checkpoint fun
 		checkpoint(confirmed)
 	}
 	return o.Approved
-}
-
-// runSingle verifies candidate replacements one at a time, ranked by
-// replacement-set size (profit), without grouping.
-func runSingle(g *datagen.Generated, budget, step int, res *StandResult, checkpoint func(int)) int {
-	store := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true})
-	o := oracle.New(g.Data, g.Truth, g.Col, oracle.Options{})
-	cands := append([]*replace.Candidate(nil), store.Candidates()...)
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].SiteCount() > cands[j].SiteCount()
-	})
-	confirmed, approved := 0, 0
-	for _, cand := range cands {
-		if confirmed >= budget {
-			break
-		}
-		if cand.SiteCount() == 0 {
-			continue
-		}
-		confirmed++
-		d := o.VerifyGroup([]*replace.Candidate{cand})
-		if d.Approved {
-			approved++
-			target := cand
-			if d.Invert {
-				if target = store.Mirror(cand); target == nil {
-					continue
-				}
-			}
-			store.Apply(target)
-		}
-		if confirmed%step == 0 {
-			checkpoint(confirmed)
-		}
-	}
-	if confirmed%step != 0 {
-		checkpoint(confirmed)
-	}
-	return approved
 }
 
 // TimingResult is one dataset's Figure 9 measurement.
@@ -286,12 +283,7 @@ type TimingResult struct {
 // Every algorithm runs single-threaded, as the paper measures.
 func RunGroupingTime(gen *datagen.Generated, k int, cfg Config, skipOneShot bool) TimingResult {
 	g := gen.Clone()
-	store := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true})
-	cands := store.Candidates()
-	reps := make([]core.Rep, 0, len(cands))
-	for _, c := range cands {
-		reps = append(reps, core.Rep{S: c.LHS, T: c.RHS, Ext: c.ID})
-	}
+	_, reps := newStore(g, replace.Options{TokenLevel: true})
 	cfg.NoConstantScoring = false
 	cfg.NoMinimalSubStr = false
 	opts := cfg.engineOptions()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"github.com/goldrec/goldrec/internal/core"
 	"github.com/goldrec/goldrec/internal/datagen"
 	"github.com/goldrec/goldrec/internal/metrics"
 	"github.com/goldrec/goldrec/internal/oracle"
@@ -28,43 +27,11 @@ func Robustness(gen *datagen.Generated, rates []float64, cfg Config) []Robustnes
 		g := gen.Clone()
 		budget := cfg.budgetFor(g.Data.Name)
 		sample := metrics.Sample(g.Data, g.Truth, g.Col, cfg.sampleN(), cfg.Seed+1)
-		store := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true})
-		cands := store.Candidates()
-		reps := make([]core.Rep, 0, len(cands))
-		for _, c := range cands {
-			reps = append(reps, core.Rep{S: c.LHS, T: c.RHS, Ext: c.ID})
-		}
-		eng := core.NewEngine(reps, cfg.engineOptions())
 		o := oracle.New(g.Data, g.Truth, g.Col, oracle.Options{
 			ErrorRate: rate,
 			ErrorSeed: cfg.Seed,
 		})
-		for confirmed := 0; confirmed < budget; confirmed++ {
-			grp := eng.NextGroup()
-			if grp == nil {
-				break
-			}
-			members := make([]*replace.Candidate, 0, len(grp.Members))
-			for _, m := range grp.Members {
-				members = append(members, store.Candidate(m.Ext))
-			}
-			d := o.VerifyGroup(members)
-			if !d.Approved {
-				continue
-			}
-			for _, cand := range members {
-				target := cand
-				if d.Invert {
-					if target = store.Mirror(cand); target == nil {
-						continue
-					}
-				}
-				r := store.Apply(target)
-				if len(r.Emptied) > 0 {
-					eng.Remove(r.Emptied...)
-				}
-			}
-		}
+		runGroup(g, replace.Options{TokenLevel: true}, o, cfg, budget, budget, nil)
 		m := metrics.Evaluate(g.Data, sample)
 		out = append(out, RobustnessResult{
 			ErrorRate: rate,

@@ -21,15 +21,11 @@ type SampleGroup struct {
 }
 
 // SampleGroups reproduces Table 4: the top numGroups groups generated
-// from the AuthorList dataset, with up to perGroup sample members each.
+// from the AuthorList dataset, with up to perGroup sample members each,
+// listed in review order (the order a reviewer sees them).
 func SampleGroups(gen *datagen.Generated, numGroups, perGroup int, cfg Config) []SampleGroup {
 	g := gen.Clone()
-	store := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true})
-	cands := store.Candidates()
-	reps := make([]core.Rep, 0, len(cands))
-	for _, c := range cands {
-		reps = append(reps, core.Rep{S: c.LHS, T: c.RHS, Ext: c.ID})
-	}
+	store, reps := newStore(g, replace.Options{TokenLevel: true})
 	eng := core.NewEngine(reps, cfg.engineOptions())
 	var out []SampleGroup
 	for len(out) < numGroups {
@@ -37,12 +33,10 @@ func SampleGroups(gen *datagen.Generated, numGroups, perGroup int, cfg Config) [
 		if grp == nil {
 			break
 		}
+		members := reviewMembers(store, grp)
 		sg := SampleGroup{Program: grp.Program.String(), Size: grp.Size()}
-		for _, m := range grp.Members {
-			if len(sg.Members) >= perGroup {
-				break
-			}
-			sg.Members = append(sg.Members, replace.Pair{LHS: m.S, RHS: m.T})
+		for _, c := range members[:min(perGroup, len(members))] {
+			sg.Members = append(sg.Members, c.Pair)
 		}
 		out = append(out, sg)
 	}
@@ -114,7 +108,8 @@ func Table8(gens []*datagen.Generated, cfg Config) []MCResult {
 		before := truth.Precision(truth.MajorityConsensus(g.Data, g.Col), golden, sampleIdx)
 
 		budget := cfg.budgetFor(g.Data.Name)
-		runGroup(g, budget, budget, cfg, func(int) {})
+		o := oracle.New(g.Data, g.Truth, g.Col, oracle.Options{})
+		runGroup(g, replace.Options{TokenLevel: true}, o, cfg, budget, budget, nil)
 		after := truth.Precision(truth.MajorityConsensus(g.Data, g.Col), golden, sampleIdx)
 		out = append(out, MCResult{
 			Dataset:         gen.Data.Name,
@@ -186,11 +181,8 @@ func Ablations(gen *datagen.Generated, cfg Config) []AblationResult {
 		budget := c.budgetFor(g.Data.Name)
 		sample := metrics.Sample(g.Data, g.Truth, g.Col, c.sampleN(), c.Seed+1)
 		start := time.Now()
-		if cc.tok {
-			runGroup(g, budget, budget, c, func(int) {})
-		} else {
-			runGroupNoTokens(g, budget, c)
-		}
+		o := oracle.New(g.Data, g.Truth, g.Col, oracle.Options{})
+		runGroup(g, replace.Options{TokenLevel: cc.tok}, o, c, budget, budget, nil)
 		dur := time.Since(start)
 		m := metrics.Evaluate(g.Data, sample)
 		out = append(out, AblationResult{
@@ -202,43 +194,4 @@ func Ablations(gen *datagen.Generated, cfg Config) []AblationResult {
 		})
 	}
 	return out
-}
-
-// runGroupNoTokens is runGroup with value-level candidates only
-// (Appendix A ablation).
-func runGroupNoTokens(g *datagen.Generated, budget int, cfg Config) {
-	store := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: false})
-	cands := store.Candidates()
-	reps := make([]core.Rep, 0, len(cands))
-	for _, c := range cands {
-		reps = append(reps, core.Rep{S: c.LHS, T: c.RHS, Ext: c.ID})
-	}
-	eng := core.NewEngine(reps, cfg.engineOptions())
-	o := oracle.New(g.Data, g.Truth, g.Col, oracle.Options{})
-	for confirmed := 0; confirmed < budget; confirmed++ {
-		grp := eng.NextGroup()
-		if grp == nil {
-			break
-		}
-		members := make([]*replace.Candidate, 0, len(grp.Members))
-		for _, m := range grp.Members {
-			members = append(members, store.Candidate(m.Ext))
-		}
-		d := o.VerifyGroup(members)
-		if !d.Approved {
-			continue
-		}
-		for _, cand := range members {
-			target := cand
-			if d.Invert {
-				if target = store.Mirror(cand); target == nil {
-					continue
-				}
-			}
-			r := store.Apply(target)
-			if len(r.Emptied) > 0 {
-				eng.Remove(r.Emptied...)
-			}
-		}
-	}
 }

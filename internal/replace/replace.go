@@ -302,6 +302,51 @@ func (st *Store) Apply(c *Candidate) ApplyResult {
 	return res
 }
 
+// SortForReview puts a group's candidates into review order, in place:
+// largest current replacement set first, ties in their given order. The
+// order is also the order ApplyGroup applies them in, and it matters: an
+// earlier member's rewrite shrinks or empties the sites of later members
+// that share its cells. The goldrec Session and the paper harness both
+// present and apply every group in this one order.
+func SortForReview(cands []*Candidate) {
+	sort.SliceStable(cands, func(i, j int) bool {
+		return len(cands[i].Sites) > len(cands[j].Sites)
+	})
+}
+
+// GroupResult reports the effect of applying a group's candidates.
+type GroupResult struct {
+	// PairsApplied counts candidates with at least one changed cell.
+	PairsApplied int
+	// CellsChanged counts updated cells.
+	CellsChanged int
+	// Emptied lists the ids of candidates whose replacement sets became
+	// empty, for the grouping engine to drop (see ApplyResult.Emptied).
+	Emptied []int
+}
+
+// ApplyGroup applies an approved group: each candidate in turn, in the
+// order given (review order, see SortForReview). With mirror set it
+// applies each candidate's opposite-direction candidate instead — the
+// backward approval — and skips candidates that have no mirror.
+func (st *Store) ApplyGroup(cands []*Candidate, mirror bool) GroupResult {
+	var res GroupResult
+	for _, c := range cands {
+		if mirror {
+			if c = st.Mirror(c); c == nil {
+				continue
+			}
+		}
+		r := st.Apply(c)
+		if r.CellsChanged > 0 {
+			res.PairsApplied++
+			res.CellsChanged += r.CellsChanged
+		}
+		res.Emptied = append(res.Emptied, r.Emptied...)
+	}
+	return res
+}
+
 // applySite rewrites one cell; reports whether the cell changed.
 func (st *Store) applySite(c *Candidate, site Site) bool {
 	cur := st.ds.Value(site.Cell)

@@ -254,3 +254,65 @@ func TestLiveCount(t *testing.T) {
 		t.Fatalf("LiveCount = %d, want < 12 after apply", st.LiveCount())
 	}
 }
+
+// TestApplyGroupOrderMatters shows why review order is a policy: "9th"→"9"
+// rewrites a cluster-0 cell into "9 Street Boston", the LHS of a
+// value-level candidate seen so far only in cluster 1, so that candidate
+// gains the cell as a site. Applied after the token pair, the value-level
+// candidate rewrites the cell again; applied before, it misses it.
+// SortForReview puts the token pair (2 sites) ahead of the value-level
+// candidate (1 site), and ApplyGroup applies in the order given.
+func TestApplyGroupOrderMatters(t *testing.T) {
+	build := func() (*table.Dataset, *Store) {
+		ds := &table.Dataset{
+			Attrs: []string{"Address"},
+			Clusters: []table.Cluster{
+				{Records: []table.Record{{Values: []string{"9th Street Boston"}}, {Values: []string{"9 St Boston"}}}},
+				{Records: []table.Record{{Values: []string{"9 Street Boston"}}, {Values: []string{"9 St Boston"}}}},
+				{Records: []table.Record{{Values: []string{"9th Ave"}}, {Values: []string{"9 Ave"}}}},
+			},
+		}
+		return ds, NewStore(ds, 0, Options{TokenLevel: true})
+	}
+	tok := Pair{"9th", "9"}
+	whole := Pair{"9 Street Boston", "9 St Boston"}
+	cell := table.Cell{Cluster: 0, Row: 0, Col: 0}
+
+	ds, st := build()
+	group := []*Candidate{st.Lookup(whole), st.Lookup(tok)}
+	SortForReview(group)
+	if group[0].Pair != tok || group[1].Pair != whole {
+		t.Fatalf("review order = %v, want the 2-site token pair first", group)
+	}
+	res := st.ApplyGroup(group, false)
+	if res.PairsApplied != 2 || res.CellsChanged != 4 {
+		t.Fatalf("review order: %+v, want 2 pairs and 4 cells", res)
+	}
+	if got := ds.Value(cell); got != "9 St Boston" {
+		t.Fatalf("review order: cell = %q, want \"9 St Boston\"", got)
+	}
+
+	ds, st = build()
+	res = st.ApplyGroup([]*Candidate{st.Lookup(whole), st.Lookup(tok)}, false)
+	if res.CellsChanged != 3 {
+		t.Fatalf("reverse order: %+v, want 3 cells", res)
+	}
+	if got := ds.Value(cell); got != "9 Street Boston" {
+		t.Fatalf("reverse order: cell = %q, want \"9 Street Boston\"", got)
+	}
+}
+
+// TestApplyGroupMirror: the backward approval applies each member's
+// mirror and skips members that have none.
+func TestApplyGroupMirror(t *testing.T) {
+	ds := table1()
+	st := NewStore(ds, 0, Options{})
+	orphan := &Candidate{ID: -1, Pair: Pair{"no", "mirror"}}
+	res := st.ApplyGroup([]*Candidate{st.Lookup(Pair{"Mary Lee", "M. Lee"}), orphan}, true)
+	if res.PairsApplied != 1 || res.CellsChanged != 1 {
+		t.Fatalf("res = %+v, want 1 pair and 1 cell", res)
+	}
+	if got := ds.Value(table.Cell{Cluster: 0, Row: 1, Col: 0}); got != "Mary Lee" {
+		t.Fatalf("cell = %q, want \"Mary Lee\"", got)
+	}
+}

@@ -1,8 +1,6 @@
 // Package truth implements the truth-discovery step of the golden-record
-// framework (Algorithm 1, line 10): majority consensus as used in the
-// paper's Section 8.3 evaluation, plus TruthFinder, the iterative
-// source-trust method from the truth-discovery literature the paper
-// cites [44], for source-annotated datasets.
+// framework (Algorithm 1, line 10): majority consensus, as used in the
+// paper's Section 8.3 evaluation, and golden-record assembly.
 package truth
 
 import (

@@ -84,21 +84,3 @@ func TestResolveThenConsolidate(t *testing.T) {
 		}
 	}
 }
-
-func TestGoldenRecordsTruthFinder(t *testing.T) {
-	ds := &table.Dataset{
-		Attrs: []string{"A"},
-		Clusters: []table.Cluster{
-			{Records: []table.Record{
-				{Source: "s1", Values: []string{"value one"}},
-				{Source: "s2", Values: []string{"value one"}},
-				{Source: "s3", Values: []string{"other"}},
-			}},
-		},
-	}
-	cons, _ := New(ds)
-	golden := cons.GoldenRecordsTruthFinder()
-	if golden[0].Values[0] != "value one" {
-		t.Errorf("truthfinder golden = %q", golden[0].Values[0])
-	}
-}

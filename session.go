@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -104,8 +103,10 @@ type Group struct {
 	Program string
 	// Structure is the shared structure signature (Section 7.2).
 	Structure string
-	// Pairs lists the member replacements, largest replacement set
-	// first.
+	// Pairs lists the member replacements in review order: largest
+	// replacement set first (replace.SortForReview). This is also the
+	// order Apply performs them in, and order matters — an earlier
+	// member's rewrite can shrink a later member's replacement set.
 	Pairs []Replacement
 	// Warm marks a group pre-decided at session open from a warm-start
 	// prior: its program was approved on an earlier upload, so it was
@@ -328,9 +329,11 @@ func newSession(ctx context.Context, cons *Consolidator, col int, warm *WarmStar
 }
 
 // issue converts an engine group to its public form, registers it as
-// issued and assigns its id. It keeps every member: a group from
-// NextGroup holds no emptied candidate, because applyMembers prunes
-// each candidate whose replacement set empties (eng.Remove) before the
+// issued and assigns its id. The members go into review order
+// (replace.SortForReview), which is the order Pairs lists and
+// applyMembers applies. It keeps every member: a group from NextGroup
+// holds no emptied candidate, because applyMembers prunes each
+// candidate whose replacement set empties (eng.Remove) before the
 // engine forms its next group. Warm groups all form at engine
 // construction, so an earlier warm group's application can empty a
 // later one's members; those pairs show zero Sites.
@@ -339,34 +342,18 @@ func (s *Session) issue(g *core.Group) *Group {
 		ID:        len(s.issued),
 		Program:   g.Program.String(),
 		Structure: strings.ReplaceAll(g.Sig, "\x00", " → "),
+		Pairs:     make([]Replacement, len(g.Members)),
 		sess:      s,
 		prog:      g.Program,
+		members:   make([]*replace.Candidate, len(g.Members)),
 	}
-	for _, m := range g.Members {
-		cand := s.store.Candidate(m.Ext)
-		out.members = append(out.members, cand)
-		out.Pairs = append(out.Pairs, Replacement{
-			LHS:   cand.LHS,
-			RHS:   cand.RHS,
-			Sites: cand.SiteCount(),
-		})
+	for i, m := range g.Members {
+		out.members[i] = s.store.Candidate(m.Ext)
 	}
-	// Largest replacement sets first for display; Pairs and members
-	// reorder together through a shared index.
-	idx := make([]int, len(out.Pairs))
-	for i := range idx {
-		idx[i] = i
+	replace.SortForReview(out.members)
+	for i, c := range out.members {
+		out.Pairs[i] = Replacement{LHS: c.LHS, RHS: c.RHS, Sites: c.SiteCount()}
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return out.Pairs[idx[a]].Sites > out.Pairs[idx[b]].Sites
-	})
-	pairs := make([]Replacement, len(out.Pairs))
-	members := make([]*replace.Candidate, len(out.members))
-	for i, j := range idx {
-		pairs[i] = out.Pairs[j]
-		members[i] = out.members[j]
-	}
-	out.Pairs, out.members = pairs, members
 	s.issued = append(s.issued, out)
 	s.stats.GroupsSeen++
 	return out
@@ -478,29 +465,14 @@ func (s *Session) Apply(g *Group, dir Direction) ApplyStats {
 }
 
 // applyMembers performs a group's raw member replacements in the given
-// direction, updating the replacement sets and pruning emptied
-// candidates from the engine. It touches no decision state — Apply and
-// the warm pre-decide path layer their own bookkeeping on top.
+// direction and review order (replace.Store.ApplyGroup), updating the
+// replacement sets and pruning emptied candidates from the engine. It
+// touches no decision state — Apply and the warm pre-decide path layer
+// their own bookkeeping on top.
 func (s *Session) applyMembers(g *Group, dir Direction) ApplyStats {
-	var stats ApplyStats
-	for _, cand := range g.members {
-		target := cand
-		if dir == Backward {
-			target = s.store.Mirror(cand)
-			if target == nil {
-				continue
-			}
-		}
-		res := s.store.Apply(target)
-		if res.CellsChanged > 0 {
-			stats.PairsApplied++
-			stats.CellsChanged += res.CellsChanged
-		}
-		if len(res.Emptied) > 0 {
-			s.eng.Remove(res.Emptied...)
-		}
-	}
-	return stats
+	res := s.store.ApplyGroup(g.members, dir == Backward)
+	s.eng.Remove(res.Emptied...)
+	return ApplyStats{PairsApplied: res.PairsApplied, CellsChanged: res.CellsChanged}
 }
 
 // Stats returns the session's progress counters.

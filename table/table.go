@@ -16,8 +16,8 @@ import (
 // Record is one row from one data source.
 type Record struct {
 	// Source identifies the data source the record came from. It is
-	// optional for standardization but used by source-aware truth
-	// discovery.
+	// optional, and carried through entity resolution and the CSV
+	// readers.
 	Source string
 	// Values holds one string per attribute, parallel to Dataset.Attrs.
 	Values []string
