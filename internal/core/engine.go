@@ -37,10 +37,6 @@ type Options struct {
 	// ConstantScoring enables the Appendix E constant-string static
 	// order using freqStruc/sqrt(freqGlobal) scores.
 	ConstantScoring bool
-	// MaxConstLen caps the substring length tracked by the frequency
-	// maps (default 16); longer substrings score zero and are pruned
-	// (the whole-string constant is always kept by the builder).
-	MaxConstLen int
 	// MaxSteps bounds each pivot search's DFS extensions
 	// (0 = unlimited). With a budget the engine degrades gracefully on
 	// dense graphs (e.g. when the Appendix E static orders are
@@ -66,7 +62,10 @@ type WarmPrior struct {
 	Rejections int
 }
 
-const defaultMaxConstLen = 16
+// maxConstLen caps the substring length tracked by the constant-scoring
+// frequency maps; longer substrings score zero and are pruned (the
+// whole-string constant is always kept by the builder).
+const maxConstLen = 16
 
 // Group is one replacement group: the set of replacements that share the
 // pivot transformation path Path (a program in the DSL) and the structure
@@ -102,8 +101,7 @@ type Engine struct {
 	// The phase timings (in nanoseconds) are atomic because they are
 	// read while grouping runs: goldrecd's session info reads Timings
 	// while its group generator runs NextGroup outside the session
-	// lock. skipped is atomic so Skipped may be read the same way.
-	skipped     atomic.Int64
+	// lock.
 	prepNanos   atomic.Int64
 	buildNanos  atomic.Int64
 	searchNanos atomic.Int64
@@ -163,9 +161,6 @@ func NewEngineCtx(ctx context.Context, reps []Rep, opts Options) *Engine {
 	pctx, sp := trace.StartSpan(ctx, "context_prep")
 	defer sp.End()
 	start := time.Now()
-	if opts.MaxConstLen <= 0 {
-		opts.MaxConstLen = defaultMaxConstLen
-	}
 	e := &Engine{opts: opts}
 	e.ctxs = splitByStructure(reps)
 	e.loc = make(map[int]struct {
@@ -193,7 +188,7 @@ func NewEngineCtx(ctx context.Context, reps []Rep, opts Options) *Engine {
 				if c.preDead[i] {
 					continue
 				}
-				countSubstrings(e.globalFreq, r.T, opts.MaxConstLen)
+				countSubstrings(e.globalFreq, r.T, maxConstLen)
 			}
 		}
 	}
@@ -257,10 +252,6 @@ func (e *Engine) preapplyWarm(ctx context.Context) {
 // engine; callers must not mutate it.
 func (e *Engine) WarmGroups() []*Group { return e.warm }
 
-// Skipped returns how many replacements could not be graphed (empty or
-// overlong strings) and were excluded from grouping.
-func (e *Engine) Skipped() int { return int(e.skipped.Load()) }
-
 // graphOptions returns the tgraph options for one context, wiring in the
 // per-structure-group constant scorer when enabled.
 func (e *Engine) graphOptions(c *Context) tgraph.Options {
@@ -271,12 +262,11 @@ func (e *Engine) graphOptions(c *Context) tgraph.Options {
 			if c.preDead[i] {
 				continue
 			}
-			countSubstrings(structFreq, r.T, e.opts.MaxConstLen)
+			countSubstrings(structFreq, r.T, maxConstLen)
 		}
-		maxLen := e.opts.MaxConstLen
 		global := e.globalFreq
 		opt.ConstantScore = func(sub string) float64 {
-			if len(sub) > maxLen {
+			if len(sub) > maxConstLen {
 				return 0
 			}
 			fs := structFreq[sub]
@@ -294,13 +284,11 @@ func (e *Engine) prepare(ctx context.Context, c *Context) {
 	if c.Prepared() {
 		return
 	}
-	before := c.AliveCount()
 	start := time.Now()
 	_, sp := trace.StartSpan(ctx, "graph_build")
 	c.Prepare(e.graphOptions(c))
 	sp.End()
 	e.buildNanos.Add(time.Since(start).Nanoseconds())
-	e.skipped.Add(int64(before - c.AliveCount()))
 }
 
 // searchOpts returns the per-mode pivot search options.

@@ -369,10 +369,18 @@ func TestEngineSkippedReps(t *testing.T) {
 		{S: "", T: "x", Ext: 0},
 		{S: "ab", T: "ba", Ext: 1},
 	}
+	// The empty-s replacement has no graph: it must be left out of
+	// every group while the buildable one is still grouped.
 	e := NewEngine(reps, Options{})
-	_ = e.AllGroups(ModeEarlyTerm)
-	if e.Skipped() != 1 {
-		t.Errorf("Skipped = %d, want 1", e.Skipped())
+	groups := e.AllGroups(ModeEarlyTerm)
+	var got []int
+	for _, g := range groups {
+		for _, m := range g.Members {
+			got = append(got, m.Ext)
+		}
+	}
+	if len(got) != 1 || got[0] != 1 {
+		t.Errorf("grouped exts = %v, want [1]", got)
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"github.com/goldrec/goldrec/internal/tgraph"
 )
 
 // propPool builds a random replacement pool mixing short planted
@@ -33,16 +31,18 @@ func propPool(rng *rand.Rand, n int) []Rep {
 // replacement group — its program is consistent with every member
 // (Definition 3(i)).
 func TestGroupProgramConsistencyInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		reps := propPool(rng, 10+rng.Intn(30))
-		for _, mode := range []Mode{ModeOneShot, ModeEarlyTerm} {
-			e := NewEngine(reps, Options{})
-			for _, g := range e.AllGroups(mode) {
-				for _, m := range g.Members {
-					if !g.Program.Consistent(m.S, m.T) {
-						t.Fatalf("trial %d mode %d: program %v inconsistent with %q→%q",
-							trial, mode, g.Program, m.S, m.T)
+	for _, leg := range optionLegs() {
+		rng := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 10; trial++ {
+			reps := propPool(rng, 10+rng.Intn(30))
+			for _, mode := range []Mode{ModeOneShot, ModeEarlyTerm} {
+				e := NewEngine(reps, leg.opts)
+				for _, g := range e.AllGroups(mode) {
+					for _, m := range g.Members {
+						if !g.Program.Consistent(m.S, m.T) {
+							t.Fatalf("%s trial %d mode %d: program %v inconsistent with %q→%q",
+								leg.name, trial, mode, g.Program, m.S, m.T)
+						}
 					}
 				}
 			}
@@ -50,25 +50,26 @@ func TestGroupProgramConsistencyInvariant(t *testing.T) {
 	}
 }
 
-// TestGroupsPartitionInvariant: AllGroups assigns every groupable
-// replacement to exactly one group.
+// TestGroupsPartitionInvariant: AllGroups assigns every replacement to
+// exactly one group (propPool makes no unbuildable replacement).
 func TestGroupsPartitionInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 10; trial++ {
-		reps := propPool(rng, 10+rng.Intn(40))
-		e := NewEngine(reps, Options{})
-		groups := e.AllGroups(ModeEarlyTerm)
-		seen := make(map[int]bool)
-		for _, g := range groups {
-			for _, m := range g.Members {
-				if seen[m.Ext] {
-					t.Fatalf("trial %d: replacement %d in two groups", trial, m.Ext)
+	for _, leg := range optionLegs() {
+		rng := rand.New(rand.NewSource(6))
+		for trial := 0; trial < 10; trial++ {
+			reps := propPool(rng, 10+rng.Intn(40))
+			e := NewEngine(reps, leg.opts)
+			seen := make(map[int]bool)
+			for _, g := range e.AllGroups(ModeEarlyTerm) {
+				for _, m := range g.Members {
+					if seen[m.Ext] {
+						t.Fatalf("%s trial %d: replacement %d in two groups", leg.name, trial, m.Ext)
+					}
+					seen[m.Ext] = true
 				}
-				seen[m.Ext] = true
 			}
-		}
-		if len(seen)+e.Skipped() != len(reps) {
-			t.Fatalf("trial %d: covered %d + skipped %d of %d", trial, len(seen), e.Skipped(), len(reps))
+			if len(seen) != len(reps) {
+				t.Fatalf("%s trial %d: covered %d of %d", leg.name, trial, len(seen), len(reps))
+			}
 		}
 	}
 }
@@ -76,35 +77,35 @@ func TestGroupsPartitionInvariant(t *testing.T) {
 // TestIncrementalSizeMonotonicityInvariant: Theorem 6.4 — the group
 // stream is non-increasing in size and covers everything once.
 func TestIncrementalSizeMonotonicityInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 10; trial++ {
-		reps := propPool(rng, 10+rng.Intn(40))
-		e := NewEngine(reps, Options{})
-		prev := 1 << 30
-		total := 0
-		seen := make(map[int]bool)
-		for {
-			g := e.NextGroup()
-			if g == nil {
-				break
-			}
-			if g.Size() > prev {
-				t.Fatalf("trial %d: group size %d after %d", trial, g.Size(), prev)
-			}
-			prev = g.Size()
-			total += g.Size()
-			for _, m := range g.Members {
-				if seen[m.Ext] {
-					t.Fatalf("trial %d: replacement %d returned twice", trial, m.Ext)
+	for _, leg := range optionLegs() {
+		rng := rand.New(rand.NewSource(8))
+		for trial := 0; trial < 10; trial++ {
+			reps := propPool(rng, 10+rng.Intn(40))
+			e := NewEngine(reps, leg.opts)
+			prev := 1 << 30
+			seen := make(map[int]bool)
+			for {
+				g := e.NextGroup()
+				if g == nil {
+					break
 				}
-				seen[m.Ext] = true
+				if g.Size() > prev {
+					t.Fatalf("%s trial %d: group size %d after %d", leg.name, trial, g.Size(), prev)
+				}
+				prev = g.Size()
+				for _, m := range g.Members {
+					if seen[m.Ext] {
+						t.Fatalf("%s trial %d: replacement %d returned twice", leg.name, trial, m.Ext)
+					}
+					seen[m.Ext] = true
+				}
+				if !g.Program.Consistent(g.Members[0].S, g.Members[0].T) {
+					t.Fatalf("%s trial %d: inconsistent incremental group", leg.name, trial)
+				}
 			}
-			if !g.Program.Consistent(g.Members[0].S, g.Members[0].T) {
-				t.Fatalf("trial %d: inconsistent incremental group", trial)
+			if len(seen) != len(reps) {
+				t.Fatalf("%s trial %d: covered %d of %d", leg.name, trial, len(seen), len(reps))
 			}
-		}
-		if total+e.Skipped() != len(reps) {
-			t.Fatalf("trial %d: covered %d + skipped %d of %d", trial, total, e.Skipped(), len(reps))
 		}
 	}
 }
@@ -141,41 +142,43 @@ func TestUpperBoundInvariant(t *testing.T) {
 // by a seeded search equals the set of graphs whose pathSupport contains
 // them (self-consistency of the index machinery).
 func TestSupportMatchesMembershipInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		reps := propPool(rng, 10+rng.Intn(25))
-		ctxs := splitByStructure(reps)
-		for _, c := range ctxs {
-			c.Prepare(tgraph.Options{})
-			for gi, g := range c.Graphs {
-				if g == nil {
-					continue
-				}
-				res, ok := c.SearchPivot(g, 0, SearchOpts{LocalTerm: true})
-				if !ok {
-					continue
-				}
-				again := c.pathSupport(res.path)
-				if len(again) != len(res.support) {
-					t.Fatalf("trial %d graph %d: support %v vs recomputed %v",
-						trial, gi, res.support, again)
-				}
-				for i := range again {
-					if again[i] != res.support[i] {
-						t.Fatalf("trial %d graph %d: support %v vs recomputed %v",
-							trial, gi, res.support, again)
+	for _, leg := range optionLegs() {
+		rng := rand.New(rand.NewSource(11))
+		for trial := 0; trial < 10; trial++ {
+			reps := propPool(rng, 10+rng.Intn(25))
+			e := NewEngine(reps, leg.opts)
+			for _, c := range e.ctxs {
+				c.Prepare(e.graphOptions(c))
+				for gi, g := range c.Graphs {
+					if g == nil {
+						continue
 					}
-				}
-				// The searched graph itself is always in its pivot's
-				// support.
-				found := false
-				for _, id := range res.support {
-					if id == int32(gi) {
-						found = true
+					res, ok := c.SearchPivot(g, 0, SearchOpts{LocalTerm: true})
+					if !ok {
+						continue
 					}
-				}
-				if !found {
-					t.Fatalf("trial %d: graph %d missing from own pivot support", trial, gi)
+					again := c.pathSupport(res.path)
+					if len(again) != len(res.support) {
+						t.Fatalf("%s trial %d graph %d: support %v vs recomputed %v",
+							leg.name, trial, gi, res.support, again)
+					}
+					for i := range again {
+						if again[i] != res.support[i] {
+							t.Fatalf("%s trial %d graph %d: support %v vs recomputed %v",
+								leg.name, trial, gi, res.support, again)
+						}
+					}
+					// The searched graph itself is always in its pivot's
+					// support.
+					found := false
+					for _, id := range res.support {
+						if id == int32(gi) {
+							found = true
+						}
+					}
+					if !found {
+						t.Fatalf("%s trial %d: graph %d missing from own pivot support", leg.name, trial, gi)
+					}
 				}
 			}
 		}

@@ -44,9 +44,9 @@ func TestCountSubstringsMatchesNaive(t *testing.T) {
 func TestCountSubstringsASCIIAllocs(t *testing.T) {
 	const s = "Smith, James A. 42nd"
 	m := map[string]int{}
-	countSubstrings(m, s, defaultMaxConstLen) // size the map
+	countSubstrings(m, s, maxConstLen) // size the map
 	allocs := testing.AllocsPerRun(100, func() {
-		countSubstrings(m, s, defaultMaxConstLen)
+		countSubstrings(m, s, maxConstLen)
 	})
 	if allocs != 0 {
 		t.Errorf("ASCII countSubstrings allocated %.1f per run, want 0", allocs)
@@ -60,7 +60,7 @@ func TestCountSubstringsASCIIAllocs(t *testing.T) {
 func TestCountSubstringsUnicodeScratchPooled(t *testing.T) {
 	const s = "Müller, Ænna 42nd"
 	m := map[string]int{}
-	countSubstrings(m, s, defaultMaxConstLen)
+	countSubstrings(m, s, maxConstLen)
 	// One key-string allocation per counted substring (duplicates
 	// included) is inherent to map[string]int with rune-sliced keys;
 	// the gate is that nothing else — in particular the per-call
@@ -69,13 +69,13 @@ func TestCountSubstringsUnicodeScratchPooled(t *testing.T) {
 	counted := 0
 	for i := 0; i < n; i++ {
 		c := n - i
-		if c > defaultMaxConstLen {
-			c = defaultMaxConstLen
+		if c > maxConstLen {
+			c = maxConstLen
 		}
 		counted += c
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		countSubstrings(m, s, defaultMaxConstLen)
+		countSubstrings(m, s, maxConstLen)
 	})
 	if int(allocs) > counted {
 		t.Errorf("unicode countSubstrings allocated %.1f per run, want <= %d (key strings only)", allocs, counted)
@@ -90,11 +90,11 @@ func BenchmarkCountSubstrings(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("%s/len=%d", tc.name, len(tc.s)), func(b *testing.B) {
 			m := map[string]int{}
-			countSubstrings(m, tc.s, defaultMaxConstLen)
+			countSubstrings(m, tc.s, maxConstLen)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				countSubstrings(m, tc.s, defaultMaxConstLen)
+				countSubstrings(m, tc.s, maxConstLen)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/goldrec/goldrec/internal/dsl"
@@ -127,40 +126,5 @@ func TestWarmWithConstantScoring(t *testing.T) {
 	}
 	if total != len(reps)-2 {
 		t.Fatalf("searched %d replacements, want %d", total, len(reps)-2)
-	}
-}
-
-// TestSkippedConcurrentWithAllGroups is the regression test for the
-// prepare/AllGroups skipped-count race: Skipped must be readable from
-// another goroutine while the group search is publishing
-// unbuildable-replacement counts. Run under -race this fails on a plain
-// int counter.
-func TestSkippedConcurrentWithAllGroups(t *testing.T) {
-	var reps []Rep
-	for i := 0; i < 16; i++ {
-		reps = append(reps, Rep{S: "", T: "x", Ext: i*3 + 0})
-		reps = append(reps, Rep{S: "ab", T: "ba", Ext: i*3 + 1})
-		reps = append(reps, Rep{S: "Mary Lee", T: "M. Lee", Ext: i*3 + 2})
-	}
-	e := NewEngine(reps, Options{})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = e.Skipped()
-			}
-		}
-	}()
-	_ = e.AllGroups(ModeEarlyTerm)
-	close(stop)
-	wg.Wait()
-	if e.Skipped() != 16 {
-		t.Errorf("Skipped = %d, want 16", e.Skipped())
 	}
 }

@@ -135,7 +135,6 @@ func (p *parser) parseFunc() (Func, error) {
 //
 //	K<int>               ConstPos
 //	M<sig><int>B|E       MatchPos
-//	L<quoted><int>B|E    StrMatchPos
 func (p *parser) parsePos() (Pos, error) {
 	if p.done() {
 		return nil, p.errf("expected a position function")
@@ -159,20 +158,6 @@ func (p *parser) parsePos() (Pos, error) {
 			return nil, err
 		}
 		return MatchPos{Term: t, K: k, Dir: d}, nil
-	case 'L':
-		s, err := p.parseQuoted()
-		if err != nil {
-			return nil, err
-		}
-		k, err := p.parseInt()
-		if err != nil {
-			return nil, err
-		}
-		d, err := p.parseDir()
-		if err != nil {
-			return nil, err
-		}
-		return StrMatchPos{Str: s, K: k, Dir: d}, nil
 	}
 	p.i--
 	return nil, p.errf("unknown position code %q", string(c))

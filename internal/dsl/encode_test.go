@@ -20,7 +20,7 @@ func samplePrograms() []Program {
 			R: MatchPos{Term: TermDigit, K: -3, Dir: DirEnd},
 		}},
 		{SubStr{
-			L: StrMatchPos{Str: `("`, K: -1, Dir: DirEnd},
+			L: MatchPos{Term: TermPunct, K: -1, Dir: DirEnd},
 			R: ConstPos{K: 5},
 		}},
 		{Prefix{Term: TermLower, K: 1}},
@@ -63,7 +63,6 @@ func TestParseCanonicalizes(t *testing.T) {
 		`g1:S(K01,K-02)`:         `g1:S(K1,K-2)`,
 		`g1:C"\x41"`:             `g1:C"A"`,
 		`g1:PC-0`:                `g1:PC0`,
-		`g1:S(L"a"1B,K-1)`:       `g1:S(L"a"1B,K-1)`,
 		`g1:Fb2|C"x"|S(K1,MC1E)`: `g1:Fb2|C"x"|S(K1,MC1E)`,
 	}
 	for in, want := range cases {
@@ -88,6 +87,7 @@ func TestParseRejects(t *testing.T) {
 		`g1:S(K1K2)`,                // missing comma
 		`g1:S(K1,K2`,                // missing close paren
 		`g1:S(K1,X2)`,               // unknown position code
+		`g1:S(L"a"1B,K-1)`,          // literal-string position: not a g1 form
 		`g1:Pz1`,                    // unknown term signature
 		`g1:MC1B`,                   // position where a function is expected
 		`g1:PC`,                     // missing integer

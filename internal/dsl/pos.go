@@ -109,53 +109,6 @@ func (p MatchPos) String() string {
 	return "MatchPos(" + p.Term.String() + "," + strconv.Itoa(p.K) + "," + p.Dir.String() + ")"
 }
 
-// StrMatchPos is the constant-string-term variant of MatchPos noted in
-// Appendix B: the term matches exactly the literal string Str. It is kept
-// behind an option in the graph builder (see tgraph.Options).
-type StrMatchPos struct {
-	Str string
-	K   int
-	Dir Dir
-}
-
-// Eval implements Pos.
-func (p StrMatchPos) Eval(s []rune) (int, bool) {
-	matches := LiteralMatches(s, []rune(p.Str))
-	m := len(matches)
-	idx := 0
-	switch {
-	case p.K > 0 && p.K <= m:
-		idx = p.K - 1
-	case p.K < 0 && -p.K <= m:
-		idx = m + p.K
-	default:
-		return 0, false
-	}
-	if p.Dir == DirBegin {
-		return matches[idx].Beg, true
-	}
-	return matches[idx].End, true
-}
-
-// LiteralMatches returns the left-to-right, non-overlapping occurrences
-// of pat in s as 1-based spans. It defines the occurrence numbering that
-// constant-string terms use in MatchPos.
-func LiteralMatches(s, pat []rune) []Span {
-	if len(pat) == 0 {
-		return nil
-	}
-	var out []Span
-	for i := 0; i+len(pat) <= len(s); {
-		if runesEqual(s[i:i+len(pat)], pat) {
-			out = append(out, Span{Beg: i + 1, End: i + 1 + len(pat)})
-			i += len(pat)
-		} else {
-			i++
-		}
-	}
-	return out
-}
-
 func runesEqual(a, b []rune) bool {
 	if len(a) != len(b) {
 		return false
@@ -166,23 +119,6 @@ func runesEqual(a, b []rune) bool {
 		}
 	}
 	return true
-}
-
-// AppendKey implements Pos.
-func (p StrMatchPos) AppendKey(b []byte) []byte {
-	b = append(b, 'L')
-	b = strconv.AppendQuote(b, p.Str)
-	b = strconv.AppendInt(b, int64(p.K), 10)
-	if p.Dir == DirBegin {
-		b = append(b, 'B')
-	} else {
-		b = append(b, 'E')
-	}
-	return b
-}
-
-func (p StrMatchPos) String() string {
-	return "MatchPos(" + strconv.Quote(p.Str) + "," + strconv.Itoa(p.K) + "," + p.Dir.String() + ")"
 }
 
 // PosKey returns the canonical key of a position function as a string.

@@ -110,26 +110,6 @@ func TestMatchPosForwardBackwardEquivalence(t *testing.T) {
 	}
 }
 
-func TestStrMatchPos(t *testing.T) {
-	s := []rune("ab, cd, ef")
-	// ", " occurs at [3,5) and [7,9).
-	if got, ok := (StrMatchPos{", ", 1, DirBegin}).Eval(s); !ok || got != 3 {
-		t.Errorf("StrMatchPos(\", \",1,B) = %d,%v want 3,true", got, ok)
-	}
-	if got, ok := (StrMatchPos{", ", 2, DirEnd}).Eval(s); !ok || got != 9 {
-		t.Errorf("StrMatchPos(\", \",2,E) = %d,%v want 9,true", got, ok)
-	}
-	if got, ok := (StrMatchPos{", ", -1, DirBegin}).Eval(s); !ok || got != 7 {
-		t.Errorf("StrMatchPos(\", \",-1,B) = %d,%v want 7,true", got, ok)
-	}
-	if _, ok := (StrMatchPos{"zz", 1, DirBegin}).Eval(s); ok {
-		t.Error("StrMatchPos(\"zz\") should not match")
-	}
-	if _, ok := (StrMatchPos{"", 1, DirBegin}).Eval(s); ok {
-		t.Error("StrMatchPos(\"\") should not match")
-	}
-}
-
 func TestPosKeysUnique(t *testing.T) {
 	ps := []Pos{
 		ConstPos{1}, ConstPos{-1}, ConstPos{2},
@@ -137,8 +117,6 @@ func TestPosKeysUnique(t *testing.T) {
 		MatchPos{TermCapital, 1, DirEnd},
 		MatchPos{TermCapital, -1, DirBegin},
 		MatchPos{TermLower, 1, DirBegin},
-		StrMatchPos{"a", 1, DirBegin},
-		StrMatchPos{"a", 1, DirEnd},
 	}
 	seen := make(map[string]Pos)
 	for _, p := range ps {

@@ -6,8 +6,7 @@
 //
 // Like the paper's human, the oracle approves a group when "most or all"
 // member pairs are true variants (the threshold is configurable; the
-// method is robust to small error rates) and is not required to inspect
-// every pair of very large groups.
+// method is robust to small error rates). It inspects every member pair.
 package oracle
 
 import (
@@ -36,9 +35,6 @@ type Options struct {
 	// ApproveThreshold is the minimum variant fraction for approval
 	// (default 0.5).
 	ApproveThreshold float64
-	// MaxInspect caps how many member pairs are inspected per group
-	// (0 = all): the human browses, not audits.
-	MaxInspect int
 	// ErrorRate flips each group decision with this probability — the
 	// imperfect-human robustness experiment the paper reports ("our
 	// method is robust to small numbers of errors").
@@ -114,31 +110,27 @@ func (o *Oracle) PairIsVariant(c *replace.Candidate) bool {
 // VerifyGroup inspects a group's member candidates and returns the
 // decision. It records the approve/reject tally.
 func (o *Oracle) VerifyGroup(members []*replace.Candidate) Decision {
-	inspect := members
-	if o.opts.MaxInspect > 0 && len(inspect) > o.opts.MaxInspect {
-		inspect = inspect[:o.opts.MaxInspect]
-	}
 	variants := 0
-	for _, c := range inspect {
+	for _, c := range members {
 		if o.PairIsVariant(c) {
 			variants++
 		}
 	}
 	frac := 0.0
-	if len(inspect) > 0 {
-		frac = float64(variants) / float64(len(inspect))
+	if len(members) > 0 {
+		frac = float64(variants) / float64(len(members))
 	}
 	d := Decision{VariantFrac: frac}
 	if frac >= o.opts.ApproveThreshold && variants > 0 {
 		d.Approved = true
-		d.Invert = o.preferInvert(inspect)
+		d.Invert = o.preferInvert(members)
 	}
 	if o.rng != nil && o.rng.Float64() < o.opts.ErrorRate {
 		d.Approved = !d.Approved
 		o.Flipped++
 		if d.Approved {
 			// A mistakenly approved group still gets a direction.
-			d.Invert = o.preferInvert(inspect)
+			d.Invert = o.preferInvert(members)
 		}
 	}
 	if d.Approved {

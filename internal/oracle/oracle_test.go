@@ -132,20 +132,6 @@ func TestVerifyGroupThreshold(t *testing.T) {
 	}
 }
 
-func TestMaxInspect(t *testing.T) {
-	ds, tr := fixture()
-	st := replace.NewStore(ds, 0, replace.Options{})
-	o := New(ds, tr, 0, Options{MaxInspect: 1})
-	// Only the first member is inspected.
-	d := o.VerifyGroup([]*replace.Candidate{
-		st.Lookup(replace.Pair{LHS: "9 St", RHS: "9th St"}), // variant
-		st.Lookup(replace.Pair{LHS: "9 St", RHS: "5 Ave"}),  // conflict, uninspected
-	})
-	if !d.Approved || d.VariantFrac != 1 {
-		t.Fatalf("decision = %+v, want approval from the inspected prefix", d)
-	}
-}
-
 func TestEmptyGroupRejected(t *testing.T) {
 	ds, tr := fixture()
 	o := New(ds, tr, 0, Options{})

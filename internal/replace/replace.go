@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"github.com/goldrec/goldrec/internal/align"
+	"github.com/goldrec/goldrec/internal/tgraph"
 	"github.com/goldrec/goldrec/table"
 )
 
@@ -51,20 +52,13 @@ type Options struct {
 	// TokenLevel adds the fine-grained LCS-aligned candidates of
 	// Appendix A.
 	TokenLevel bool
-	// MaxValuesPerCluster caps the distinct values considered per
-	// cluster (0 = 64). Pair enumeration is quadratic, so pathological
-	// clusters are truncated; the paper's datasets have small distinct
-	// value counts per cluster.
-	MaxValuesPerCluster int
-	// MaxValueLen skips values longer than this many runes (0 = 120,
-	// matching the graph builder's default).
-	MaxValueLen int
 }
 
-const (
-	defaultMaxValuesPerCluster = 64
-	defaultMaxValueLen         = 120
-)
+// maxValuesPerCluster caps the distinct values considered per cluster.
+// Pair enumeration is quadratic, so pathological clusters are
+// truncated; the paper's datasets have small distinct value counts per
+// cluster.
+const maxValuesPerCluster = 64
 
 // Store owns the candidates of one column of a dataset and keeps their
 // replacement sets consistent with the (mutable) cell values.
@@ -81,14 +75,10 @@ type Store struct {
 }
 
 // NewStore enumerates the candidate replacements of the column and builds
-// their replacement sets.
+// their replacement sets. Empty values and values longer than
+// tgraph.MaxStringLen runes yield no candidates: the graph builder
+// could not graph them.
 func NewStore(ds *table.Dataset, col int, opts Options) *Store {
-	if opts.MaxValuesPerCluster <= 0 {
-		opts.MaxValuesPerCluster = defaultMaxValuesPerCluster
-	}
-	if opts.MaxValueLen <= 0 {
-		opts.MaxValueLen = defaultMaxValueLen
-	}
 	st := &Store{
 		ds:           ds,
 		col:          col,
@@ -160,7 +150,7 @@ func (st *Store) generateCluster(ci int) {
 	var vals []valRows
 	for ri, r := range cl.Records {
 		v := r.Values[st.col]
-		if v == "" || len([]rune(v)) > st.opts.MaxValueLen {
+		if v == "" || len([]rune(v)) > tgraph.MaxStringLen {
 			continue
 		}
 		if i, ok := byVal[v]; ok {
@@ -170,8 +160,8 @@ func (st *Store) generateCluster(ci int) {
 		byVal[v] = len(vals)
 		vals = append(vals, valRows{val: v, rows: []int{ri}})
 	}
-	if len(vals) > st.opts.MaxValuesPerCluster {
-		vals = vals[:st.opts.MaxValuesPerCluster]
+	if len(vals) > maxValuesPerCluster {
+		vals = vals[:maxValuesPerCluster]
 	}
 	for a := 0; a < len(vals); a++ {
 		for b := 0; b < len(vals); b++ {

@@ -1,8 +1,11 @@
 package replace
 
 import (
+	"strings"
 	"testing"
+	"unicode/utf8"
 
+	"github.com/goldrec/goldrec/internal/tgraph"
 	"github.com/goldrec/goldrec/table"
 )
 
@@ -194,6 +197,30 @@ func TestEmptyValuesSkipped(t *testing.T) {
 	st := NewStore(ds, 0, Options{})
 	if n := len(st.Candidates()); n != 0 {
 		t.Fatalf("candidates = %d, want 0 (empty values skipped)", n)
+	}
+}
+
+// TestValueLengthLimit: a value of exactly tgraph.MaxStringLen runes
+// yields candidates, one rune more yields none. é is two bytes, so a
+// byte count would reject both.
+func TestValueLengthLimit(t *testing.T) {
+	atMax := strings.Repeat("é", tgraph.MaxStringLen)
+	for _, tc := range []struct {
+		v    string
+		want int
+	}{{atMax, 2}, {atMax + "é", 0}} {
+		ds := &table.Dataset{
+			Attrs: []string{"A"},
+			Clusters: []table.Cluster{{Records: []table.Record{
+				{Values: []string{tc.v}},
+				{Values: []string{"x"}},
+			}}},
+		}
+		st := NewStore(ds, 0, Options{})
+		if n := len(st.Candidates()); n != tc.want {
+			t.Errorf("%d-rune value: candidates = %d, want %d",
+				utf8.RuneCountInString(tc.v), n, tc.want)
+		}
 	}
 }
 

@@ -21,9 +21,9 @@ import (
 // Accept: text/event-stream on .../groups turns the long poll into a
 // push stream fed by the session's rev counter.
 
-// defaultSSEHeartbeat is the comment-ping cadence keeping idle SSE
+// sseHeartbeat is the comment-ping cadence keeping idle SSE
 // connections alive through proxies that reap silent ones.
-const defaultSSEHeartbeat = 15 * time.Second
+const sseHeartbeat = 15 * time.Second
 
 // defaultEventsLimit bounds a catch-up GET /v1/events page when the
 // client names no limit; maxEventsLimit caps an explicit one.
@@ -174,7 +174,7 @@ func (s *Service) serveEventsSSE(w http.ResponseWriter, r *http.Request, stream 
 	}
 	flusher.Flush()
 
-	hb := s.clock.NewTicker(s.sseHeartbeat())
+	hb := s.clock.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 	for {
 		select {
@@ -239,13 +239,6 @@ func writeSSEEvent(w io.Writer, e events.Event) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data)
 }
 
-func (s *Service) sseHeartbeat() time.Duration {
-	if s.opts.SSEHeartbeat > 0 {
-		return s.opts.SSEHeartbeat
-	}
-	return defaultSSEHeartbeat
-}
-
 // serveGroupsSSE is the push variant of the groups long poll: one
 // "groups" event per observable session change (new group buffered,
 // decision freeing a slot, status flip), driven by the session's rev
@@ -267,7 +260,7 @@ func (s *Service) serveGroupsSSE(w http.ResponseWriter, r *http.Request, sc Scop
 		return
 	}
 	sseHeaders(w)
-	hb := s.clock.NewTicker(s.sseHeartbeat())
+	hb := s.clock.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 	for {
 		if done := writeGroupsSSEPage(w, page); done {

@@ -170,10 +170,6 @@ type Options struct {
 	// and commit); surfaced on /healthz and in the startup log.
 	BuildInfo BuildInfo
 
-	// SSEHeartbeat is how often an idle SSE stream writes a heartbeat
-	// comment so intermediaries keep the connection open (0 = 15s).
-	SSEHeartbeat time.Duration
-
 	// clock substitutes time in tests (nil = wall clock).
 	clock Clock
 }

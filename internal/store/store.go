@@ -76,8 +76,13 @@ type WALOp string
 
 const (
 	// OpIssue records that NextGroup handed out one more group. Issue
-	// records carry the sequential group id they produced, purely as a
-	// replay cross-check.
+	// records carry the group id, which is the group's issue index
+	// (goldrec's Session.issue assigns it), so replay's id check only
+	// catches an issue record missing or out of sequence in the log,
+	// never a regenerated group that differs from the one first
+	// issued. Replay trusts the engine to issue the same groups in the
+	// same order; the root package's TestGroupSequenceDigest guards
+	// that determinism.
 	OpIssue WALOp = "issue"
 	// OpDecide records a reviewer verdict on an issued group.
 	OpDecide WALOp = "decide"

@@ -67,25 +67,14 @@ func (g *Graph) Stats() Stats {
 	return Stats{Nodes: g.N, Edges: g.NumEdges(), Labels: g.NumLabels()}
 }
 
-// Options control graph construction. The zero value is a conservative
-// default: affix labels on, punctuation term on, no constant-string
-// position terms, no constant scoring (keep all constants), max string
-// length 120.
+// Options control graph construction. The zero value is the unpruned
+// label space: affix labels on, every SubStr label of an edge kept, no
+// constant scoring (every constant kept).
 type Options struct {
 	// NoAffix disables the Prefix/Suffix labels of Appendix D
 	// (NoAffix rather than Affix so the zero value matches the paper's
 	// full system).
 	NoAffix bool
-	// StrMatchPos additionally uses whitespace-delimited literal runs
-	// of s as constant-string terms in MatchPos (Appendix B allows
-	// arbitrary constant string terms; tokens are the useful subset).
-	StrMatchPos bool
-	// MaxStringLen bounds |s| and |t|; longer replacements are
-	// rejected by Build (0 means the default of 120).
-	MaxStringLen int
-	// MaxPosFuncs caps the number of position functions kept per
-	// position after the static order (0 means keep all).
-	MaxPosFuncs int
 	// MinimalSubStr enables the Appendix E static order on string
 	// functions: among the SubStr labels of one edge (which all
 	// produce the same substring), only the smallest canonical key is
@@ -99,12 +88,16 @@ type Options struct {
 	ConstantScore func(sub string) float64
 }
 
-const defaultMaxStringLen = 120
+// MaxStringLen bounds |s| and |t| in runes: Build rejects longer
+// replacements, and replace.NewStore makes no candidates from longer
+// values.
+const MaxStringLen = 120
 
 // Build constructs the transformation graph for s→t (Appendix C),
 // interning its labels into reg. It returns nil when either string is
-// empty or exceeds Options.MaxStringLen — such replacements are skipped
-// by the engine rather than failing the whole run.
+// empty or exceeds MaxStringLen runes. That is Build's own input guard:
+// replace.NewStore already drops such values before they become
+// candidates.
 //
 // Labels are interned in a fixed order — SubStr labels by edge (i,j),
 // then ConstantStr labels by edge, then affix labels — so building the
@@ -161,18 +154,14 @@ type labelOcc struct {
 func (b *builder) build(s, t string, reg *Registry, opt Options) *Graph {
 	b.rs, b.rt = appendRunes(b.rs[:0], s), appendRunes(b.rt[:0], t)
 	rs, rt := b.rs, b.rt
-	maxLen := opt.MaxStringLen
-	if maxLen == 0 {
-		maxLen = defaultMaxStringLen
-	}
-	if len(rs) == 0 || len(rt) == 0 || len(rs) > maxLen || len(rt) > maxLen {
+	if len(rs) == 0 || len(rt) == 0 || len(rs) > MaxStringLen || len(rt) > MaxStringLen {
 		return nil
 	}
 	n, m := len(rs), len(rt)
 	w := n + 1
 
 	matches := dsl.AllMatches(rs)
-	pos := positionLists(rs, matches, opt)
+	pos := positionLists(len(rs), matches)
 
 	b.lce = zeroed(b.lce, (m+1)*w)
 	for i := m - 1; i >= 0; i-- {
@@ -446,13 +435,12 @@ func appendRunes(dst []rune, s string) []rune {
 	return dst
 }
 
-// positionLists computes P[x] for every position x of s (Appendix C)
-// under the Appendix E static partial order: all regex-term MatchPos
-// functions (forward and backward k, begin and end) are kept; ConstPos is
-// the narrowest class and is added only for positions no MatchPos
-// expresses; literal token terms are optional.
-func positionLists(rs []rune, matches [dsl.NumTerms][]dsl.Span, opt Options) [][]dsl.Pos {
-	n := len(rs)
+// positionLists computes P[x] for every position x of an n-rune s
+// (Appendix C) under the Appendix E static partial order: all regex-term
+// MatchPos functions (forward and backward k, begin and end) are kept;
+// ConstPos is the narrowest class and is added only for positions no
+// MatchPos expresses.
+func positionLists(n int, matches [dsl.NumTerms][]dsl.Span) [][]dsl.Pos {
 	pos := make([][]dsl.Pos, n+2)
 	add := func(x int, p dsl.Pos) {
 		pos[x] = append(pos[x], p)
@@ -467,51 +455,12 @@ func positionLists(rs []rune, matches [dsl.NumTerms][]dsl.Span, opt Options) [][
 			add(sp.End, dsl.MatchPos{Term: term, K: k - mT, Dir: dsl.DirEnd})
 		}
 	}
-	if opt.StrMatchPos {
-		// Literal token terms: maximal non-space runs of s. Positions
-		// use the same left-to-right non-overlapping occurrence
-		// numbering as dsl.StrMatchPos.Eval, so builder and evaluator
-		// agree even when a token also occurs inside another token.
-		seen := make(map[string]bool)
-		i := 0
-		for i < n {
-			if dsl.TermSpace.MatchRune(rs[i]) {
-				i++
-				continue
-			}
-			j := i
-			for j < n && !dsl.TermSpace.MatchRune(rs[j]) {
-				j++
-			}
-			lit := string(rs[i:j])
-			i = j
-			if seen[lit] {
-				continue
-			}
-			seen[lit] = true
-			occ := dsl.LiteralMatches(rs, []rune(lit))
-			mT := len(occ)
-			for k, sp := range occ {
-				add(sp.Beg, dsl.StrMatchPos{Str: lit, K: k + 1, Dir: dsl.DirBegin})
-				add(sp.Beg, dsl.StrMatchPos{Str: lit, K: k - mT, Dir: dsl.DirBegin})
-				add(sp.End, dsl.StrMatchPos{Str: lit, K: k + 1, Dir: dsl.DirEnd})
-				add(sp.End, dsl.StrMatchPos{Str: lit, K: k - mT, Dir: dsl.DirEnd})
-			}
-		}
-	}
 	// ConstPos fallback for positions without any match-based function.
 	for x := 1; x <= n+1; x++ {
 		if len(pos[x]) == 0 {
 			pos[x] = append(pos[x],
 				dsl.ConstPos{K: x},
 				dsl.ConstPos{K: x - n - 2})
-		}
-	}
-	if opt.MaxPosFuncs > 0 {
-		for x := 1; x <= n+1; x++ {
-			if len(pos[x]) > opt.MaxPosFuncs {
-				pos[x] = pos[x][:opt.MaxPosFuncs]
-			}
 		}
 	}
 	return pos

@@ -2,6 +2,7 @@ package tgraph
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/goldrec/goldrec/internal/dsl"
@@ -102,15 +103,20 @@ func TestBuildRejectsDegenerate(t *testing.T) {
 	if g := Build("x", "", reg, Options{}); g != nil {
 		t.Error("empty t should be rejected")
 	}
-	long := make([]rune, 200)
-	for i := range long {
-		long[i] = 'a'
+	// The limit counts runes, not bytes: é is two bytes in UTF-8.
+	atMax := strings.Repeat("é", MaxStringLen)
+	over := atMax + "é"
+	if g := Build(atMax, "x", reg, Options{}); g == nil {
+		t.Error("s of MaxStringLen runes should be accepted")
 	}
-	if g := Build(string(long), "x", reg, Options{}); g != nil {
-		t.Error("overlong s should be rejected")
+	if g := Build("x", atMax, reg, Options{}); g == nil {
+		t.Error("t of MaxStringLen runes should be accepted")
 	}
-	if g := Build(string(long), "x", reg, Options{MaxStringLen: 300}); g == nil {
-		t.Error("MaxStringLen should lift the cap")
+	if g := Build(over, "x", reg, Options{}); g != nil {
+		t.Error("s of MaxStringLen+1 runes should be rejected")
+	}
+	if g := Build("x", over, reg, Options{}); g != nil {
+		t.Error("t of MaxStringLen+1 runes should be rejected")
 	}
 }
 
@@ -197,7 +203,7 @@ func TestGraphPathsAreConsistentPrograms(t *testing.T) {
 		s := randStr(rng.Intn(10) + 1)
 		tt := randStr(rng.Intn(8) + 1)
 		reg := NewRegistry()
-		g := Build(s, tt, reg, Options{StrMatchPos: trial%3 == 0})
+		g := Build(s, tt, reg, Options{MinimalSubStr: trial%3 == 0})
 		if g == nil {
 			t.Fatalf("Build(%q,%q) = nil", s, tt)
 		}
@@ -302,18 +308,5 @@ func TestCrossGraphLabelSharing(t *testing.T) {
 	}
 	if !contains(g2, 4, 9, f1) {
 		t.Error("g2 e4,9 should contain f1")
-	}
-}
-
-func TestStrMatchPosPositions(t *testing.T) {
-	// With StrMatchPos enabled, token literals become position terms.
-	reg := NewRegistry()
-	g := Build("foo bar", "bar", reg, Options{StrMatchPos: true})
-	want := dsl.SubStr{
-		L: dsl.StrMatchPos{Str: "bar", K: 1, Dir: dsl.DirBegin},
-		R: dsl.StrMatchPos{Str: "bar", K: 1, Dir: dsl.DirEnd},
-	}
-	if !hasLabel(t, g, reg, 1, 4, want) {
-		t.Error("e1,4 should carry SubStr over literal token positions")
 	}
 }

@@ -24,7 +24,6 @@ func TestEdgeLabelInvariant(t *testing.T) {
 		opt := Options{
 			NoAffix:       trial%4 == 1,
 			MinimalSubStr: trial%3 == 0,
-			StrMatchPos:   trial%5 == 0,
 		}
 		reg := NewRegistry()
 		g := Build(s, tt, reg, opt)
