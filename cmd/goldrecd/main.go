@@ -101,7 +101,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		dataDir      = fs.String("data-dir", "", "persist datasets and decision logs here and recover them on boot (empty = memory only)")
 		maxUpload    = fs.Int64("max-upload-bytes", 0, "maximum dataset upload body size in bytes (0 = unlimited)")
 		noSync       = fs.Bool("no-sync", false, "skip fsync on decision-log appends (faster; a host crash may lose the latest decisions)")
-		walWindow    = fs.Duration("wal-group-window", 0, "extra delay each WAL group-commit flush waits to batch more appends under one fsync (0 = flush as soon as the disk is free; ignored with -no-sync)")
 		shards       = fs.Int("shards", 0, "registry lock shards; datasets and sessions on distinct shards never contend (0 = GOMAXPROCS)")
 		auth         = fs.Bool("auth", false, "require API-key authentication and enforce per-tenant isolation, quotas and rate limits (needs -admin-key-file)")
 		adminKeyFile = fs.String("admin-key-file", "", "file holding the bootstrap admin API key for the /v1/tenants admin API (required with -auth)")
@@ -150,12 +149,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	case *traceSlow <= 0:
 		fs.Usage()
 		return fmt.Errorf("%w: -trace-slow must be > 0", errUsage)
-	case *walWindow < 0:
-		fs.Usage()
-		return fmt.Errorf("%w: -wal-group-window must be >= 0 (0 = opportunistic batching only)", errUsage)
-	case *walWindow > 0 && *dataDir == "":
-		fs.Usage()
-		return fmt.Errorf("%w: -wal-group-window requires -data-dir", errUsage)
 	case *eventsRet < 0:
 		fs.Usage()
 		return fmt.Errorf("%w: -events-retention must be >= 0 (0 = keep forever)", errUsage)
@@ -206,7 +199,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 		if fi, err := os.Stat(*dataDir); err == nil && !fi.IsDir() {
 			return fmt.Errorf("-data-dir %q is not a directory", *dataDir)
 		}
-		fsStore, err := store.OpenFS(*dataDir, store.FSOptions{NoSync: *noSync, GroupWindow: *walWindow, Metrics: reg})
+		fsStore, err := store.OpenFS(*dataDir, store.FSOptions{NoSync: *noSync, Metrics: reg})
 		if err != nil {
 			return fmt.Errorf("opening -data-dir: %w", err)
 		}

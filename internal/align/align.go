@@ -118,59 +118,3 @@ func min3(a, b, c int) int {
 	}
 	return a
 }
-
-// EditGaps aligns two rune strings with a Levenshtein edit script and
-// returns the maximal runs of non-matching characters as Gaps over rune
-// indexes. It is the character-level alignment alternative mentioned at
-// the end of Appendix A (Wang et al. [41] work at the character level).
-func EditGaps(a, b []rune) []Gap {
-	n, m := len(a), len(b)
-	// dp[i][j] = edit distance between a[i:] and b[j:], so the
-	// traceback below runs forward and prefers matches.
-	dp := make([][]int, n+1)
-	for i := range dp {
-		dp[i] = make([]int, m+1)
-	}
-	for i := n; i >= 0; i-- {
-		for j := m; j >= 0; j-- {
-			switch {
-			case i == n:
-				dp[i][j] = m - j
-			case j == m:
-				dp[i][j] = n - i
-			case a[i] == b[j]:
-				dp[i][j] = dp[i+1][j+1]
-			default:
-				dp[i][j] = 1 + min3(dp[i+1][j+1], dp[i+1][j], dp[i][j+1])
-			}
-		}
-	}
-	var out []Gap
-	pa, pb := 0, 0
-	i, j := 0, 0
-	emit := func(ae, be int) {
-		if pa < ae || pb < be {
-			out = append(out, Gap{ABeg: pa, AEnd: ae, BBeg: pb, BEnd: be})
-		}
-	}
-	for i < n && j < m {
-		if a[i] == b[j] && dp[i][j] == dp[i+1][j+1] {
-			emit(i, j)
-			i++
-			j++
-			pa, pb = i, j
-			continue
-		}
-		switch {
-		case dp[i][j] == 1+dp[i+1][j+1]:
-			i++
-			j++
-		case dp[i][j] == 1+dp[i+1][j]:
-			i++
-		default:
-			j++
-		}
-	}
-	emit(n, m)
-	return out
-}

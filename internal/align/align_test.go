@@ -159,49 +159,3 @@ func TestDamerauLevenshteinProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEditGaps(t *testing.T) {
-	gaps := EditGaps([]rune("9 St"), []rune("9th St"))
-	// One gap: "" vs "th" right after the 9.
-	if len(gaps) != 1 {
-		t.Fatalf("gaps = %v", gaps)
-	}
-	g := gaps[0]
-	if g.ABeg != g.AEnd {
-		t.Errorf("want pure insertion on A side, got %+v", g)
-	}
-	if got := string([]rune("9th St")[g.BBeg:g.BEnd]); got != "th" {
-		t.Errorf("inserted = %q, want \"th\"", got)
-	}
-}
-
-func TestEditGapsCoverAllDifferences(t *testing.T) {
-	// Replacing every gap on the A side with the B side must
-	// reconstruct B.
-	f := func(seed int64, na, nb uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		alphabet := []rune("ab ")
-		a := make([]rune, int(na%15))
-		b := make([]rune, int(nb%15))
-		for i := range a {
-			a[i] = alphabet[r.Intn(len(alphabet))]
-		}
-		for i := range b {
-			b[i] = alphabet[r.Intn(len(alphabet))]
-		}
-		gaps := EditGaps(a, b)
-		var rebuilt []rune
-		pa, pb := 0, 0
-		for _, g := range gaps {
-			rebuilt = append(rebuilt, a[pa:g.ABeg]...)
-			rebuilt = append(rebuilt, b[g.BBeg:g.BEnd]...)
-			pa, pb = g.AEnd, g.BEnd
-		}
-		rebuilt = append(rebuilt, a[pa:]...)
-		_ = pb
-		return string(rebuilt) == string(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

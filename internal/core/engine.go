@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
@@ -62,9 +61,9 @@ type WarmPrior struct {
 	Rejections int
 }
 
-// maxConstLen caps the substring length tracked by the constant-scoring
-// frequency maps; longer substrings score zero and are pruned (the
-// whole-string constant is always kept by the builder).
+// maxConstLen caps, in bytes, the substring length tracked by the
+// constant-scoring frequency maps; longer substrings score zero and are
+// pruned (the whole-string constant is always kept by the builder).
 const maxConstLen = 16
 
 // Group is one replacement group: the set of replacements that share the
@@ -613,48 +612,24 @@ func (e *Engine) NextGroupCtx(ctx context.Context) *Group {
 	return grp
 }
 
-// runeScratch pools the decode buffers of non-ASCII substring
-// counting, so repeated countSubstrings calls (one per replacement
-// target, across every structure group) stop allocating a fresh
-// []rune each time.
-var runeScratch = sync.Pool{
-	New: func() any {
-		b := make([]rune, 0, 64)
-		return &b
-	},
-}
-
+// countSubstrings counts into m every substring of s that starts and
+// ends on a rune boundary and spans at most maxLen bytes — exactly the
+// substrings the constant scorer reads (it zeroes anything longer than
+// maxConstLen bytes). Keys slice s in place; an invalid-UTF-8 s is
+// re-encoded once first, as tgraph re-encodes its runes, so the keys
+// match the scorer's lookups.
 func countSubstrings(m map[string]int, s string, maxLen int) {
-	// ASCII fast path: byte positions are rune positions and string
-	// slices share s's bytes, so counting allocates nothing beyond the
-	// map's own growth.
-	if isASCII(s) {
-		for i := 0; i < len(s); i++ {
-			for j := i + 1; j <= len(s) && j-i <= maxLen; j++ {
+	if !utf8.ValidString(s) {
+		s = string([]rune(s))
+	}
+	for i := 0; i < len(s); i++ {
+		if !utf8.RuneStart(s[i]) {
+			continue
+		}
+		for j := i + 1; j <= len(s) && j-i <= maxLen; j++ {
+			if j == len(s) || utf8.RuneStart(s[j]) {
 				m[s[i:j]]++
 			}
 		}
-		return
 	}
-	rp := runeScratch.Get().(*[]rune)
-	r := (*rp)[:0]
-	for _, c := range s {
-		r = append(r, c)
-	}
-	for i := 0; i < len(r); i++ {
-		for j := i + 1; j <= len(r) && j-i <= maxLen; j++ {
-			m[string(r[i:j])]++
-		}
-	}
-	*rp = r
-	runeScratch.Put(rp)
-}
-
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return false
-		}
-	}
-	return true
 }

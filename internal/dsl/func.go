@@ -1,9 +1,6 @@
 package dsl
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Func is a string function: the building block of transformation
 // programs. ConstantStr and SubStr return at most one output for a given
@@ -176,11 +173,4 @@ func kthMatch(s []rune, t Term, k int) (Span, bool) {
 		return matches[m+k], true
 	}
 	return Span{}, false
-}
-
-// FuncKey returns the canonical key of a string function.
-func FuncKey(f Func) string {
-	var b strings.Builder
-	b.Write(f.AppendKey(nil))
-	return b.String()
 }

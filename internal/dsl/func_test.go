@@ -175,7 +175,7 @@ func TestFuncKeysUnique(t *testing.T) {
 	}
 	seen := make(map[string]Func)
 	for _, f := range fs {
-		k := FuncKey(f)
+		k := string(f.AppendKey(nil))
 		if prev, dup := seen[k]; dup {
 			t.Errorf("key collision %q between %v and %v", k, prev, f)
 		}

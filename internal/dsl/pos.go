@@ -1,9 +1,6 @@
 package dsl
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Dir selects the beginning or ending position of a matched span
 // (Appendix B's binary-state variable).
@@ -119,11 +116,4 @@ func runesEqual(a, b []rune) bool {
 		}
 	}
 	return true
-}
-
-// PosKey returns the canonical key of a position function as a string.
-func PosKey(p Pos) string {
-	var b strings.Builder
-	b.Write(p.AppendKey(nil))
-	return b.String()
 }

@@ -120,7 +120,7 @@ func TestPosKeysUnique(t *testing.T) {
 	}
 	seen := make(map[string]Pos)
 	for _, p := range ps {
-		k := PosKey(p)
+		k := string(p.AppendKey(nil))
 		if prev, dup := seen[k]; dup {
 			t.Errorf("key collision %q between %v and %v", k, prev, p)
 		}

@@ -132,24 +132,17 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// ParseExposition validates a Prometheus text exposition: metric and
-// label syntax, quoting and escaping, one HELP/TYPE pair per family
-// appearing before its samples, parseable sample values, cumulative
-// monotone histogram buckets ending at +Inf, and histogram _count
-// agreeing with the +Inf bucket. It returns the number of samples
-// parsed. CI pipes goldrecd's /metrics/prometheus through it (via
-// cmd/promlint), and the golden-file tests run it over checked-in
-// output, so a formatting regression fails both.
-func ParseExposition(r io.Reader) (samples int, err error) {
-	samples, _, err = ParseExpositionFamilies(r)
-	return samples, err
-}
-
-// ParseExpositionFamilies is ParseExposition plus the set of metric
-// families that emitted at least one sample, keyed by family name
-// (histogram _bucket/_sum/_count fold into their base family). promlint
-// -require uses it to assert that an exposition is not just well-formed
-// but actually carries the families a scrape config depends on.
+// ParseExpositionFamilies validates a Prometheus text exposition:
+// metric and label syntax, quoting and escaping, one HELP/TYPE pair per
+// family appearing before its samples, parseable sample values,
+// cumulative monotone histogram buckets ending at +Inf, and histogram
+// _count agreeing with the +Inf bucket. It returns the number of
+// samples parsed and the set of metric families that emitted at least
+// one sample, keyed by family name (histogram _bucket/_sum/_count fold
+// into their base family). CI pipes goldrecd's /metrics/prometheus
+// through it (via cmd/promlint, whose -require asserts the families a
+// scrape config depends on), and the golden-file tests run it over
+// checked-in output, so a formatting regression fails both.
 func ParseExpositionFamilies(r io.Reader) (samples int, families map[string]bool, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

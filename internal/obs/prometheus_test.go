@@ -49,9 +49,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Errorf("exposition differs from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 	// The golden output must itself satisfy the lint parser.
-	n, err := ParseExposition(strings.NewReader(got))
+	n, _, err := ParseExpositionFamilies(strings.NewReader(got))
 	if err != nil {
-		t.Fatalf("ParseExposition(golden): %v", err)
+		t.Fatalf("ParseExpositionFamilies(golden): %v", err)
 	}
 	// 3 counters + 1 gauge + (3 buckets + Inf + sum + count) histogram.
 	if n != 10 {
@@ -93,7 +93,7 @@ func TestParseExpositionRejects(t *testing.T) {
 			"h_bucket{le=\"+Inf\"} 4\nh_sum 1\nh_count 5\n",
 	}
 	for name, input := range cases {
-		if _, err := ParseExposition(strings.NewReader(input)); err == nil {
+		if _, _, err := ParseExpositionFamilies(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: parse accepted invalid input", name)
 		}
 	}
@@ -106,7 +106,7 @@ func TestParseExpositionAccepts(t *testing.T) {
 		"x_total{a=\"plain\"} 2 1700000000000\n" + // optional timestamp
 		"\n" +
 		"# HELP g A gauge.\n# TYPE g gauge\ng -0.5\n"
-	n, err := ParseExposition(strings.NewReader(ok))
+	n, _, err := ParseExpositionFamilies(strings.NewReader(ok))
 	if err != nil {
 		t.Fatalf("parse rejected valid input: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestEscapeRoundTrip(t *testing.T) {
 	if !strings.Contains(out, `v="a\\b\"c\nd"`) {
 		t.Fatalf("escaping wrong in %q", out)
 	}
-	if _, err := ParseExposition(strings.NewReader(out)); err != nil {
+	if _, _, err := ParseExpositionFamilies(strings.NewReader(out)); err != nil {
 		t.Fatalf("round-trip parse: %v", err)
 	}
 }

@@ -32,7 +32,7 @@ type TraceView struct {
 	SpanCount    int         `json:"span_count"`
 	DroppedSpans int         `json:"dropped_spans,omitempty"`
 	Root         *SpanView   `json:"root,omitempty"`
-	Orphans      []*SpanView `json:"orphans,omitempty"` // parent evicted past MaxSpans
+	Orphans      []*SpanView `json:"orphans,omitempty"` // parent evicted past maxSpans
 }
 
 // View materializes the trace as a span tree, safe to serialize.

@@ -5,41 +5,31 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 const (
 	defaultSlowThreshold = 500 * time.Millisecond
-	defaultRingSize      = 8
-	defaultMaxSpans      = 256
-	defaultMaxRoutes     = 64
 
-	// overflowRoute absorbs traces once MaxRoutes distinct routes exist,
-	// mirroring the metrics layer's bounded route cardinality.
+	// ringSize is the capacity of each of the three per-route rings
+	// (recent / slow / errored).
+	ringSize = 8
+	// maxSpans caps the spans retained per trace; further StartSpan
+	// calls return nil and increment the trace's dropped counter.
+	maxSpans = 256
+	// maxRoutes caps the number of distinct route groups; traces for
+	// additional routes land under overflowRoute, mirroring the metrics
+	// layer's bounded route cardinality.
+	maxRoutes     = 64
 	overflowRoute = "other"
 )
 
-// Options configures a Tracer. The zero value is usable: every field
-// falls back to a sensible default in New.
+// Options configures a Tracer. The zero value is usable.
 type Options struct {
-	// SlowThreshold is the default root-span duration at or above which
-	// a completed trace is retained in the route's slow ring (and a
+	// SlowThreshold is the root-span duration at or above which a
+	// completed trace is retained in its route's slow ring (and a
 	// slow-request log line is warranted). Default 500ms.
 	SlowThreshold time.Duration
-
-	// RingSize is the capacity of each of the three per-route rings
-	// (recent / slow / errored). Default 8.
-	RingSize int
-
-	// MaxSpans caps the spans retained per trace; further StartSpan
-	// calls return nil and increment the trace's dropped counter.
-	// Default 256.
-	MaxSpans int
-
-	// MaxRoutes caps the number of distinct route groups; traces for
-	// additional routes land under "other". Default 64.
-	MaxRoutes int
 }
 
 // ring is a fixed-size FIFO of completed traces. Eviction hands the
@@ -76,57 +66,39 @@ func (r *ring) all() []*Trace {
 }
 
 // routeRings is one route's tail-retention state: the three
-// classification rings plus running counters and the effective
-// slow threshold.
+// classification rings plus running counters.
 type routeRings struct {
 	recent  *ring
 	slow    *ring
 	errored *ring
 
-	threshold time.Duration // 0 → tracer default
-
 	total       int
 	slowCount   int
 	errCount    int
-	lastSlow    time.Duration
 	slowestSeen time.Duration
 }
 
 // Tracer is the flight recorder: it owns trace creation, tail-based
 // classification of completed traces into per-route rings, and the
 // /debug/traces views. Memory is bounded by
-// MaxRoutes × 3 × RingSize × MaxSpans regardless of load.
+// maxRoutes × 3 × ringSize × maxSpans regardless of load.
 type Tracer struct {
-	opts Options
-
-	// overrides counts routes with a non-default slow threshold, so the
-	// per-request Threshold check skips the lock entirely in the common
-	// no-override configuration.
-	overrides atomic.Int32
+	threshold time.Duration
 
 	mu     sync.Mutex
 	routes map[string]*routeRings
 	byID   map[string]*Trace // completed traces only, removed on eviction
 }
 
-// New builds a Tracer, applying defaults for zero Options fields.
+// New builds a Tracer, applying the default to a zero SlowThreshold.
 func New(opts Options) *Tracer {
 	if opts.SlowThreshold <= 0 {
 		opts.SlowThreshold = defaultSlowThreshold
 	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = defaultRingSize
-	}
-	if opts.MaxSpans <= 0 {
-		opts.MaxSpans = defaultMaxSpans
-	}
-	if opts.MaxRoutes <= 0 {
-		opts.MaxRoutes = defaultMaxRoutes
-	}
 	return &Tracer{
-		opts:   opts,
-		routes: make(map[string]*routeRings),
-		byID:   make(map[string]*Trace),
+		threshold: opts.SlowThreshold,
+		routes:    make(map[string]*routeRings),
+		byID:      make(map[string]*Trace),
 	}
 }
 
@@ -160,62 +132,32 @@ func (tc *Tracer) StartRoot(ctx context.Context, name, route, traceparent string
 	return context.WithValue(ctx, ctxKey{}, root), root
 }
 
-// Threshold returns the slow threshold in effect for a route. With no
-// per-route overrides configured (the common case) it is lock-free —
-// this runs on every request.
-func (tc *Tracer) Threshold(route string) time.Duration {
+// Threshold returns the tracer's slow threshold; it runs on every
+// request and takes no lock.
+func (tc *Tracer) Threshold() time.Duration {
 	if tc == nil {
 		return 0
 	}
-	if tc.overrides.Load() == 0 {
-		return tc.opts.SlowThreshold
-	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if rr, ok := tc.routes[route]; ok && rr.threshold > 0 {
-		return rr.threshold
-	}
-	return tc.opts.SlowThreshold
-}
-
-// SetRouteThreshold overrides the slow threshold for one route
-// (d <= 0 restores the tracer default).
-func (tc *Tracer) SetRouteThreshold(route string, d time.Duration) {
-	if tc == nil {
-		return
-	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	rr := tc.routeLocked(route)
-	if d < 0 {
-		d = 0
-	}
-	switch {
-	case rr.threshold == 0 && d > 0:
-		tc.overrides.Add(1)
-	case rr.threshold > 0 && d == 0:
-		tc.overrides.Add(-1)
-	}
-	rr.threshold = d
+	return tc.threshold
 }
 
 // routeLocked returns the route's ring set, creating it under the
-// MaxRoutes cap. Callers hold tc.mu.
+// maxRoutes cap. Callers hold tc.mu.
 func (tc *Tracer) routeLocked(route string) *routeRings {
 	rr, ok := tc.routes[route]
 	if ok {
 		return rr
 	}
-	if len(tc.routes) >= tc.opts.MaxRoutes {
+	if len(tc.routes) >= maxRoutes {
 		route = overflowRoute
 		if rr, ok := tc.routes[route]; ok {
 			return rr
 		}
 	}
 	rr = &routeRings{
-		recent:  newRing(tc.opts.RingSize),
-		slow:    newRing(tc.opts.RingSize),
-		errored: newRing(tc.opts.RingSize),
+		recent:  newRing(ringSize),
+		slow:    newRing(ringSize),
+		errored: newRing(ringSize),
 	}
 	tc.routes[route] = rr
 	return rr
@@ -231,11 +173,7 @@ func (tc *Tracer) finish(t *Trace, rootDur time.Duration, errored bool) {
 	defer tc.mu.Unlock()
 	rr := tc.routeLocked(t.route)
 	rr.total++
-	threshold := rr.threshold
-	if threshold <= 0 {
-		threshold = tc.opts.SlowThreshold
-	}
-	slow := rootDur >= threshold
+	slow := rootDur >= tc.threshold
 	var evicted *Trace
 	switch {
 	case errored:
@@ -248,7 +186,6 @@ func (tc *Tracer) finish(t *Trace, rootDur time.Duration, errored bool) {
 	}
 	if slow {
 		rr.slowCount++
-		rr.lastSlow = rootDur
 	}
 	if rootDur > rr.slowestSeen {
 		rr.slowestSeen = rootDur
@@ -315,22 +252,17 @@ func (tc *Tracer) Snapshot() []RouteSummary {
 			errored: rr.errored.all(),
 		})
 	}
-	threshold := tc.opts.SlowThreshold
 	tc.mu.Unlock()
 
 	sort.Slice(copies, func(i, j int) bool { return copies[i].name < copies[j].name })
 	out := make([]RouteSummary, 0, len(copies))
 	for _, c := range copies {
-		th := c.rr.threshold
-		if th <= 0 {
-			th = threshold
-		}
 		out = append(out, RouteSummary{
 			Route:       c.name,
 			Total:       c.rr.total,
 			Slow:        c.rr.slowCount,
 			Errored:     c.rr.errCount,
-			ThresholdMS: ms(th),
+			ThresholdMS: ms(tc.threshold),
 			SlowestMS:   ms(c.rr.slowestSeen),
 			Recent:      stubs(c.recent),
 			SlowTraces:  stubs(c.slow),

@@ -29,7 +29,7 @@ func finishOne(tc *Tracer, route string, slow, errored bool) string {
 }
 
 func TestTailRetentionUnderLoad(t *testing.T) {
-	tc := New(Options{RingSize: 4, SlowThreshold: 100 * time.Millisecond})
+	tc := New(Options{SlowThreshold: 100 * time.Millisecond})
 	slowID := finishOne(tc, "/v1/plan", true, false)
 	errID := finishOne(tc, "/v1/plan", false, true)
 	// Flood with fast, successful requests — far beyond the ring size.
@@ -54,9 +54,9 @@ func TestTailRetentionUnderLoad(t *testing.T) {
 	if rs.Total != 102 || rs.Slow != 1 || rs.Errored != 1 {
 		t.Fatalf("counters = %+v", rs)
 	}
-	if len(rs.Recent) != 4 || len(rs.SlowTraces) != 1 || len(rs.ErrTraces) != 1 {
-		t.Fatalf("ring occupancy recent=%d slow=%d err=%d, want 4/1/1",
-			len(rs.Recent), len(rs.SlowTraces), len(rs.ErrTraces))
+	if len(rs.Recent) != ringSize || len(rs.SlowTraces) != 1 || len(rs.ErrTraces) != 1 {
+		t.Fatalf("ring occupancy recent=%d slow=%d err=%d, want %d/1/1",
+			len(rs.Recent), len(rs.SlowTraces), len(rs.ErrTraces), ringSize)
 	}
 	if rs.Recent[0].TraceID != lastFast {
 		t.Fatal("recent ring must list newest first")
@@ -64,7 +64,7 @@ func TestTailRetentionUnderLoad(t *testing.T) {
 }
 
 func TestMemoryBoundedByRings(t *testing.T) {
-	tc := New(Options{RingSize: 2})
+	tc := New(Options{})
 	for route := 0; route < 3; route++ {
 		for i := 0; i < 50; i++ {
 			finishOne(tc, fmt.Sprintf("/r%d", route), i%2 == 0, false)
@@ -74,8 +74,8 @@ func TestMemoryBoundedByRings(t *testing.T) {
 	indexed := len(tc.byID)
 	routes := len(tc.routes)
 	tc.mu.Unlock()
-	// 3 routes × 3 rings × size 2 is the hard ceiling on retained traces.
-	if max := routes * 3 * 2; indexed > max {
+	// 3 routes × 3 rings × ringSize is the hard ceiling on retained traces.
+	if max := routes * 3 * ringSize; indexed > max {
 		t.Fatalf("byID holds %d traces, ring capacity is %d — eviction is leaking the index", indexed, max)
 	}
 	if indexed == 0 {
@@ -84,9 +84,11 @@ func TestMemoryBoundedByRings(t *testing.T) {
 }
 
 func TestEvictionRemovesFromIndex(t *testing.T) {
-	tc := New(Options{RingSize: 2})
+	tc := New(Options{})
 	first := finishOne(tc, "/", false, false)
-	finishOne(tc, "/", false, false)
+	for i := 1; i < ringSize; i++ {
+		finishOne(tc, "/", false, false)
+	}
 	if tc.Lookup(first) == nil {
 		t.Fatal("trace within ring capacity must be retrievable")
 	}
@@ -97,13 +99,13 @@ func TestEvictionRemovesFromIndex(t *testing.T) {
 }
 
 func TestRouteCardinalityBounded(t *testing.T) {
-	tc := New(Options{MaxRoutes: 3})
-	for i := 0; i < 10; i++ {
+	tc := New(Options{})
+	for i := 0; i < maxRoutes+7; i++ {
 		finishOne(tc, fmt.Sprintf("/route-%d", i), false, false)
 	}
 	snap := tc.Snapshot()
-	if len(snap) > 4 { // 3 real routes + "other"
-		t.Fatalf("routes = %d, want at most MaxRoutes+1", len(snap))
+	if len(snap) > maxRoutes+1 { // maxRoutes real routes + "other"
+		t.Fatalf("routes = %d, want at most maxRoutes+1", len(snap))
 	}
 	var overflow *RouteSummary
 	for i := range snap {
@@ -113,24 +115,6 @@ func TestRouteCardinalityBounded(t *testing.T) {
 	}
 	if overflow == nil || overflow.Total != 7 {
 		t.Fatalf("overflow route must absorb the excess: %+v", snap)
-	}
-}
-
-func TestPerRouteThreshold(t *testing.T) {
-	tc := New(Options{SlowThreshold: time.Second})
-	if got := tc.Threshold("/v1/plan"); got != time.Second {
-		t.Fatalf("default threshold = %v", got)
-	}
-	tc.SetRouteThreshold("/v1/plan", 5*time.Millisecond)
-	if got := tc.Threshold("/v1/plan"); got != 5*time.Millisecond {
-		t.Fatalf("route threshold = %v", got)
-	}
-	if got := tc.Threshold("/other"); got != time.Second {
-		t.Fatalf("unrelated route threshold = %v", got)
-	}
-	tc.SetRouteThreshold("/v1/plan", 0)
-	if got := tc.Threshold("/v1/plan"); got != time.Second {
-		t.Fatalf("reset threshold = %v", got)
 	}
 }
 
@@ -154,7 +138,7 @@ func TestErroredBeatsSlow(t *testing.T) {
 // and traces finished concurrently with snapshot, lookup, view and
 // eviction must be data-race free.
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
-	tc := New(Options{RingSize: 2, SlowThreshold: time.Nanosecond, MaxSpans: 8})
+	tc := New(Options{SlowThreshold: time.Nanosecond})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -204,7 +188,6 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 						}
 					}
 				}
-				tc.SetRouteThreshold("/r0", time.Millisecond)
 			}
 		}()
 	}

@@ -221,13 +221,9 @@ func (t *Trace) newSpan(name, parentID string) *Span {
 		name:     name,
 		start:    time.Now(),
 	}
-	max := defaultMaxSpans
-	if t.tracer != nil {
-		max = t.tracer.opts.MaxSpans
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) >= max {
+	if len(t.spans) >= maxSpans {
 		t.dropped++
 		return nil
 	}

@@ -29,10 +29,9 @@ func TestNilSafety(t *testing.T) {
 	if root != nil || FromContext(ctx2) != nil {
 		t.Fatal("nil tracer StartRoot must be a no-op")
 	}
-	if tc.Threshold("/") != 0 || tc.Lookup("x") != nil || tc.Snapshot() != nil {
+	if tc.Threshold() != 0 || tc.Lookup("x") != nil || tc.Snapshot() != nil {
 		t.Fatal("nil tracer accessors must return zero values")
 	}
-	tc.SetRouteThreshold("/", time.Second)
 }
 
 func TestSpanTreeAndLookup(t *testing.T) {
@@ -143,7 +142,7 @@ func TestDetach(t *testing.T) {
 
 func TestLateSpansAfterRootEnd(t *testing.T) {
 	// goldrecd's generator goroutine outlives the HTTP request: spans it
-	// opens after the root ended must still attach (bounded by MaxSpans).
+	// opens after the root ended must still attach (bounded by maxSpans).
 	tc := New(Options{})
 	ctx, root := tc.StartRoot(context.Background(), "POST /v1/sessions", "/v1/sessions", "")
 	root.End()
@@ -156,16 +155,16 @@ func TestLateSpansAfterRootEnd(t *testing.T) {
 }
 
 func TestSpanCapAndAnnotationCap(t *testing.T) {
-	tc := New(Options{MaxSpans: 4})
+	tc := New(Options{})
 	ctx, root := tc.StartRoot(context.Background(), "GET /", "/", "")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpans+6; i++ {
 		_, sp := StartSpan(ctx, "child")
 		sp.End()
 	}
 	root.End()
 	view := tc.Lookup(root.TraceID()).View()
-	if view.SpanCount != 4 {
-		t.Fatalf("span count = %d, want capped at 4", view.SpanCount)
+	if view.SpanCount != maxSpans {
+		t.Fatalf("span count = %d, want capped at %d", view.SpanCount, maxSpans)
 	}
 	if view.DroppedSpans != 7 {
 		t.Fatalf("dropped = %d, want 7", view.DroppedSpans)

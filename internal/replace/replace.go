@@ -106,17 +106,6 @@ func (st *Store) Mirror(c *Candidate) *Candidate {
 	return st.byPair[Pair{LHS: c.RHS, RHS: c.LHS}]
 }
 
-// LiveCount returns the number of candidates with at least one site.
-func (st *Store) LiveCount() int {
-	n := 0
-	for _, c := range st.cands {
-		if len(c.Sites) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func (st *Store) candidateFor(p Pair) *Candidate {
 	if c, ok := st.byPair[p]; ok {
 		return c

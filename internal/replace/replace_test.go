@@ -270,18 +270,6 @@ func TestApplyIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestLiveCount(t *testing.T) {
-	ds := table1()
-	st := NewStore(ds, 0, Options{})
-	if st.LiveCount() != 12 {
-		t.Fatalf("LiveCount = %d, want 12", st.LiveCount())
-	}
-	st.Apply(st.Lookup(Pair{"Lee, Mary", "Mary Lee"}))
-	if st.LiveCount() >= 12 {
-		t.Fatalf("LiveCount = %d, want < 12 after apply", st.LiveCount())
-	}
-}
-
 // TestApplyGroupOrderMatters shows why review order is a policy: "9th"→"9"
 // rewrites a cluster-0 cell into "9 Street Boston", the LHS of a
 // value-level candidate seen so far only in cluster 1, so that candidate

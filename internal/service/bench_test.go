@@ -55,7 +55,7 @@ func raiseProcs(n int) func() {
 func benchFirstGroup(svc *Service, sessionID string) (int, error) {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		page, err := svc.As("").PendingGroups(sessionID, 1, nil)
+		page, _, _, err := svc.As("").waitPage("", sessionID, 1, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -823,7 +823,7 @@ func BenchmarkWarmStartUpload(b *testing.B) {
 				b.Fatal(err)
 			}
 			for {
-				page, err := svc.As("").PendingGroups(sess.ID, 1, nil)
+				page, _, _, err := svc.As("").waitPage("", sess.ID, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -269,11 +269,6 @@ func (s *Service) refreshGauges() {
 	s.metrics.libraryPrograms.Set(float64(s.library.TotalPrograms()))
 }
 
-// Metrics returns the service's observability registry (the one passed
-// in Options.Metrics, or the private default), so embedders can mount
-// their own exposition endpoint.
-func (s *Service) Metrics() *obs.Registry { return s.metrics.reg }
-
 // PrometheusHandler returns the exposition endpoint as a standalone
 // handler, for mounting on a separate (unauthenticated) debug listener.
 // The main API serves the same thing at /metrics/prometheus.

@@ -211,7 +211,7 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 				slog.Int64("bytes", rec.bytes),
 				slog.Duration("elapsed", elapsed),
 			)
-			if root != nil && elapsed >= s.tracer.Threshold(route) {
+			if root != nil && elapsed >= s.tracer.Threshold() {
 				s.logger.LogAttrs(r.Context(), slog.LevelWarn, "slow request",
 					slog.String("method", r.Method),
 					slog.String("uri", obs.RedactURI(r.URL.RequestURI())),

@@ -139,7 +139,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("exposition content type = %q", ct)
 	}
-	if n, err := obs.ParseExposition(strings.NewReader(raw)); err != nil {
+	if n, _, err := obs.ParseExpositionFamilies(strings.NewReader(raw)); err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	} else if n == 0 {
 		t.Fatal("exposition empty")
@@ -203,7 +203,7 @@ func TestTenantDeleteDropsCounters(t *testing.T) {
 	if after.Tenants[keepID].Requests == 0 {
 		t.Error("surviving tenant's counters were dropped too")
 	}
-	for _, sample := range svc.Metrics().Snapshot() {
+	for _, sample := range svc.metrics.reg.Snapshot() {
 		for _, v := range sample.Values {
 			if v == id {
 				t.Errorf("registry still holds series %s{%v} for deleted tenant", sample.Name, sample.Values)

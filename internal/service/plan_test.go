@@ -328,7 +328,7 @@ func TestPlanReflectsDecisionHistory(t *testing.T) {
 		t.Fatalf("approve rate after 2 rejections = %v (found %v), want < %v", r1, ok, r0)
 	}
 	// The page annotations agree with the plan's numbers.
-	page, err := svc.As("").PendingGroups(victim.session.ID, 0, nil)
+	page, _, _, err := svc.As("").waitPage("", victim.session.ID, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

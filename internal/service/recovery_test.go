@@ -110,7 +110,7 @@ func nextUndecided(t *testing.T, svc *Service, sessionID string) (int, bool) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		page, err := svc.As("").PendingGroups(sessionID, 1, nil)
+		page, _, _, err := svc.As("").waitPage("", sessionID, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

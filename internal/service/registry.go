@@ -282,14 +282,3 @@ func (r *shardedRegistry[V]) expiredShard(i int) []string {
 	sort.Strings(ids)
 	return ids
 }
-
-// expired returns the expired ids across every shard (tests and
-// callers that sweep the whole registry at once).
-func (r *shardedRegistry[V]) expired() []string {
-	var ids []string
-	for i := range r.shards {
-		ids = append(ids, r.expiredShard(i)...)
-	}
-	sort.Strings(ids)
-	return ids
-}

@@ -1070,14 +1070,6 @@ func (s *Service) closeSession(cs *columnSession) {
 	s.store.CloseWAL(cs.datasetID, cs.id)
 }
 
-// PendingGroups returns up to limit (0 = all) buffered, undecided
-// groups of a session. A non-nil wait blocks until a group is
-// reviewable, the stream ends, or wait closes.
-func (sc Scope) PendingGroups(id string, limit int, wait <-chan struct{}) (GroupPage, error) {
-	page, _, _, err := sc.waitPage("", id, limit, wait)
-	return page, err
-}
-
 // waitPage looks up a session and renders its groups page with the
 // page's rev and change channel (see columnSession.page); datasetID ""
 // addresses the session route. A long poll (non-nil wait) also ends on

@@ -485,7 +485,11 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("get(a) = %d, %v", v, ok)
 	}
 	fc.Advance(2 * time.Minute)
-	if exp := r.expired(); len(exp) != 2 {
+	var exp []string
+	for i := 0; i < r.numShards(); i++ {
+		exp = append(exp, r.expiredShard(i)...)
+	}
+	if len(exp) != 2 {
 		t.Fatalf("expired = %v, want both", exp)
 	}
 	if _, ok := r.remove(a); !ok {

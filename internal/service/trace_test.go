@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -200,7 +201,11 @@ func TestTraceIntegration(t *testing.T) {
 // rings while the recent ring churns — the tail-sampling contract, via
 // the real middleware rather than the recorder's own unit tests.
 func TestTraceTailRetentionHTTP(t *testing.T) {
-	tracer, ts, debug := traceServer(t, trace.Options{RingSize: 4})
+	const (
+		slowThreshold = 200 * time.Millisecond
+		ringSize      = 8 // the recorder's per-route ring capacity
+	)
+	tracer, ts, debug := traceServer(t, trace.Options{SlowThreshold: slowThreshold})
 
 	var dsInfo DatasetInfo
 	if status := doJSON(t, "POST", ts.URL+"/v1/datasets?name=paper&key=key", strings.NewReader(paperCSV), &dsInfo); status != http.StatusCreated {
@@ -217,28 +222,16 @@ func TestTraceTailRetentionHTTP(t *testing.T) {
 		t.Fatal("404 body missing trace_id")
 	}
 
-	// One slow trace: drop the route threshold to a nanosecond for a
-	// single request, then restore the default before the flood.
+	// One slow trace on the same route, planted straight on the
+	// server's tracer: a root held open past the threshold.
 	const route = "/v1/datasets/{id}"
-	tracer.SetRouteThreshold(route, time.Nanosecond)
-	resp, err := http.Get(ts.URL + "/v1/datasets/" + dsInfo.ID + authQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	slowID := resp.Header.Get("X-Trace-ID")
-	if resp.StatusCode != http.StatusOK || slowID == "" {
-		t.Fatalf("slow request: status %d, trace %q", resp.StatusCode, slowID)
-	}
-	// Wait until that trace finishes (and so was classified against the
-	// nanosecond threshold) before restoring the default for the flood.
-	if _, ok := pollTraceView(t, debug.URL, slowID); !ok {
-		t.Fatalf("slow trace %s never finished", slowID)
-	}
-	tracer.SetRouteThreshold(route, 0) // restore the default
+	_, root := tracer.StartRoot(context.Background(), "GET "+route, route, "")
+	time.Sleep(slowThreshold)
+	root.End()
+	slowID := root.TraceID()
 
 	// Flood: 50 fast successful requests through the same route, more
-	// than ten times the ring size.
+	// than six times the ring size.
 	for i := 0; i < 50; i++ {
 		if status := doJSON(t, "GET", ts.URL+"/v1/datasets/"+dsInfo.ID, nil, nil); status != http.StatusOK {
 			t.Fatalf("flood request %d: status %d", i, status)
@@ -283,7 +276,7 @@ func TestTraceTailRetentionHTTP(t *testing.T) {
 	if last.Slow < 1 || last.Errored != 1 {
 		t.Errorf("slow/errored = %d/%d, want >=1/1", last.Slow, last.Errored)
 	}
-	if len(last.Recent) > 4 || len(last.SlowTraces) > 4 || len(last.ErrTraces) > 4 {
+	if len(last.Recent) > ringSize || len(last.SlowTraces) > ringSize || len(last.ErrTraces) > ringSize {
 		t.Errorf("ring overflow: recent=%d slow=%d err=%d", len(last.Recent), len(last.SlowTraces), len(last.ErrTraces))
 	}
 }

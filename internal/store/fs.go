@@ -29,14 +29,6 @@ type FSOptions struct {
 	// rare, whole-file writes whose loss would cost far more than one
 	// log record.
 	NoSync bool
-	// GroupWindow is the deliberate accumulation delay of the log
-	// group committer: each flush waits up to this long for more
-	// appends to share its fsync. Zero (the default) keeps batching
-	// purely opportunistic — a lone append flushes immediately, and
-	// batches form only from requests that queue while the previous
-	// flush is in flight. Ignored under NoSync (there is no fsync to
-	// amortize; appends go straight to the file).
-	GroupWindow time.Duration
 	// Metrics receives durability-path latency histograms (WAL append
 	// write and fsync, group-flush latency and batch size, snapshot
 	// writes, WAL replay). Nil disables instrumentation at zero cost.
@@ -159,9 +151,6 @@ func OpenFS(dir string, opts FSOptions) (*FS, error) {
 	}
 	return s, nil
 }
-
-// Root returns the store's root directory.
-func (s *FS) Root() string { return s.root }
 
 // idPattern matches the registry's opaque ids ("ds_9f86d081884c7d65").
 // Ids become path components, so anything else is rejected outright.

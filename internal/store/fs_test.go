@@ -183,7 +183,7 @@ func TestFSReplayTornTail(t *testing.T) {
 	if err := s.AppendWAL(context.Background(), "ds_0a", "cs_01", WALRecord{Op: OpIssue, GroupID: 0}); err != nil {
 		t.Fatal(err)
 	}
-	wal := filepath.Join(s.Root(), "datasets", "ds_0a", "sessions", "cs_01", "wal.jsonl")
+	wal := filepath.Join(s.root, "datasets", "ds_0a", "sessions", "cs_01", "wal.jsonl")
 	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestFSCompactSession(t *testing.T) {
 	}
 
 	// Old snapshot versions are pruned; only the latest remains.
-	entries, _ := os.ReadDir(filepath.Join(s.Root(), "datasets", "ds_0a"))
+	entries, _ := os.ReadDir(filepath.Join(s.root, "datasets", "ds_0a"))
 	snaps := 0
 	for _, e := range entries {
 		if snapshotPattern.MatchString(e.Name()) {

@@ -24,12 +24,10 @@ import (
 // that file's batch, because none of them can know whether their bytes
 // reached the platter.
 //
-// Batching is opportunistic by default: a request that arrives at an
-// idle committer flushes immediately (no added latency at concurrency
-// 1), and the batch for the next flush accumulates naturally while the
-// previous flush's fsync is in flight. FSOptions.GroupWindow adds a
-// deliberate accumulation delay on top — larger batches, at the cost
-// of that delay on every append — and maxBatchBytes bounds how much a
+// Batching is opportunistic: a request that arrives at an idle
+// committer flushes immediately (no added latency at concurrency 1),
+// and the batch for the next flush accumulates naturally while the
+// previous flush's fsync is in flight. maxBatchBytes bounds how much a
 // single flush buffers.
 //
 // Crash safety is unchanged from single appends: records are complete
@@ -156,31 +154,12 @@ func (s *FS) flushLoop() {
 	}
 }
 
-// gatherBatch collects everything queued behind first into one batch.
-// With no GroupWindow it drains only requests already parked at the
-// rendezvous — zero added latency; with a window it keeps accepting
-// until the timer fires or the byte bound is hit.
+// gatherBatch collects everything queued behind first into one batch:
+// it drains only requests already parked at the rendezvous, so it adds
+// no latency.
 func (s *FS) gatherBatch(first *walWrite, batch []*walWrite) []*walWrite {
 	batch = append(batch, first)
 	size := len(first.payload)
-	if window := s.opts.GroupWindow; window > 0 {
-		timer := time.NewTimer(window)
-		defer timer.Stop()
-		for size < maxBatchBytes {
-			select {
-			case w := <-s.gc.reqs:
-				batch = append(batch, w)
-				size += len(w.payload)
-			case <-timer.C:
-				return batch
-			case <-s.gc.stop:
-				// Shutting down: flush what we have rather than sit
-				// out the window with waiters attached.
-				return batch
-			}
-		}
-		return batch
-	}
 	// The cohort woken by the previous flush is runnable but may not
 	// have reached its channel send yet — on few cores the non-blocking
 	// drain below would then see an empty rendezvous and flush a batch

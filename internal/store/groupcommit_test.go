@@ -193,8 +193,7 @@ func TestGroupCommitFsyncFailureFailsAllWaiters(t *testing.T) {
 
 // TestAppendWALContextCanceled checks both backends and both FS modes
 // return ctx.Err() promptly for a dead request — including while a
-// long GroupWindow would otherwise hold the caller for the full flush
-// window.
+// stalled fsync would otherwise hold the caller until the flush ends.
 func TestAppendWALContextCanceled(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -221,50 +220,27 @@ func TestAppendWALContextCanceled(t *testing.T) {
 		}
 	})
 	t.Run("window-wait", func(t *testing.T) {
-		// A lone append under a long window is its own batch leader and
-		// would sit out the full window; a cancellation mid-wait must
-		// return immediately rather than hold the caller.
-		s := openSyncedFS(t, FSOptions{GroupWindow: 2 * time.Second})
+		// A lone append whose fsync stalls is already in the flush; a
+		// cancellation mid-wait must abandon the wait and return
+		// immediately rather than hold the caller until the disk answers.
+		s := openSyncedFS(t, FSOptions{})
+		release := make(chan struct{})
+		s.syncHook = func(f *os.File) error {
+			<-release
+			return f.Sync()
+		}
+		defer close(release)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		defer cancel()
 		start := time.Now()
 		err := s.AppendWAL(ctx, "ds_0a", "cs_01", rec)
 		if elapsed := time.Since(start); elapsed > time.Second {
-			t.Fatalf("canceled append held for %v (window is 2s)", elapsed)
+			t.Fatalf("canceled append held for %v behind a stalled fsync", elapsed)
 		}
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("AppendWAL = %v, want context.DeadlineExceeded", err)
 		}
 	})
-}
-
-// TestGroupWindowCoalesces sets a deliberate window and checks two
-// appends staggered well inside it share one fsync.
-func TestGroupWindowCoalesces(t *testing.T) {
-	s := openSyncedFS(t, FSOptions{GroupWindow: 300 * time.Millisecond})
-	var fsyncs atomic.Int64
-	s.syncHook = func(f *os.File) error {
-		fsyncs.Add(1)
-		return f.Sync()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			time.Sleep(time.Duration(i) * 20 * time.Millisecond)
-			if err := s.AppendWAL(context.Background(), "ds_0a", "cs_01", WALRecord{Op: OpIssue, GroupID: i}); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if n := fsyncs.Load(); n != 1 {
-		t.Fatalf("%d fsyncs, want 1 (both appends inside one 300ms window)", n)
-	}
-	if recs := replayAll(t, s, "ds_0a", "cs_01"); len(recs) != 2 {
-		t.Fatalf("replayed %d records, want 2", len(recs))
-	}
 }
 
 // TestGroupCommitCloseUnderLoad closes the store while writers are in
@@ -305,7 +281,7 @@ func TestGroupCommitCloseUnderLoad(t *testing.T) {
 		t.Fatalf("second close: %v", err)
 	}
 	// Every acknowledged record must be durable: reopen and count.
-	s2, err := OpenFS(s.Root(), FSOptions{})
+	s2, err := OpenFS(s.root, FSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +306,7 @@ func TestBatchCrashTruncationSweep(t *testing.T) {
 	if err := s0Append(src, batch); err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(src.Root(), "datasets", "ds_0a", "sessions", "cs_01", "wal.jsonl")
+	walPath := filepath.Join(src.root, "datasets", "ds_0a", "sessions", "cs_01", "wal.jsonl")
 	src.Close()
 	raw, err := os.ReadFile(walPath)
 	if err != nil {

@@ -164,7 +164,7 @@ type Store interface {
 	// leaves a clean prefix, which ReplayWAL returns). Unlike
 	// PutDataset, the context also cancels: a caller that is gone gets
 	// ctx.Err() back promptly instead of waiting out a group-commit
-	// flush window. Cancellation abandons the wait, not the write — a
+	// flush. Cancellation abandons the wait, not the write — a
 	// record already handed to the committer may still become durable.
 	AppendWAL(ctx context.Context, datasetID, sessionID string, recs ...WALRecord) error
 	// ReplayWAL streams the session's log in append order. A torn final

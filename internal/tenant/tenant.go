@@ -431,18 +431,12 @@ func (r *Registry) SetQuotas(id string, q Quotas) (Info, error) {
 	return rec.info(), nil
 }
 
-// Authenticate resolves an API key to its tenant. Digest comparisons
-// are constant-time; the scan visits every key of every tenant, which
-// is fine at admin-managed registry sizes.
-func (r *Registry) Authenticate(key string) (Info, bool) {
-	info, _, ok := r.AuthenticateKey(key)
-	return info, ok
-}
-
-// AuthenticateKey is Authenticate plus the short id of the matched key
-// (the same id ListKeys reports), so callers can attribute actions to
-// a specific credential — the audit log's actor field — without ever
-// holding the key itself.
+// AuthenticateKey resolves an API key to its tenant and the short id
+// of the matched key (the same id ListKeys reports), so callers can
+// attribute actions to a specific credential — the audit log's actor
+// field — without ever holding the key itself. Digest comparisons are
+// constant-time; the scan visits every key of every tenant, which is
+// fine at admin-managed registry sizes.
 func (r *Registry) AuthenticateKey(key string) (Info, string, bool) {
 	digest := []byte(hashKey(key))
 	r.mu.RLock()

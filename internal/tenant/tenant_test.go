@@ -48,14 +48,14 @@ func TestCreateAuthenticate(t *testing.T) {
 		t.Error("key id leaks the plaintext key")
 	}
 
-	got, ok := r.Authenticate(key)
+	got, _, ok := r.AuthenticateKey(key)
 	if !ok || got.ID != info.ID {
-		t.Fatalf("Authenticate(minted key) = %+v, %v", got, ok)
+		t.Fatalf("AuthenticateKey(minted key) = %+v, %v", got, ok)
 	}
-	if _, ok := r.Authenticate("grk_deadbeefdeadbeefdeadbeefdeadbeef"); ok {
+	if _, _, ok := r.AuthenticateKey("grk_deadbeefdeadbeefdeadbeefdeadbeef"); ok {
 		t.Error("wrong key authenticated")
 	}
-	if _, ok := r.Authenticate(""); ok {
+	if _, _, ok := r.AuthenticateKey(""); ok {
 		t.Error("empty key authenticated")
 	}
 	if got.Quotas.MaxDatasets != 3 {
@@ -97,10 +97,10 @@ func TestRotate(t *testing.T) {
 	if len(after.KeyIDs) != 2 {
 		t.Fatalf("key ids after additive rotate = %v", after.KeyIDs)
 	}
-	if _, ok := r.Authenticate(oldKey); !ok {
+	if _, _, ok := r.AuthenticateKey(oldKey); !ok {
 		t.Error("old key dead after additive rotate")
 	}
-	if _, ok := r.Authenticate(newKey); !ok {
+	if _, _, ok := r.AuthenticateKey(newKey); !ok {
 		t.Error("new key dead after additive rotate")
 	}
 
@@ -113,11 +113,11 @@ func TestRotate(t *testing.T) {
 		t.Fatalf("key ids after revoking rotate = %v", after.KeyIDs)
 	}
 	for _, dead := range []string{oldKey, newKey} {
-		if _, ok := r.Authenticate(dead); ok {
+		if _, _, ok := r.AuthenticateKey(dead); ok {
 			t.Error("revoked key still authenticates")
 		}
 	}
-	if _, ok := r.Authenticate(finalKey); !ok {
+	if _, _, ok := r.AuthenticateKey(finalKey); !ok {
 		t.Error("final key dead after revoking rotate")
 	}
 
@@ -132,7 +132,7 @@ func TestDelete(t *testing.T) {
 	if err := r.Delete(info.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Authenticate(key); ok {
+	if _, _, ok := r.AuthenticateKey(key); ok {
 		t.Error("deleted tenant's key still authenticates")
 	}
 	if _, err := r.Get(info.ID); err == nil {
@@ -293,7 +293,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if string(before) != string(after) {
 		t.Fatalf("registry did not round-trip\nbefore: %s\nafter:  %s", before, after)
 	}
-	if got, ok := r2.Authenticate(aKey); !ok || got.ID != a.ID {
+	if got, _, ok := r2.AuthenticateKey(aKey); !ok || got.ID != a.ID {
 		t.Error("recovered registry rejects alpha's key")
 	}
 	if _, err := r2.Get(b.ID); err != nil {
@@ -431,7 +431,7 @@ func TestCompactionBoundaryMutation(t *testing.T) {
 	if _, err := r4.Get(victim.ID); err == nil {
 		t.Fatal("boundary delete lost: tenant resurrected after restart")
 	}
-	if _, ok := r4.Authenticate(victimKey); ok {
+	if _, _, ok := r4.AuthenticateKey(victimKey); ok {
 		t.Fatal("boundary delete lost: revoked key authenticates after restart")
 	}
 }

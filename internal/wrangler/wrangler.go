@@ -164,11 +164,7 @@ func (sc *Script) Apply(ds *table.Dataset, col int) int {
 		for ri := range ds.Clusters[ci].Records {
 			cell := table.Cell{Cluster: ci, Row: ri, Col: col}
 			v := ds.Value(cell)
-			out := v
-			for _, op := range sc.Ops {
-				out = op.Apply(out)
-			}
-			if out != v {
+			if out := sc.ApplyValue(v); out != v {
 				ds.SetValue(cell, out)
 				changed++
 			}
@@ -177,8 +173,7 @@ func (sc *Script) Apply(ds *table.Dataset, col int) int {
 	return changed
 }
 
-// ApplyValue runs the script over a single value (used in tests and by
-// the CLI preview mode).
+// ApplyValue runs the script's operations, in order, over one value.
 func (sc *Script) ApplyValue(v string) string {
 	for _, op := range sc.Ops {
 		v = op.Apply(v)
