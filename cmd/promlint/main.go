@@ -8,9 +8,11 @@
 //	    promlint -require goldrec_http_requests_total,goldrec_http_request_seconds
 //
 // With -require, the named metric families (comma-separated) must each
-// emit at least one sample across the inputs — a well-formed exposition
-// that silently lost a family fails the lint, which is exactly the
-// regression a syntax check cannot see.
+// emit at least one sample across the inputs, and a histogram family at
+// least one observation (some series with _count > 0; a counter or
+// gauge at 0 still counts) — a well-formed exposition that silently
+// lost a family, or never fed a histogram, fails the lint, which is
+// exactly the regression a syntax check cannot see.
 //
 // Exits 0 and prints the sample count on success; exits 1 with the
 // first violation otherwise. CI pipes the live daemon's exposition
@@ -30,7 +32,7 @@ import (
 )
 
 func main() {
-	require := flag.String("require", "", "comma-separated metric families that must appear with at least one sample")
+	require := flag.String("require", "", "comma-separated metric families that must appear with at least one sample (histograms: one observation)")
 	flag.Parse()
 
 	var required []string

@@ -95,12 +95,13 @@ func (c *Consolidator) ColumnIndex(col int) (*Session, error) {
 }
 
 // ColumnIndexWarmCtx is ColumnIndex carrying a trace context and a warm
-// start. The engine's context_prep phase (candidate extraction and
-// frequency maps) records as a child span of whatever span the context
-// holds. Programs approved on earlier uploads (carried in warm, nil for
-// a cold open) pre-decide the candidate groups they fully explain
-// before any human review — see WarmStart. Warm pre-application records
-// as a library_preapply span under the context's span.
+// start. The engine's context_prep phase (candidate extraction and the
+// constant scorer's substring index) records as a child span of
+// whatever span the context holds. Programs approved on earlier uploads
+// (carried in warm, nil for a cold open) pre-decide the candidate
+// groups they fully explain before any human review — see WarmStart.
+// Warm pre-application records as a library_preapply span under the
+// context's span.
 func (c *Consolidator) ColumnIndexWarmCtx(ctx context.Context, col int, warm *WarmStart) (*Session, error) {
 	if col < 0 || col >= len(c.ds.Attrs) {
 		return nil, fmt.Errorf("goldrec: column %d out of range", col)

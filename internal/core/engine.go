@@ -3,12 +3,10 @@ package core
 import (
 	"container/heap"
 	"context"
-	"math"
 	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"github.com/goldrec/goldrec/internal/dsl"
 	"github.com/goldrec/goldrec/internal/obs/trace"
@@ -61,8 +59,8 @@ type WarmPrior struct {
 	Rejections int
 }
 
-// maxConstLen caps, in bytes, the substring length tracked by the
-// constant-scoring frequency maps; longer substrings score zero and are
+// maxConstLen caps, in bytes, the substring length the constant
+// scorer's substring index tracks; longer substrings score zero and are
 // pruned (the whole-string constant is always kept by the builder).
 const maxConstLen = 16
 
@@ -94,9 +92,9 @@ type Engine struct {
 		ctx *Context
 		idx int
 	}
-	globalFreq map[string]int
-	units      *unitHeap
-	warm       []*Group
+	subs  *substrIndex // the constant scorer's counts; nil when off
+	units *unitHeap
+	warm  []*Group
 	// The phase timings (in nanoseconds) are atomic because they are
 	// read while grouping runs: goldrecd's session info reads Timings
 	// while its group generator runs NextGroup outside the session
@@ -107,11 +105,11 @@ type Engine struct {
 }
 
 // Timings reports cumulative wall time spent in each engine phase:
-// context preparation (structure split and frequency maps in
-// NewEngine), graph build (tgraph construction and indexing in
-// Context.Prepare), and group search (pivot path search and group
-// assembly). Graph build runs on GOMAXPROCS goroutines, so the CPU time
-// it takes can exceed its GraphBuild duration.
+// context preparation (structure split and the constant scorer's
+// substring index in NewEngine), graph build (tgraph construction and
+// indexing in Context.Prepare), and group search (pivot path search and
+// group assembly). Graph build runs on GOMAXPROCS goroutines, so the
+// CPU time it takes can exceed its GraphBuild duration.
 type Timings struct {
 	ContextPrep time.Duration
 	GraphBuild  time.Duration
@@ -153,9 +151,9 @@ func NewEngine(reps []Rep, opts Options) *Engine {
 }
 
 // NewEngineCtx is NewEngine carrying a trace context: construction is
-// the paper pipeline's context_prep phase (structure split plus
-// frequency maps) and records as one span on the request that opened
-// the session.
+// the paper pipeline's context_prep phase (structure split plus the
+// constant scorer's substring index) and records as one span on the
+// request that opened the session.
 func NewEngineCtx(ctx context.Context, reps []Rep, opts Options) *Engine {
 	pctx, sp := trace.StartSpan(ctx, "context_prep")
 	defer sp.End()
@@ -178,16 +176,15 @@ func NewEngineCtx(ctx context.Context, reps []Rep, opts Options) *Engine {
 		e.preapplyWarm(pctx)
 	}
 	if opts.ConstantScoring {
-		e.globalFreq = make(map[string]int)
+		e.subs = newSubstrIndex(maxConstLen)
 		// Count over what grouping will actually see: warm-claimed
 		// replacements are already decided and must not skew the
 		// constant scores.
 		for _, c := range e.ctxs {
 			for i, r := range c.Reps {
-				if c.preDead[i] {
-					continue
+				if !c.preDead[i] {
+					e.subs.add(r.T)
 				}
-				countSubstrings(e.globalFreq, r.T, maxConstLen)
 			}
 		}
 	}
@@ -252,29 +249,14 @@ func (e *Engine) preapplyWarm(ctx context.Context) {
 func (e *Engine) WarmGroups() []*Group { return e.warm }
 
 // graphOptions returns the tgraph options for one context, wiring in the
-// per-structure-group constant scorer when enabled.
+// per-structure-group constant scorer when enabled. The scorer reads
+// the engine's one structural count table, so it is valid only until
+// graphOptions is called for another context.
 func (e *Engine) graphOptions(c *Context) tgraph.Options {
 	opt := e.opts.Graph
-	if e.opts.ConstantScoring {
-		structFreq := make(map[string]int)
-		for i, r := range c.Reps {
-			if c.preDead[i] {
-				continue
-			}
-			countSubstrings(structFreq, r.T, maxConstLen)
-		}
-		global := e.globalFreq
-		opt.ConstantScore = func(sub string) float64 {
-			if len(sub) > maxConstLen {
-				return 0
-			}
-			fs := structFreq[sub]
-			fg := global[sub]
-			if fg == 0 {
-				fg = 1
-			}
-			return float64(fs) / math.Sqrt(float64(fg))
-		}
+	if e.subs != nil {
+		e.subs.countContext(c)
+		opt.ConstantScore = e.subs.score
 	}
 	return opt
 }
@@ -610,26 +592,4 @@ func (e *Engine) NextGroupCtx(ctx context.Context) *Group {
 		bestCtx.remove(int(gid))
 	}
 	return grp
-}
-
-// countSubstrings counts into m every substring of s that starts and
-// ends on a rune boundary and spans at most maxLen bytes — exactly the
-// substrings the constant scorer reads (it zeroes anything longer than
-// maxConstLen bytes). Keys slice s in place; an invalid-UTF-8 s is
-// re-encoded once first, as tgraph re-encodes its runes, so the keys
-// match the scorer's lookups.
-func countSubstrings(m map[string]int, s string, maxLen int) {
-	if !utf8.ValidString(s) {
-		s = string([]rune(s))
-	}
-	for i := 0; i < len(s); i++ {
-		if !utf8.RuneStart(s[i]) {
-			continue
-		}
-		for j := i + 1; j <= len(s) && j-i <= maxLen; j++ {
-			if j == len(s) || utf8.RuneStart(s[j]) {
-				m[s[i:j]]++
-			}
-		}
-	}
 }

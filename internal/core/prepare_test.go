@@ -82,6 +82,40 @@ func groupDigest(e *Engine, n int) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
+// graphDigest hashes the label space an engine's contexts build under
+// its options: every context's registry keys in id order and every
+// graph's adjacency. It prepares each context that is not prepared yet.
+func graphDigest(e *Engine) string {
+	h := sha256.New()
+	var b []byte
+	for _, c := range e.ctxs {
+		c.Prepare(e.graphOptions(c))
+		b = append(b[:0], c.Sig...)
+		b = append(b, '\n')
+		for _, k := range regKeys(c.Reg) {
+			b = append(append(b, k...), '\n')
+		}
+		for gi, g := range c.Graphs {
+			if g == nil {
+				continue
+			}
+			b = strconv.AppendInt(append(b, 'g'), int64(gi), 10)
+			for i := 1; i < len(g.Adj); i++ {
+				for _, edge := range g.Adj[i] {
+					b = strconv.AppendInt(append(b, ' '), int64(i), 10)
+					b = strconv.AppendInt(append(b, '-'), int64(edge.To), 10)
+					for _, id := range edge.Labels {
+						b = strconv.AppendInt(append(b, ','), int64(id), 10)
+					}
+				}
+			}
+			b = append(b, '\n')
+		}
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
 // diffPrepared reports the first difference between a prepared context
 // and its serial reference: registry, graphs, index and upper bounds.
 func diffPrepared(got, want *Context) error {
@@ -124,20 +158,26 @@ func diffPrepared(got, want *Context) error {
 // Context.Prepare builds must equal the serial reference — registry
 // order, every graph's adjacency, inverted lists, graph counts and
 // upper bounds — and the first 40 groups must match the digests the
-// serial build produced before the build went parallel.
+// serial build produced before the build went parallel. The label
+// space is pinned too: graphs is the graphDigest under the shipped
+// options, full the one under the unpruned tgraph.Options{} (the
+// ablation path, every SubStr label kept), both as the build produced
+// them before position lists went flat and the constant scorer moved
+// onto a substring index.
 func TestPrepareMatchesSerialBuild(t *testing.T) {
 	cases := []struct {
-		family string
-		seed   int64
-		scale  float64
-		digest string
+		family       string
+		seed         int64
+		scale        float64
+		digest       string
+		graphs, full string
 	}{
-		{"address", 1000, 0.1, "b84e62c18cd72959"},
-		{"address", 1001, 0.1, "5dc25fbb2908ae01"},
-		{"author", 1, 0.4, "893c8bd0c02ab2e2"},
-		{"author", 2, 0.4, "3e602d83e979ca8f"},
-		{"journal", 1, 0.25, "a81b4ab84c102ada"},
-		{"journal", 2, 0.25, "797e895da8e03cb1"},
+		{"address", 1000, 0.1, "b84e62c18cd72959", "624f7ad8f423631e", "f911e3abeaec7df4"},
+		{"address", 1001, 0.1, "5dc25fbb2908ae01", "787d73569cbed41d", "24b88fb251bba843"},
+		{"author", 1, 0.4, "893c8bd0c02ab2e2", "b2f51217681b9af4", "cca9943c01bab763"},
+		{"author", 2, 0.4, "3e602d83e979ca8f", "5403830f8bbe5695", "f54f87984e242606"},
+		{"journal", 1, 0.25, "a81b4ab84c102ada", "f384068e20fe32bd", "0c25cb02473ef1fa"},
+		{"journal", 2, 0.25, "797e895da8e03cb1", "73a50bb67b7549e9", "9e1f9de6639ab584"},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
@@ -154,6 +194,14 @@ func TestPrepareMatchesSerialBuild(t *testing.T) {
 				if err := diffPrepared(c, want); err != nil {
 					t.Fatalf("GOMAXPROCS=%d %s/%d structure %q: %v", procs, tc.family, tc.seed, c.Sig, err)
 				}
+			}
+			if d := graphDigest(e); d != tc.graphs {
+				t.Errorf("GOMAXPROCS=%d %s/%d: graph digest %s, want %s", procs, tc.family, tc.seed, d, tc.graphs)
+			}
+			full := sessionOptions()
+			full.Graph = tgraph.Options{}
+			if d := graphDigest(NewEngine(reps, full)); d != tc.full {
+				t.Errorf("GOMAXPROCS=%d %s/%d: unpruned graph digest %s, want %s", procs, tc.family, tc.seed, d, tc.full)
 			}
 		}
 	}

@@ -1,0 +1,122 @@
+package core
+
+import (
+	"math"
+	"unicode/utf8"
+)
+
+// substrIndex backs the Appendix E constant scorer. It numbers every
+// substring the scorer reads — rune-aligned, at most maxLen bytes — and
+// keeps, per id, its count over the whole column (global) and over the
+// structure group being prepared (structural). A target's substrings
+// are hashed once: its id list is cached, so a repeated target only
+// re-adds ids.
+type substrIndex struct {
+	maxLen int
+	ids    map[string]int32 // substring → id
+	// targets maps a target to its number k; target k's ids, one per
+	// occurrence, are lists[off[k]:off[k+1]].
+	targets map[string]int32
+	lists   []int32
+	off     []int32
+	global  []int32
+	// structural counts the alive targets of one context; touched holds
+	// the ids it counted, which the next context clears first.
+	structural []int32
+	touched    []int32
+}
+
+func newSubstrIndex(maxLen int) *substrIndex {
+	return &substrIndex{
+		maxLen:  maxLen,
+		ids:     make(map[string]int32),
+		targets: make(map[string]int32),
+		off:     []int32{0},
+	}
+}
+
+// add counts target t into the global counts, numbering its substrings
+// the first time t is seen.
+func (x *substrIndex) add(t string) {
+	for _, id := range x.list(t) {
+		x.global[id]++
+	}
+}
+
+// list returns t's cached ids, numbering them first when t is new.
+func (x *substrIndex) list(t string) []int32 {
+	k, ok := x.targets[t]
+	if !ok {
+		k = int32(len(x.off) - 1)
+		x.targets[t] = k
+		x.lists = x.appendIDs(x.lists, t)
+		x.off = append(x.off, int32(len(x.lists)))
+	}
+	return x.lists[x.off[k]:x.off[k+1]]
+}
+
+// appendIDs appends the id of every rune-aligned substring of s of at
+// most maxLen bytes, numbering new ones. Keys slice s in place; an
+// invalid-UTF-8 s is re-encoded once first, as tgraph re-encodes its
+// runes, so the keys match the scorer's lookups.
+func (x *substrIndex) appendIDs(dst []int32, s string) []int32 {
+	if !utf8.ValidString(s) {
+		s = string([]rune(s))
+	}
+	for i := 0; i < len(s); i++ {
+		if !utf8.RuneStart(s[i]) {
+			continue
+		}
+		for j := i + 1; j <= len(s) && j-i <= x.maxLen; j++ {
+			if j < len(s) && !utf8.RuneStart(s[j]) {
+				continue
+			}
+			id, ok := x.ids[s[i:j]]
+			if !ok {
+				id = int32(len(x.global))
+				x.ids[s[i:j]] = id
+				x.global = append(x.global, 0)
+			}
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// countContext makes structural the counts of c's alive targets,
+// clearing the previous context's. Every alive target was added at
+// construction, so the lookups number nothing new.
+func (x *substrIndex) countContext(c *Context) {
+	for _, id := range x.touched {
+		x.structural[id] = 0
+	}
+	x.touched = x.touched[:0]
+	if len(x.structural) < len(x.global) {
+		x.structural = make([]int32, len(x.global))
+	}
+	for i, r := range c.Reps {
+		if c.preDead[i] {
+			continue
+		}
+		for _, id := range x.list(r.T) {
+			if x.structural[id] == 0 {
+				x.touched = append(x.touched, id)
+			}
+			x.structural[id]++
+		}
+	}
+}
+
+// score is the Appendix E constant score of sub in the counted context:
+// freqStruc/sqrt(freqGlobal), 0 for a substring over maxLen bytes. It
+// only reads the index, so the context's parallel builds share it.
+func (x *substrIndex) score(sub string) float64 {
+	if len(sub) > x.maxLen {
+		return 0
+	}
+	id, ok := x.ids[sub]
+	if !ok {
+		return 0
+	}
+	return float64(x.structural[id]) / math.Sqrt(float64(max(x.global[id], 1)))
+}

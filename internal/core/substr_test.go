@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -19,53 +20,139 @@ func naiveCountSubstrings(m map[string]int, s string, maxLen int) {
 	}
 }
 
+// globalCounts reads an index's global counts back by substring.
+func globalCounts(x *substrIndex) map[string]int {
+	m := make(map[string]int, len(x.ids))
+	for k, id := range x.ids {
+		if n := x.global[id]; n != 0 {
+			m[k] = int(n)
+		}
+	}
+	return m
+}
+
+func diffCounts(t *testing.T, what string, got, want map[string]int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d substrings, want %d", what, len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("%s[%q] = %d, want %d", what, k, got[k], n)
+		}
+	}
+}
+
+// TestCountSubstringsMatchesNaive: the substring index's global counts
+// equal the naive reference, per target and over a whole column in
+// which targets repeat (a repeat re-adds its cached ids), with ASCII,
+// non-ASCII and invalid-UTF-8 targets.
 func TestCountSubstringsMatchesNaive(t *testing.T) {
 	inputs := []string{
 		"", "a", "Mary Lee", "Smith, James", "née Müller", "日本語テスト",
 		"mixed ascii and ünïcode tails", "aaaaaaaaaaaaaaaaaaaaaaaa",
 		"éééééééééééé", "ab\xffcd\xc3(é\xe2\x82",
 	}
-	for _, s := range inputs {
-		for _, maxLen := range []int{1, 3, 16} {
+	for _, maxLen := range []int{1, 3, 16} {
+		all := newSubstrIndex(maxLen)
+		wantAll := map[string]int{}
+		for _, s := range inputs {
 			want := map[string]int{}
 			naiveCountSubstrings(want, s, maxLen)
-			got := map[string]int{}
-			countSubstrings(got, s, maxLen)
-			if len(got) != len(want) {
-				t.Fatalf("countSubstrings(%q, %d): %d keys, want %d", s, maxLen, len(got), len(want))
+			x := newSubstrIndex(maxLen)
+			x.add(s)
+			diffCounts(t, fmt.Sprintf("index(%q, %d)", s, maxLen), globalCounts(x), want)
+			for rep := 0; rep < 3; rep++ {
+				all.add(s)
+				naiveCountSubstrings(wantAll, s, maxLen)
 			}
-			for k, n := range want {
-				if got[k] != n {
-					t.Errorf("countSubstrings(%q, %d)[%q] = %d, want %d", s, maxLen, k, got[k], n)
-				}
-			}
+		}
+		diffCounts(t, fmt.Sprintf("column index(maxLen %d)", maxLen), globalCounts(all), wantAll)
+		if n := len(all.off) - 1; n != len(inputs) {
+			t.Errorf("maxLen %d: %d target lists cached, want %d", maxLen, n, len(inputs))
 		}
 	}
 }
 
-// TestCountSubstringsASCIIAllocs gates the hot path: counting an ASCII
-// string into a pre-warmed map must not allocate at all — every key
-// slices the input in place.
+// TestCountSubstringsASCIIAllocs gates the hot path: re-adding a target
+// the index has seen must not allocate at all — it re-adds the cached
+// ids without hashing the target again.
 func TestCountSubstringsASCIIAllocs(t *testing.T) {
-	assertCountSubstringsNoAllocs(t, "Smith, James A. 42nd")
+	assertReAddNoAllocs(t, "Smith, James A. 42nd")
 }
 
-// TestCountSubstringsUnicodeScratchPooled gates the non-ASCII path: it
-// needs no decode scratch, pooled or per call, and its keys slice the
-// input in place too, so a pre-warmed map means zero allocations.
+// TestCountSubstringsUnicodeScratchPooled gates the non-ASCII path the
+// same way: a seen non-ASCII target allocates nothing either.
 func TestCountSubstringsUnicodeScratchPooled(t *testing.T) {
-	assertCountSubstringsNoAllocs(t, "Müller, Ænna 42nd")
+	assertReAddNoAllocs(t, "Müller, Ænna 42nd")
 }
 
-func assertCountSubstringsNoAllocs(t *testing.T, s string) {
+func assertReAddNoAllocs(t *testing.T, s string) {
 	t.Helper()
-	m := map[string]int{}
-	countSubstrings(m, s, maxConstLen) // size the map
+	x := newSubstrIndex(maxConstLen)
+	x.add(s)
+	ids, listed := len(x.ids), len(x.lists)
 	allocs := testing.AllocsPerRun(100, func() {
-		countSubstrings(m, s, maxConstLen)
+		x.add(s)
 	})
 	if allocs != 0 {
-		t.Errorf("countSubstrings(%q) allocated %.1f per run, want 0", s, allocs)
+		t.Errorf("re-adding %q allocated %.1f per run, want 0", s, allocs)
+	}
+	if len(x.ids) != ids || len(x.lists) != listed {
+		t.Errorf("re-adding %q hashed it again: %d new substrings, %d new list entries", s, len(x.ids)-ids, len(x.lists)-listed)
+	}
+}
+
+// TestConstantScoreMatchesFrequencyMaps: for every context of a
+// generated column, part of it claimed before preparation, the scorer
+// returns what the two-map formula it replaced returns — global and
+// structural counts kept as string maps, freqStruc/sqrt(max(freqGlobal,
+// 1)), zero over maxConstLen bytes — for every substring t[i,j) of
+// every alive target.
+func TestConstantScoreMatchesFrequencyMaps(t *testing.T) {
+	reps := datagenReps("author", 1, 0.2)
+	reps = append(reps, Rep{S: "x", T: "ab\xffcd Müller", Ext: -1}, Rep{S: "y", T: "ab\xffcd Müller", Ext: -2})
+	e := NewEngine(reps, sessionOptions())
+	global := map[string]int{}
+	for _, c := range e.ctxs {
+		for i, r := range c.Reps {
+			if !c.preDead[i] {
+				naiveCountSubstrings(global, r.T, maxConstLen)
+			}
+		}
+	}
+	e.Remove(reps[0].Ext, reps[1].Ext) // dead before any context prepares
+	checked := 0
+	for _, c := range e.ctxs {
+		score := e.graphOptions(c).ConstantScore
+		structural := map[string]int{}
+		for i, r := range c.Reps {
+			if !c.preDead[i] {
+				naiveCountSubstrings(structural, r.T, maxConstLen)
+			}
+		}
+		for i, r := range c.Reps {
+			if c.preDead[i] {
+				continue
+			}
+			rt := []rune(r.T)
+			for a := 0; a < len(rt); a++ {
+				for b := a + 1; b <= len(rt); b++ {
+					sub := string(rt[a:b])
+					want := 0.0
+					if len(sub) <= maxConstLen {
+						want = float64(structural[sub]) / math.Sqrt(float64(max(global[sub], 1)))
+					}
+					if got := score(sub); got != want {
+						t.Fatalf("structure %q: score(%q) = %v, two-map formula %v", c.Sig, sub, got, want)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no substring scored")
 	}
 }
 
@@ -76,12 +163,12 @@ func BenchmarkCountSubstrings(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("%s/len=%d", tc.name, len(tc.s)), func(b *testing.B) {
-			m := map[string]int{}
-			countSubstrings(m, tc.s, maxConstLen)
+			x := newSubstrIndex(maxConstLen)
+			ids := x.appendIDs(nil, tc.s)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				countSubstrings(m, tc.s, maxConstLen)
+				ids = x.appendIDs(ids[:0], tc.s)
 			}
 		})
 	}

@@ -99,7 +99,7 @@ func TestWarmFirstPriorWins(t *testing.T) {
 
 func TestWarmWithConstantScoring(t *testing.T) {
 	// Warm claiming must compose with the Appendix E scorer: the
-	// frequency maps count only unclaimed replacements and grouping
+	// substring index counts only unclaimed replacements and grouping
 	// still terminates on what remains.
 	reps := table1NameReps()
 	e := NewEngine(reps, Options{

@@ -139,16 +139,21 @@ func escapeHelp(s string) string {
 // _count agreeing with the +Inf bucket. It returns the number of
 // samples parsed and the set of metric families that emitted at least
 // one sample, keyed by family name (histogram _bucket/_sum/_count fold
-// into their base family). CI pipes goldrecd's /metrics/prometheus
-// through it (via cmd/promlint, whose -require asserts the families a
-// scrape config depends on), and the golden-file tests run it over
-// checked-in output, so a formatting regression fails both.
+// into their base family). A histogram family counts only once some
+// series has observed a value (_count > 0): a registered histogram
+// emits its zero _count and _bucket lines before any observation,
+// while a counter or gauge at 0 is a real reading. CI pipes goldrecd's
+// /metrics/prometheus through it (via cmd/promlint, whose -require
+// asserts the families a scrape config depends on), and the golden-file
+// tests run it over checked-in output, so a formatting regression fails
+// both.
 func ParseExpositionFamilies(r io.Reader) (samples int, families map[string]bool, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	typeOf := make(map[string]string) // family → TYPE
 	helpSeen := make(map[string]bool)
 	seenSample := make(map[string]bool) // family → sample already emitted
+	families = make(map[string]bool)
 	// histogram bookkeeping, keyed by family + base label key
 	type histState struct {
 		lastLe  float64
@@ -174,29 +179,29 @@ func ParseExpositionFamilies(r io.Reader) (samples int, families map[string]bool
 			}
 			name := fields[2]
 			if err := checkMetricName(name); err != nil {
-				return samples, seenSample, fmt.Errorf("line %d: %s %v", line, fields[1], err)
+				return samples, families, fmt.Errorf("line %d: %s %v", line, fields[1], err)
 			}
 			switch fields[1] {
 			case "HELP":
 				if helpSeen[name] {
-					return samples, seenSample, fmt.Errorf("line %d: duplicate HELP for %s", line, name)
+					return samples, families, fmt.Errorf("line %d: duplicate HELP for %s", line, name)
 				}
 				helpSeen[name] = true
 			case "TYPE":
 				if len(fields) != 4 {
-					return samples, seenSample, fmt.Errorf("line %d: TYPE needs a type", line)
+					return samples, families, fmt.Errorf("line %d: TYPE needs a type", line)
 				}
 				typ := fields[3]
 				switch typ {
 				case "counter", "gauge", "histogram", "summary", "untyped":
 				default:
-					return samples, seenSample, fmt.Errorf("line %d: unknown TYPE %q for %s", line, typ, name)
+					return samples, families, fmt.Errorf("line %d: unknown TYPE %q for %s", line, typ, name)
 				}
 				if _, dup := typeOf[name]; dup {
-					return samples, seenSample, fmt.Errorf("line %d: duplicate TYPE for %s", line, name)
+					return samples, families, fmt.Errorf("line %d: duplicate TYPE for %s", line, name)
 				}
 				if seenSample[name] {
-					return samples, seenSample, fmt.Errorf("line %d: TYPE for %s after its samples", line, name)
+					return samples, families, fmt.Errorf("line %d: TYPE for %s after its samples", line, name)
 				}
 				typeOf[name] = typ
 			}
@@ -204,7 +209,7 @@ func ParseExpositionFamilies(r io.Reader) (samples int, families map[string]bool
 		}
 		name, labels, value, err := parseSampleLine(text)
 		if err != nil {
-			return samples, seenSample, fmt.Errorf("line %d: %w", line, err)
+			return samples, families, fmt.Errorf("line %d: %w", line, err)
 		}
 		samples++
 		family := name
@@ -218,13 +223,14 @@ func ParseExpositionFamilies(r io.Reader) (samples int, families map[string]bool
 		}
 		typ, ok := typeOf[family]
 		if !ok {
-			return samples, seenSample, fmt.Errorf("line %d: sample %s before any TYPE", line, name)
+			return samples, families, fmt.Errorf("line %d: sample %s before any TYPE", line, name)
 		}
 		if !helpSeen[family] {
-			return samples, seenSample, fmt.Errorf("line %d: sample %s without HELP", line, name)
+			return samples, families, fmt.Errorf("line %d: sample %s without HELP", line, name)
 		}
 		seenSample[family] = true
 		if typ != "histogram" {
+			families[family] = true
 			continue
 		}
 		base := make([]string, 0, len(labels))
@@ -245,21 +251,21 @@ func ParseExpositionFamilies(r io.Reader) (samples int, families map[string]bool
 		switch suffix {
 		case "_bucket":
 			if le == "" {
-				return samples, seenSample, fmt.Errorf("line %d: histogram bucket without le label", line)
+				return samples, families, fmt.Errorf("line %d: histogram bucket without le label", line)
 			}
 			ub := math.Inf(1)
 			if le != "+Inf" {
 				ub, err = strconv.ParseFloat(le, 64)
 				if err != nil {
-					return samples, seenSample, fmt.Errorf("line %d: bad le %q: %v", line, le, err)
+					return samples, families, fmt.Errorf("line %d: bad le %q: %v", line, le, err)
 				}
 			}
 			cum := int64(value)
 			if ub <= st.lastLe {
-				return samples, seenSample, fmt.Errorf("line %d: histogram %s buckets out of order (le %v after %v)", line, family, ub, st.lastLe)
+				return samples, families, fmt.Errorf("line %d: histogram %s buckets out of order (le %v after %v)", line, family, ub, st.lastLe)
 			}
 			if cum < st.lastCum {
-				return samples, seenSample, fmt.Errorf("line %d: histogram %s bucket counts not cumulative", line, family)
+				return samples, families, fmt.Errorf("line %d: histogram %s bucket counts not cumulative", line, family)
 			}
 			st.lastLe, st.lastCum = ub, cum
 			if math.IsInf(ub, 1) {
@@ -272,18 +278,21 @@ func ParseExpositionFamilies(r io.Reader) (samples int, families map[string]bool
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return samples, seenSample, err
+		return samples, families, err
 	}
 	for key, st := range hists {
 		family := key[:strings.IndexByte(key, '\xff')]
 		if !st.infSeen {
-			return samples, seenSample, fmt.Errorf("histogram %s: no +Inf bucket", family)
+			return samples, families, fmt.Errorf("histogram %s: no +Inf bucket", family)
 		}
 		if st.hasCnt && st.count != st.infCum {
-			return samples, seenSample, fmt.Errorf("histogram %s: _count %d != +Inf bucket %d", family, st.count, st.infCum)
+			return samples, families, fmt.Errorf("histogram %s: _count %d != +Inf bucket %d", family, st.count, st.infCum)
+		}
+		if st.infCum > 0 { // equal to _count, checked above
+			families[family] = true
 		}
 	}
-	return samples, seenSample, nil
+	return samples, families, nil
 }
 
 // parseSampleLine parses `name{label="value",...} value` (the labels

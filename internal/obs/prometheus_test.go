@@ -141,6 +141,34 @@ func TestParseExpositionFamilies(t *testing.T) {
 	}
 }
 
+// TestParseExpositionFamiliesUnobservedHistogram: a histogram family
+// whose every series reads _count 0 has observed nothing and is not
+// seen, labelled or not; one observed series makes it seen. Counters
+// and gauges at 0 still count.
+func TestParseExpositionFamiliesUnobservedHistogram(t *testing.T) {
+	in := "# HELP z_seconds Z.\n# TYPE z_seconds histogram\n" +
+		"z_seconds_bucket{le=\"1\"} 0\nz_seconds_bucket{le=\"+Inf\"} 0\n" +
+		"z_seconds_sum 0\nz_seconds_count 0\n" +
+		"# HELP p_seconds P.\n# TYPE p_seconds histogram\n" +
+		"p_seconds_bucket{phase=\"a\",le=\"+Inf\"} 0\np_seconds_sum{phase=\"a\"} 0\np_seconds_count{phase=\"a\"} 0\n" +
+		"p_seconds_bucket{phase=\"b\",le=\"+Inf\"} 3\np_seconds_sum{phase=\"b\"} 1.5\np_seconds_count{phase=\"b\"} 3\n" +
+		"# HELP d_total D.\n# TYPE d_total counter\nd_total 0\n" +
+		"# HELP g G.\n# TYPE g gauge\ng 0\n"
+	n, fams, err := ParseExpositionFamilies(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if n != 12 {
+		t.Fatalf("parsed %d samples, want 12", n)
+	}
+	if fams["z_seconds"] {
+		t.Errorf("unobserved histogram reported as seen: %v", fams)
+	}
+	if !fams["p_seconds"] || !fams["d_total"] || !fams["g"] {
+		t.Errorf("families = %v, want p_seconds, d_total and g", fams)
+	}
+}
+
 func TestEscapeRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	nasty := "a\\b\"c\nd"

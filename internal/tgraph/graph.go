@@ -1,6 +1,7 @@
 package tgraph
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 	"sync"
@@ -125,25 +126,60 @@ type builder struct {
 	// slce[j*(n+1)+y]: longest common suffix of t[:j] and s[:y]
 	// (0-based exclusive ends).
 	slce []int32
-	// posKeys holds the key of every position function of s back to
-	// back; the key of pos[x][a] ends at posKeyEnd[posBase[x]+a].
+	// pos holds P[x] of every position x of s back to back, unboxed:
+	// P[x] is pos[posOff[x]:posOff[x+1]]. fill is positionLists'
+	// per-position write cursor.
+	pos          []posFn
+	posOff, fill []int32
+	// posKeys holds the key of every position function back to back;
+	// the key of pos[k] ends at posKeyEnd[k].
 	posKeys   []byte
 	posKeyEnd []int32
-	posBase   []int32
-	// minSub[j] is the smallest SubStr candidate so far for edge
-	// e(i,j) of the node i being scanned (MinimalSubStr mode).
-	minSub      []subStrPick
-	tOff        []int     // byte offset of each rune of t, then len(t)
-	score       []float64 // ConstantScore of t[i,j)
-	bestEnd     []float64 // bestEnd[i]: max score of the t[k,i)
-	bestStart   []float64 // bestStart[j]: max score of the t[j,l)
-	key, minKey []byte
-	occ         []labelOcc // every label of every edge, in intern order
+	// minPos[x] is the index in pos of P[x]'s smallest key, and
+	// rank[x] orders positions by that key (MinimalSubStr mode); byKey
+	// is the positions in that order.
+	minPos, rank, byKey []int32
+	// minX[j] is the start x of the smallest SubStr candidate so far for
+	// edge e(i,j) of the node i being scanned, 0 for none.
+	minX      []int32
+	tOff      []int     // byte offset of each rune of t, then len(t)
+	score     []float64 // ConstantScore of t[i,j)
+	bestEnd   []float64 // bestEnd[i]: max score of the t[k,i)
+	bestStart []float64 // bestStart[j]: max score of the t[j,l)
+	key       []byte
+	occ       []labelOcc // every label of every edge, in intern order
 }
 
-// subStrPick names the SubStr candidate with position functions
-// pos[x][a] and pos[y][c]; x < 0 means none.
-type subStrPick struct{ x, a, y, c int32 }
+// posFn is one position function in flat form: MatchPos(term, k, dir),
+// or ConstPos(k) when term is constPos. Build boxes it into a dsl.Pos
+// only for a label new to the registry.
+type posFn struct {
+	k    int32
+	term dsl.Term
+	dir  dsl.Dir
+}
+
+// constPos marks a posFn as ConstPos.
+const constPos = dsl.Term(dsl.NumTerms)
+
+func (p posFn) boxed() dsl.Pos {
+	if p.term == constPos {
+		return dsl.ConstPos{K: int(p.k)}
+	}
+	return dsl.MatchPos{Term: p.term, K: int(p.k), Dir: p.dir}
+}
+
+// appendKey appends the bytes p.boxed().AppendKey appends.
+func (p posFn) appendKey(b []byte) []byte {
+	if p.term == constPos {
+		return appendInt(append(b, 'K'), int(p.k))
+	}
+	b = appendInt(append(b, 'M', p.term.Sig()), int(p.k))
+	if p.dir == dsl.DirBegin {
+		return append(b, 'B')
+	}
+	return append(b, 'E')
+}
 
 // labelOcc is one label of edge e(i,j).
 type labelOcc struct {
@@ -161,7 +197,7 @@ func (b *builder) build(s, t string, reg *Registry, opt Options) *Graph {
 	w := n + 1
 
 	matches := dsl.AllMatches(rs)
-	pos := positionLists(len(rs), matches)
+	b.positionLists(n, &matches)
 
 	b.lce = zeroed(b.lce, (m+1)*w)
 	for i := m - 1; i >= 0; i-- {
@@ -181,7 +217,11 @@ func (b *builder) build(s, t string, reg *Registry, opt Options) *Graph {
 	}
 
 	b.occ = b.occ[:0]
-	b.subStrLabels(reg, pos, opt.MinimalSubStr)
+	if opt.MinimalSubStr {
+		b.minimalSubStrLabels(reg)
+	} else {
+		b.subStrLabels(reg)
+	}
 	b.constLabels(t, reg, opt.ConstantScore)
 	if !opt.NoAffix {
 		b.affixLabels(reg, &matches)
@@ -195,78 +235,86 @@ func (b *builder) label(i, j int, id LabelID) {
 }
 
 // subStrLabels adds, for every occurrence s[x,y) of t[i,j), every
-// combination of a position function locating x and one locating y. In
-// MinimalSubStr mode only the smallest key per edge survives.
-func (b *builder) subStrLabels(reg *Registry, pos [][]dsl.Pos, minimal bool) {
-	b.posKeys, b.posKeyEnd, b.posBase = b.posKeys[:0], b.posKeyEnd[:0], b.posBase[:0]
-	for _, ps := range pos {
-		b.posBase = append(b.posBase, int32(len(b.posKeyEnd)))
-		for _, p := range ps {
-			b.posKeys = p.AppendKey(b.posKeys)
-			b.posKeyEnd = append(b.posKeyEnd, int32(len(b.posKeys)))
-		}
-	}
+// combination of a position function locating x and one locating y.
+func (b *builder) subStrLabels(reg *Registry) {
 	n, m := len(b.rs), len(b.rt)
 	w := n + 1
 	for i := 1; i <= m; i++ {
-		if minimal {
-			b.minSub = b.minSub[:0]
-			for j := 0; j <= m+1; j++ {
-				b.minSub = append(b.minSub, subStrPick{x: -1})
-			}
-		}
 		for x := 1; x <= n; x++ {
 			run := int(b.lce[(i-1)*w+x-1])
 			for l := 1; l <= run; l++ {
-				j, y := i+l, x+l
-				for a, pf := range pos[x] {
-					for c, pg := range pos[y] {
-						p := subStrPick{int32(x), int32(a), int32(y), int32(c)}
-						b.key = b.appendSubStrKey(b.key[:0], p)
-						if minimal {
-							best := &b.minSub[j]
-							if best.x >= 0 {
-								b.minKey = b.appendSubStrKey(b.minKey[:0], *best)
-							}
-							if best.x < 0 || string(b.key) < string(b.minKey) {
-								*best = p
-							}
-							continue
-						}
-						b.label(i, j, reg.internKey(b.key, func() dsl.Func {
-							return dsl.SubStr{L: pf, R: pg}
-						}))
+				y := x + l
+				for a := b.posOff[x]; a < b.posOff[x+1]; a++ {
+					for c := b.posOff[y]; c < b.posOff[y+1]; c++ {
+						b.subStrLabel(reg, i, i+l, a, c)
 					}
 				}
 			}
 		}
-		if !minimal {
-			continue
+	}
+}
+
+// minimalSubStrLabels adds the Appendix E static order's one SubStr
+// label per edge: the smallest key among those subStrLabels would add.
+// No position key holds ',' or ')', and every key byte is at least '-',
+// above both; so the smallest S(L,R) pairs the smallest L with the
+// smallest R. Keys of different positions differ (a key fixes its
+// position), so an edge's smallest label starts at the occurrence x
+// whose smallest key ranks lowest and pairs it with the smallest key
+// of P[x+l] — one candidate per occurrence, not |P[x]|·|P[x+l]|.
+func (b *builder) minimalSubStrLabels(reg *Registry) {
+	n, m := len(b.rs), len(b.rt)
+	w := n + 1
+	b.minPos, b.byKey = zeroed(b.minPos, n+2), b.byKey[:0]
+	for x := 1; x <= n+1; x++ {
+		best := b.posOff[x]
+		for a := best + 1; a < b.posOff[x+1]; a++ {
+			if bytes.Compare(b.posKey(a), b.posKey(best)) < 0 {
+				best = a
+			}
+		}
+		b.minPos[x] = best
+		b.byKey = append(b.byKey, int32(x))
+	}
+	slices.SortFunc(b.byKey, func(x, y int32) int {
+		return bytes.Compare(b.posKey(b.minPos[x]), b.posKey(b.minPos[y]))
+	})
+	b.rank = zeroed(b.rank, n+2)
+	for r, x := range b.byKey {
+		b.rank[x] = int32(r)
+	}
+	for i := 1; i <= m; i++ {
+		b.minX = zeroed(b.minX, m+2)
+		for x := 1; x <= n; x++ {
+			run := int(b.lce[(i-1)*w+x-1])
+			for l := 1; l <= run; l++ {
+				if best := &b.minX[i+l]; *best == 0 || b.rank[x] < b.rank[*best] {
+					*best = int32(x)
+				}
+			}
 		}
 		for j := i + 1; j <= m+1; j++ {
-			p := b.minSub[j]
-			if p.x < 0 {
-				continue
+			if x := b.minX[j]; x != 0 {
+				b.subStrLabel(reg, i, j, b.minPos[x], b.minPos[int(x)+j-i])
 			}
-			b.key = b.appendSubStrKey(b.key[:0], p)
-			b.label(i, j, reg.internKey(b.key, func() dsl.Func {
-				return dsl.SubStr{L: pos[p.x][p.a], R: pos[p.y][p.c]}
-			}))
 		}
 	}
 }
 
-// appendSubStrKey appends the key of SubStr(pos[p.x][p.a], pos[p.y][p.c]).
-func (b *builder) appendSubStrKey(dst []byte, p subStrPick) []byte {
-	dst = append(dst, 'S', '(')
-	dst = append(dst, b.posKey(p.x, p.a)...)
-	dst = append(dst, ',')
-	dst = append(dst, b.posKey(p.y, p.c)...)
-	return append(dst, ')')
+// subStrLabel records SubStr(pos[l], pos[r]) on edge e(i,j).
+func (b *builder) subStrLabel(reg *Registry, i, j int, l, r int32) {
+	b.key = append(b.key[:0], 'S', '(')
+	b.key = append(b.key, b.posKey(l)...)
+	b.key = append(b.key, ',')
+	b.key = append(b.key, b.posKey(r)...)
+	b.key = append(b.key, ')')
+	b.label(i, j, reg.internKey(b.key, func() dsl.Func {
+		return dsl.SubStr{L: b.pos[l].boxed(), R: b.pos[r].boxed()}
+	}))
 }
 
-func (b *builder) posKey(x, a int32) []byte {
-	k := b.posBase[x] + a
+// posKey returns the key of pos[k].
+func (b *builder) posKey(k int32) []byte {
 	lo := int32(0)
 	if k > 0 {
 		lo = b.posKeyEnd[k-1]
@@ -439,31 +487,52 @@ func appendRunes(dst []rune, s string) []rune {
 // (Appendix C) under the Appendix E static partial order: all regex-term
 // MatchPos functions (forward and backward k, begin and end) are kept;
 // ConstPos is the narrowest class and is added only for positions no
-// MatchPos expresses.
-func positionLists(n int, matches [dsl.NumTerms][]dsl.Span) [][]dsl.Pos {
-	pos := make([][]dsl.Pos, n+2)
-	add := func(x int, p dsl.Pos) {
-		pos[x] = append(pos[x], p)
+// MatchPos expresses. It fills b.pos, b.posOff and every key.
+func (b *builder) positionLists(n int, matches *[dsl.NumTerms][]dsl.Span) {
+	// Count P[x] into posOff[x+1], then prefix-sum the counts into
+	// offsets and write each list in the order it was counted.
+	b.posOff = zeroed(b.posOff, n+3)
+	for _, spans := range matches {
+		for _, sp := range spans {
+			b.posOff[sp.Beg+1] += 2
+			b.posOff[sp.End+1] += 2
+		}
+	}
+	for x := 1; x <= n+1; x++ {
+		if b.posOff[x+1] == 0 {
+			b.posOff[x+1] = 2 // the ConstPos fallback
+		}
+	}
+	for x := 1; x < len(b.posOff); x++ {
+		b.posOff[x] += b.posOff[x-1]
+	}
+	b.pos = zeroed(b.pos, int(b.posOff[n+2]))
+	b.fill = append(b.fill[:0], b.posOff...)
+	add := func(x int, p posFn) {
+		b.pos[b.fill[x]] = p
+		b.fill[x]++
 	}
 	for term := dsl.Term(0); term < dsl.Term(dsl.NumTerms); term++ {
 		spans := matches[term]
 		mT := len(spans)
 		for k, sp := range spans {
-			add(sp.Beg, dsl.MatchPos{Term: term, K: k + 1, Dir: dsl.DirBegin})
-			add(sp.Beg, dsl.MatchPos{Term: term, K: k - mT, Dir: dsl.DirBegin})
-			add(sp.End, dsl.MatchPos{Term: term, K: k + 1, Dir: dsl.DirEnd})
-			add(sp.End, dsl.MatchPos{Term: term, K: k - mT, Dir: dsl.DirEnd})
+			add(sp.Beg, posFn{term: term, k: int32(k + 1), dir: dsl.DirBegin})
+			add(sp.Beg, posFn{term: term, k: int32(k - mT), dir: dsl.DirBegin})
+			add(sp.End, posFn{term: term, k: int32(k + 1), dir: dsl.DirEnd})
+			add(sp.End, posFn{term: term, k: int32(k - mT), dir: dsl.DirEnd})
 		}
 	}
-	// ConstPos fallback for positions without any match-based function.
 	for x := 1; x <= n+1; x++ {
-		if len(pos[x]) == 0 {
-			pos[x] = append(pos[x],
-				dsl.ConstPos{K: x},
-				dsl.ConstPos{K: x - n - 2})
+		if b.fill[x] == b.posOff[x] {
+			add(x, posFn{term: constPos, k: int32(x)})
+			add(x, posFn{term: constPos, k: int32(x - n - 2)})
 		}
 	}
-	return pos
+	b.posKeys, b.posKeyEnd = b.posKeys[:0], b.posKeyEnd[:0]
+	for _, p := range b.pos {
+		b.posKeys = p.appendKey(b.posKeys)
+		b.posKeyEnd = append(b.posKeyEnd, int32(len(b.posKeys)))
+	}
 }
 
 func appendInt(b []byte, v int) []byte {

@@ -1,6 +1,8 @@
 package tgraph
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/goldrec/goldrec/internal/dsl"
@@ -78,5 +80,57 @@ func TestMinimalSubStrPathsStayConsistent(t *testing.T) {
 	}
 	if !reg.Program(path).Consistent("Smith, James", "J. Smith") {
 		t.Error("minimal-graph path inconsistent")
+	}
+}
+
+// TestMinimalSubStrIsSmallestKey: on random pairs, every edge of the
+// MinimalSubStr graph carries exactly the smallest-keyed SubStr label
+// the full graph has on that edge (none when it has none), and every
+// interned key equals its function's AppendKey bytes.
+func TestMinimalSubStrIsSmallestKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []rune("abAB09 .,-xYé")
+	randStr := func(n int) string {
+		out := make([]rune, n)
+		for i := range out {
+			out[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(out)
+	}
+	pairs := append([][2]string{longAddress}, rebasePairs...)
+	for trial := 0; trial < 300; trial++ {
+		pairs = append(pairs, [2]string{randStr(rng.Intn(14) + 1), randStr(rng.Intn(10) + 1)})
+	}
+	reg := NewRegistry()
+	for _, p := range pairs {
+		full := Build(p[0], p[1], reg, Options{})
+		minimal := Build(p[0], p[1], reg, Options{MinimalSubStr: true})
+		subStr := func(g *Graph, i, j int) []string {
+			var keys []string
+			if e := findEdge(g, i, j); e != nil {
+				for _, id := range e.Labels {
+					if _, ok := reg.Func(id).(dsl.SubStr); ok {
+						keys = append(keys, reg.keys[id])
+					}
+				}
+			}
+			return keys
+		}
+		for i := 1; i < full.N; i++ {
+			for j := i + 1; j <= full.N; j++ {
+				all, got := subStr(full, i, j), subStr(minimal, i, j)
+				switch {
+				case len(all) == 0 && len(got) != 0:
+					t.Fatalf("%q→%q edge (%d,%d): minimal has %v, full has no SubStr", p[0], p[1], i, j, got)
+				case len(all) != 0 && (len(got) != 1 || got[0] != slices.Min(all)):
+					t.Fatalf("%q→%q edge (%d,%d): minimal has %v, want [%s]", p[0], p[1], i, j, got, slices.Min(all))
+				}
+			}
+		}
+	}
+	for id, k := range reg.keys {
+		if f := string(reg.funcs[id].AppendKey(nil)); f != k {
+			t.Fatalf("label %d interned as %q, its function's key is %q", id, k, f)
+		}
 	}
 }

@@ -479,11 +479,11 @@ func (s *Session) applyMembers(g *Group, dir Direction) ApplyStats {
 func (s *Session) Stats() SessionStats { return s.stats }
 
 // PhaseTimings reports the cumulative wall time the session's engine
-// spent in each phase: context preparation (structure split and
-// frequency maps), graph build (transformation-graph construction and
-// indexing; parallel, so its CPU time can exceed GraphBuild), and group
-// search (pivot path search and group assembly). Durations marshal to
-// JSON as nanoseconds.
+// spent in each phase: context preparation (structure split and the
+// constant scorer's substring index), graph build (transformation-graph
+// construction and indexing; parallel, so its CPU time can exceed
+// GraphBuild), and group search (pivot path search and group
+// assembly). Durations marshal to JSON as nanoseconds.
 type PhaseTimings struct {
 	ContextPrep time.Duration `json:"context_prep_ns"`
 	GraphBuild  time.Duration `json:"graph_build_ns"`
