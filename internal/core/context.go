@@ -96,7 +96,7 @@ func (c *Context) index() {
 		c.alive[i] = true
 		c.aliveN++
 	}
-	c.Index = BuildIndex(c.Graphs)
+	c.Index = BuildIndex(c.Graphs, c.Reg.Len())
 	for i, g := range c.Graphs {
 		if g == nil {
 			continue
@@ -111,7 +111,8 @@ func (c *Context) index() {
 // makes them independent apart from the label registry) on GOMAXPROCS
 // workers, each interning into a registry of its own. A serial pass then
 // rebases them onto c.Reg in replacement order, so c.Reg assigns exactly
-// the LabelIDs of building every graph in order on c.Reg itself.
+// the LabelIDs of building every graph in order on c.Reg itself, and
+// seals it: nothing interns into a prepared context.
 func (c *Context) buildGraphs(opt tgraph.Options) {
 	n := len(c.Reps)
 	c.Reg = tgraph.NewRegistry()
@@ -142,6 +143,7 @@ func (c *Context) buildGraphs(opt tgraph.Options) {
 			regs[i].Rebase(g, first[i], c.Reg)
 		}
 	}
+	c.Reg.Seal()
 }
 
 // upperBound implements Lemma 6.2: for every node position k of t, some
@@ -152,14 +154,16 @@ func (c *Context) upperBound(g *tgraph.Graph) int {
 	m := g.N - 1 // positions 1..m must be covered
 	ub := make([]int, m+1)
 	for i := 1; i <= m; i++ {
-		for _, e := range g.Adj[i] {
+		lo, hi := g.Edges(i)
+		for e := lo; e < hi; e++ {
+			to, labels := g.Edge(e)
 			best := 0
-			for _, f := range e.Labels {
+			for _, f := range labels {
 				if n := c.Index.GraphCount(f); n > best {
 					best = n
 				}
 			}
-			for k := i; k < e.To && k <= m; k++ {
+			for k := i; k < to && k <= m; k++ {
 				if best > ub[k] {
 					ub[k] = best
 				}

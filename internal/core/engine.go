@@ -249,14 +249,14 @@ func (e *Engine) preapplyWarm(ctx context.Context) {
 func (e *Engine) WarmGroups() []*Group { return e.warm }
 
 // graphOptions returns the tgraph options for one context, wiring in the
-// per-structure-group constant scorer when enabled. The scorer reads
-// the engine's one structural count table, so it is valid only until
+// per-structure-group constant table when enabled. Its scores read the
+// engine's one structural count table, so they are valid only until
 // graphOptions is called for another context.
 func (e *Engine) graphOptions(c *Context) tgraph.Options {
 	opt := e.opts.Graph
 	if e.subs != nil {
 		e.subs.countContext(c)
-		opt.ConstantScore = e.subs.score
+		opt.Constants = e.subs
 	}
 	return opt
 }

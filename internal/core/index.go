@@ -23,48 +23,71 @@ type Posting struct {
 
 // Index is the inverted index from edge labels to postings, built once
 // per grouping context (structure group). Label ids are dense from 0 in
-// the context's registry, so both tables are slices indexed by LabelID.
+// the context's registry, and the lists are stored flat: label f's
+// postings are postings[off[f]:off[f+1]], sorted by (G, I, J).
 type Index struct {
-	lists [][]Posting
+	postings []Posting
+	off      []int32
 	// graphCount[f] is the number of distinct graphs with at least one
-	// posting for f, the |I[f]| of Lemma 6.2's upper bounds.
-	graphCount []int
+	// posting for f, the |I[f]| of Lemma 6.2's upper bounds, as built:
+	// removals do not lower it.
+	graphCount []int32
 }
 
-// BuildIndex indexes every edge label of every graph. Graph IDs must
-// equal their slice positions.
-func BuildIndex(graphs []*tgraph.Graph) *Index {
-	ix := &Index{}
-	for _, g := range graphs {
-		if g == nil {
-			continue
-		}
-		for i := 1; i < len(g.Adj); i++ {
-			for _, e := range g.Adj[i] {
-				for _, f := range e.Labels {
-					for int(f) >= len(ix.lists) {
-						ix.lists = append(ix.lists, nil)
-					}
-					ix.lists[f] = append(ix.lists[f], Posting{G: int32(g.ID), I: int16(i), J: int16(e.To)})
-				}
-			}
-		}
+// BuildIndex indexes every edge label of every graph, whose labels are
+// ids below n. Graph IDs must equal their slice positions. It counts
+// each label's postings first, then fills every list into one array.
+func BuildIndex(graphs []*tgraph.Graph, n int) *Index {
+	ix := &Index{off: make([]int32, n+1)}
+	// off[f+1] counts f's postings, then the prefix sums make off[f]
+	// f's start; filling advances off[f] to f's end, and the shift
+	// below restores starts.
+	eachPosting(graphs, func(f tgraph.LabelID, _ Posting) { ix.off[f+1]++ })
+	for f := 1; f <= n; f++ {
+		ix.off[f] += ix.off[f-1]
 	}
+	ix.postings = make([]Posting, ix.off[n])
+	eachPosting(graphs, func(f tgraph.LabelID, p Posting) {
+		ix.postings[ix.off[f]] = p
+		ix.off[f]++
+	})
+	copy(ix.off[1:], ix.off[:n])
+	ix.off[0] = 0
 	// Graphs are visited in ID order and edges in (i,j) order, so each
 	// list is already sorted by (G, I, J). Count distinct graphs.
-	ix.graphCount = make([]int, len(ix.lists))
-	for f, list := range ix.lists {
-		ix.graphCount[f] = distinctGraphs(list)
+	ix.graphCount = make([]int32, n)
+	for f := range ix.graphCount {
+		ix.graphCount[f] = int32(distinctGraphs(ix.List(tgraph.LabelID(f))))
 	}
 	return ix
 }
 
+// eachPosting calls fn with every label of every edge of every graph and
+// its posting, graphs in ID order and edges in (i,j) order.
+func eachPosting(graphs []*tgraph.Graph, fn func(tgraph.LabelID, Posting)) {
+	for _, g := range graphs {
+		if g == nil {
+			continue
+		}
+		for i := 1; i < g.N; i++ {
+			lo, hi := g.Edges(i)
+			for k := lo; k < hi; k++ {
+				to, labels := g.Edge(k)
+				p := Posting{G: int32(g.ID), I: int16(i), J: int16(to)}
+				for _, f := range labels {
+					fn(f, p)
+				}
+			}
+		}
+	}
+}
+
 // List returns the postings of a label (nil when absent).
 func (ix *Index) List(f tgraph.LabelID) []Posting {
-	if f < 0 || int(f) >= len(ix.lists) {
+	if f < 0 || int(f) >= len(ix.graphCount) {
 		return nil
 	}
-	return ix.lists[f]
+	return ix.postings[ix.off[f]:ix.off[f+1]:ix.off[f+1]]
 }
 
 // GraphCount returns the number of distinct graphs containing label f.
@@ -72,18 +95,7 @@ func (ix *Index) GraphCount(f tgraph.LabelID) int {
 	if f < 0 || int(f) >= len(ix.graphCount) {
 		return 0
 	}
-	return ix.graphCount[f]
-}
-
-// NumLabels returns the number of distinct labels indexed.
-func (ix *Index) NumLabels() int {
-	n := 0
-	for _, l := range ix.lists {
-		if len(l) > 0 {
-			n++
-		}
-	}
-	return n
+	return int(ix.graphCount[f])
 }
 
 // intersectInto computes the adjacency-aware intersection of Section

@@ -22,9 +22,17 @@ func example51Context(t *testing.T) *Context {
 	return c
 }
 
+// labelIDOf returns the id c's registry interned f under.
 func labelIDOf(t *testing.T, c *Context, f dsl.Func) tgraph.LabelID {
 	t.Helper()
-	return c.Reg.Intern(f)
+	key := string(f.AppendKey(nil))
+	for id := 0; id < c.Reg.Len(); id++ {
+		if string(c.Reg.Func(tgraph.LabelID(id)).AppendKey(nil)) == key {
+			return tgraph.LabelID(id)
+		}
+	}
+	t.Fatalf("registry holds no %s", key)
+	return -1
 }
 
 func TestInvertedListsExample51(t *testing.T) {

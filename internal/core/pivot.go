@@ -116,8 +116,10 @@ func (s *searcher) dfs(node int, path []tgraph.LabelID, l []Posting) {
 	if len(path) >= s.maxLen {
 		return
 	}
-	for _, e := range s.g.Adj[node] {
-		for _, f := range e.Labels {
+	lo, hi := s.g.Edges(node)
+	for e := lo; e < hi; e++ {
+		to, labels := s.g.Edge(e)
+		for _, f := range labels {
 			l2 := intersectInto(s.bufs[len(path)], l, s.ctx.Index.List(f), s.ctx.alive)
 			s.bufs[len(path)] = l2
 			cnt := distinctGraphs(l2)
@@ -131,7 +133,7 @@ func (s *searcher) dfs(node int, path []tgraph.LabelID, l []Posting) {
 				continue
 			}
 			path = append(path, f)
-			s.dfs(e.To, path, l2)
+			s.dfs(to, path, l2)
 			path = path[:len(path)-1]
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/goldrec/goldrec/internal/datagen"
+	"github.com/goldrec/goldrec/internal/dsl"
 	"github.com/goldrec/goldrec/internal/replace"
 	"github.com/goldrec/goldrec/internal/tgraph"
 )
@@ -100,20 +102,28 @@ func graphDigest(e *Engine) string {
 				continue
 			}
 			b = strconv.AppendInt(append(b, 'g'), int64(gi), 10)
-			for i := 1; i < len(g.Adj); i++ {
-				for _, edge := range g.Adj[i] {
-					b = strconv.AppendInt(append(b, ' '), int64(i), 10)
-					b = strconv.AppendInt(append(b, '-'), int64(edge.To), 10)
-					for _, id := range edge.Labels {
-						b = strconv.AppendInt(append(b, ','), int64(id), 10)
-					}
-				}
-			}
-			b = append(b, '\n')
+			b = append(appendAdjacency(b, g), '\n')
 		}
 		h.Write(b)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// appendAdjacency appends every edge of g as " i-j,id,id…", nodes and
+// edges in order.
+func appendAdjacency(b []byte, g *tgraph.Graph) []byte {
+	for i := 1; i < g.N; i++ {
+		lo, hi := g.Edges(i)
+		for k := lo; k < hi; k++ {
+			to, labels := g.Edge(k)
+			b = strconv.AppendInt(append(b, ' '), int64(i), 10)
+			b = strconv.AppendInt(append(b, '-'), int64(to), 10)
+			for _, id := range labels {
+				b = strconv.AppendInt(append(b, ','), int64(id), 10)
+			}
+		}
+	}
+	return b
 }
 
 // diffPrepared reports the first difference between a prepared context
@@ -130,16 +140,9 @@ func diffPrepared(got, want *Context) error {
 		if g == nil {
 			continue
 		}
-		if !slices.EqualFunc(g.Adj, w.Adj, func(a, b []tgraph.Edge) bool {
-			return slices.EqualFunc(a, b, func(x, y tgraph.Edge) bool {
-				return x.To == y.To && slices.Equal(x.Labels, y.Labels)
-			})
-		}) {
+		if g.N != w.N || !bytes.Equal(appendAdjacency(nil, g), appendAdjacency(nil, w)) {
 			return fmt.Errorf("graph %d (%q→%q): adjacency differs", i, g.S, g.T)
 		}
-	}
-	if got.Index.NumLabels() != want.Index.NumLabels() {
-		return fmt.Errorf("index has %d labels, reference %d", got.Index.NumLabels(), want.Index.NumLabels())
 	}
 	for id := 0; id < want.Reg.Len(); id++ {
 		f := tgraph.LabelID(id)
@@ -224,6 +227,48 @@ func TestPrepareRegistryDeterministic(t *testing.T) {
 		}
 		if !slices.Equal(keys, first) {
 			t.Fatalf("run %d: registry order differs from run 0", run)
+		}
+	}
+}
+
+// TestRegistryKeysInjective: value keys must not split a function in
+// two. In every prepared registry, no two LabelIDs render the same dsl
+// key, and every rendered key parses back (the g1: codec) to itself —
+// over the three generated families under both option legs, and over a
+// pool whose é and invalid-UTF-8 targets share constants across graphs.
+func TestRegistryKeysInjective(t *testing.T) {
+	pools := map[string][]Rep{
+		"address": datagenReps("address", 1000, 0.1),
+		"author":  datagenReps("author", 1, 0.2),
+		"journal": datagenReps("journal", 1, 0.1),
+		"utf8": {
+			{S: "née Müller", T: "Müller", Ext: 0},
+			{S: "Müller Straße", T: "Müller", Ext: 1},
+			{S: "ab\xffcd", T: "ab\xffcd é", Ext: 2},
+			{S: "ab\xfecd", T: "ab\xfecd é", Ext: 3},
+			{S: "x", T: "ab�cd é", Ext: 4},
+			{S: "y", T: "ééééééééé\xff", Ext: 5},
+			{S: "z", T: "ééééééééé\xfe", Ext: 6},
+			{S: "w", T: "é", Ext: 7},
+		},
+	}
+	for name, reps := range pools {
+		for _, leg := range optionLegs() {
+			e := NewEngine(reps, leg.opts)
+			for _, c := range e.ctxs {
+				c.Prepare(e.graphOptions(c))
+				seen := make(map[string]tgraph.LabelID, c.Reg.Len())
+				for id, key := range regKeys(c.Reg) {
+					if other, ok := seen[key]; ok {
+						t.Fatalf("%s/%s structure %q: labels %d and %d both render %s", name, leg.name, c.Sig, other, id, key)
+					}
+					seen[key] = tgraph.LabelID(id)
+					p, err := dsl.ParseProgram(dsl.EncodingVersion + ":" + key)
+					if err != nil || len(p) != 1 || p.Key() != key {
+						t.Fatalf("%s/%s structure %q: label %d key %s does not parse back (%v)", name, leg.name, c.Sig, id, key, err)
+					}
+				}
+			}
 		}
 	}
 }

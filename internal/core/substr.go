@@ -2,23 +2,29 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"unicode/utf8"
 )
 
-// substrIndex backs the Appendix E constant scorer. It numbers every
-// substring the scorer reads — rune-aligned, at most maxLen bytes — and
+// substrIndex is the constant table of the Appendix E constant order
+// (tgraph.Constants). It numbers every substring the scorer reads —
+// rune-aligned, at most maxLen bytes — and every whole target, and
 // keeps, per id, its count over the whole column (global) and over the
 // structure group being prepared (structural). A target's substrings
 // are hashed once: its id list is cached, so a repeated target only
-// re-adds ids.
+// re-adds ids, and a build reads its constants' ids and scores from
+// the list.
 type substrIndex struct {
 	maxLen int
 	ids    map[string]int32 // substring → id
+	names  []string         // id → substring
 	// targets maps a target to its number k; target k's ids, one per
-	// occurrence, are lists[off[k]:off[k+1]].
+	// occurrence, are lists[off[k]:off[k+1]], and wholes[k] is the id
+	// of all of it (a whole target over maxLen bytes counts nowhere).
 	targets map[string]int32
 	lists   []int32
 	off     []int32
+	wholes  []int32
 	global  []int32
 	// structural counts the alive targets of one context; touched holds
 	// the ids it counted, which the next context clears first.
@@ -49,20 +55,22 @@ func (x *substrIndex) list(t string) []int32 {
 	if !ok {
 		k = int32(len(x.off) - 1)
 		x.targets[t] = k
-		x.lists = x.appendIDs(x.lists, t)
+		s := t
+		if !utf8.ValidString(s) {
+			s = string([]rune(s))
+		}
+		x.lists = x.appendIDs(x.lists, s)
 		x.off = append(x.off, int32(len(x.lists)))
+		x.wholes = append(x.wholes, x.id(s))
 	}
 	return x.lists[x.off[k]:x.off[k+1]]
 }
 
 // appendIDs appends the id of every rune-aligned substring of s of at
-// most maxLen bytes, numbering new ones. Keys slice s in place; an
-// invalid-UTF-8 s is re-encoded once first, as tgraph re-encodes its
-// runes, so the keys match the scorer's lookups.
+// most maxLen bytes, numbering new ones. Keys slice s in place. s must
+// be valid UTF-8: list re-encodes an invalid target once first, as
+// tgraph re-encodes its runes, so the keys match the builder's reads.
 func (x *substrIndex) appendIDs(dst []int32, s string) []int32 {
-	if !utf8.ValidString(s) {
-		s = string([]rune(s))
-	}
 	for i := 0; i < len(s); i++ {
 		if !utf8.RuneStart(s[i]) {
 			continue
@@ -71,16 +79,22 @@ func (x *substrIndex) appendIDs(dst []int32, s string) []int32 {
 			if j < len(s) && !utf8.RuneStart(s[j]) {
 				continue
 			}
-			id, ok := x.ids[s[i:j]]
-			if !ok {
-				id = int32(len(x.global))
-				x.ids[s[i:j]] = id
-				x.global = append(x.global, 0)
-			}
-			dst = append(dst, id)
+			dst = append(dst, x.id(s[i:j]))
 		}
 	}
 	return dst
+}
+
+// id returns sub's id, numbering it first when it is new.
+func (x *substrIndex) id(sub string) int32 {
+	id, ok := x.ids[sub]
+	if !ok {
+		id = int32(len(x.global))
+		x.ids[sub] = id
+		x.names = append(x.names, sub)
+		x.global = append(x.global, 0)
+	}
+	return id
 }
 
 // countContext makes structural the counts of c's alive targets,
@@ -107,16 +121,24 @@ func (x *substrIndex) countContext(c *Context) {
 	}
 }
 
-// score is the Appendix E constant score of sub in the counted context:
-// freqStruc/sqrt(freqGlobal), 0 for a substring over maxLen bytes. It
-// only reads the index, so the context's parallel builds share it.
-func (x *substrIndex) score(sub string) float64 {
-	if len(sub) > x.maxLen {
-		return 0
-	}
-	id, ok := x.ids[sub]
+// MaxLen implements tgraph.Constants.
+func (x *substrIndex) MaxLen() int { return x.maxLen }
+
+// Target implements tgraph.Constants. It only reads the index, so the
+// context's parallel builds share it; t must have been added.
+func (x *substrIndex) Target(t string) (ids []int32, whole int32) {
+	k, ok := x.targets[t]
 	if !ok {
-		return 0
+		panic("core: constant table has no target " + strconv.Quote(t))
 	}
+	return x.lists[x.off[k]:x.off[k+1]], x.wholes[k]
+}
+
+// Score implements tgraph.Constants: the Appendix E constant score of
+// substring id in the counted context, freqStruc/sqrt(freqGlobal).
+func (x *substrIndex) Score(id int32) float64 {
 	return float64(x.structural[id]) / math.Sqrt(float64(max(x.global[id], 1)))
 }
+
+// Name implements tgraph.Constants.
+func (x *substrIndex) Name(id int32) string { return x.names[id] }

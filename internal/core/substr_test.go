@@ -104,11 +104,12 @@ func assertReAddNoAllocs(t *testing.T, s string) {
 }
 
 // TestConstantScoreMatchesFrequencyMaps: for every context of a
-// generated column, part of it claimed before preparation, the scorer
-// returns what the two-map formula it replaced returns — global and
-// structural counts kept as string maps, freqStruc/sqrt(max(freqGlobal,
-// 1)), zero over maxConstLen bytes — for every substring t[i,j) of
-// every alive target.
+// generated column, part of it claimed before preparation, the constant
+// table scores what the two-map formula it replaced returns — global
+// and structural counts kept as string maps, freqStruc/sqrt(max(
+// freqGlobal, 1)) — for every substring t[i,j) of at most maxConstLen
+// bytes of every alive target, and its id list names exactly those
+// substrings in tgraph.Constants' order, then the whole target.
 func TestConstantScoreMatchesFrequencyMaps(t *testing.T) {
 	reps := datagenReps("author", 1, 0.2)
 	reps = append(reps, Rep{S: "x", T: "ab\xffcd Müller", Ext: -1}, Rep{S: "y", T: "ab\xffcd Müller", Ext: -2})
@@ -124,7 +125,7 @@ func TestConstantScoreMatchesFrequencyMaps(t *testing.T) {
 	e.Remove(reps[0].Ext, reps[1].Ext) // dead before any context prepares
 	checked := 0
 	for _, c := range e.ctxs {
-		score := e.graphOptions(c).ConstantScore
+		tab := e.graphOptions(c).Constants
 		structural := map[string]int{}
 		for i, r := range c.Reps {
 			if !c.preDead[i] {
@@ -135,19 +136,28 @@ func TestConstantScoreMatchesFrequencyMaps(t *testing.T) {
 			if c.preDead[i] {
 				continue
 			}
+			ids, whole := tab.Target(r.T)
 			rt := []rune(r.T)
+			if got := tab.Name(whole); got != string(rt) {
+				t.Fatalf("structure %q: whole target %q named %q", c.Sig, r.T, got)
+			}
+			p := 0
 			for a := 0; a < len(rt); a++ {
-				for b := a + 1; b <= len(rt); b++ {
+				for b := a + 1; b <= len(rt) && len(string(rt[a:b])) <= maxConstLen; b++ {
 					sub := string(rt[a:b])
-					want := 0.0
-					if len(sub) <= maxConstLen {
-						want = float64(structural[sub]) / math.Sqrt(float64(max(global[sub], 1)))
+					if p >= len(ids) || tab.Name(ids[p]) != sub {
+						t.Fatalf("structure %q: target %q's id %d does not name %q", c.Sig, r.T, p, sub)
 					}
-					if got := score(sub); got != want {
+					want := float64(structural[sub]) / math.Sqrt(float64(max(global[sub], 1)))
+					if got := tab.Score(ids[p]); got != want {
 						t.Fatalf("structure %q: score(%q) = %v, two-map formula %v", c.Sig, sub, got, want)
 					}
+					p++
 					checked++
 				}
+			}
+			if p != len(ids) {
+				t.Fatalf("structure %q: target %q has %d ids, want %d", c.Sig, r.T, len(ids), p)
 			}
 		}
 	}

@@ -10,21 +10,45 @@ import (
 	"github.com/goldrec/goldrec/internal/dsl"
 )
 
-// Edge is one edge of a transformation graph: it spans t[i,j) where i is
-// implied by its position in Graph.Adj and j = To, and carries the
-// interned string functions that output t[i,j) on s.
-type Edge struct {
-	To     int
-	Labels []LabelID
+// Graph is the transformation graph of one replacement s→t. Nodes are
+// numbered 1..|t|+1. The graph is stored flat (compressed sparse rows):
+// node i's out-edges are edges[nodes[i-1]:nodes[i]], sorted by target
+// node, and edge k's labels are labels[edges[k-1].end:edges[k].end],
+// sorted by id. Edges and Edge read it; label-less edges are absent.
+type Graph struct {
+	ID     int // index of the replacement within its grouping context
+	S, T   string
+	N      int // number of nodes, |t|+1
+	nodes  []int32
+	edges  []edge
+	labels []LabelID
 }
 
-// Graph is the transformation graph of one replacement s→t. Nodes are
-// numbered 1..|t|+1; Adj[i] lists outgoing edges of node i sorted by To.
-type Graph struct {
-	ID   int // index of the replacement within its grouping context
-	S, T string
-	N    int // number of nodes, |t|+1
-	Adj  [][]Edge
+// edge is one edge e(i,j) of a Graph: to is j (i is implied by the node
+// whose range holds it) and end is the end of its labels.
+type edge struct {
+	to, end int32
+}
+
+// Edges returns the range [lo,hi) of node i's out-edges, for Edge.
+func (g *Graph) Edges(i int) (lo, hi int) {
+	return int(g.nodes[i-1]), int(g.nodes[i])
+}
+
+// Edge returns edge k's target node j — it spans t[i,j) from the node i
+// whose Edges range holds k — and the interned string functions that
+// output t[i,j) on s. The labels are the graph's own: read, do not
+// modify.
+func (g *Graph) Edge(k int) (to int, labels []LabelID) {
+	return int(g.edges[k].to), g.edgeLabels(k)
+}
+
+func (g *Graph) edgeLabels(k int) []LabelID {
+	lo, hi := int32(0), g.edges[k].end
+	if k > 0 {
+		lo = g.edges[k-1].end
+	}
+	return g.labels[lo:hi:hi]
 }
 
 // FinalNode returns |t|+1, the node a spanning (transformation) path must
@@ -32,24 +56,10 @@ type Graph struct {
 func (g *Graph) FinalNode() int { return g.N }
 
 // NumEdges counts edges with at least one label.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for i := 1; i < len(g.Adj); i++ {
-		n += len(g.Adj[i])
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // NumLabels counts the total label occurrences across edges.
-func (g *Graph) NumLabels() int {
-	n := 0
-	for i := 1; i < len(g.Adj); i++ {
-		for _, e := range g.Adj[i] {
-			n += len(e.Labels)
-		}
-	}
-	return n
-}
+func (g *Graph) NumLabels() int { return len(g.labels) }
 
 // Stats summarizes a graph's size for observability: node, edge, and
 // label-occurrence counts.
@@ -70,7 +80,7 @@ func (g *Graph) Stats() Stats {
 
 // Options control graph construction. The zero value is the unpruned
 // label space: affix labels on, every SubStr label of an edge kept, no
-// constant scoring (every constant kept).
+// constant table (every constant kept).
 type Options struct {
 	// NoAffix disables the Prefix/Suffix labels of Appendix D
 	// (NoAffix rather than Affix so the zero value matches the paper's
@@ -82,11 +92,32 @@ type Options struct {
 	// kept. The order is static, so graphs with matching position
 	// function sets still share the surviving label.
 	MinimalSubStr bool
-	// ConstantScore, when non-nil, enables the Appendix E
-	// constant-string static order: ConstantStr(t[i,j)) is added only
-	// when no adjacent extension t[k,i) / t[j,l) has a strictly larger
-	// score. The whole-of-t constant is always kept.
-	ConstantScore func(sub string) float64
+	// Constants, when non-nil, enables the Appendix E constant-string
+	// static order: ConstantStr(t[i,j)) is added only when the table
+	// numbers t[i,j) and no adjacent extension t[k,i) / t[j,l) has a
+	// strictly larger score (an unnumbered substring scores 0). The
+	// whole-of-t constant is always kept. The table's numbers key the
+	// constant labels, so every graph of one registry must be built
+	// with the same table.
+	Constants Constants
+}
+
+// Constants numbers and scores the constant strings of the Appendix E
+// constant order over a column's targets. Equal strings get equal
+// numbers.
+type Constants interface {
+	// MaxLen is the longest substring, in bytes, the table numbers.
+	MaxLen() int
+	// Target returns t's numbers: ids has one per rune-aligned
+	// substring of at most MaxLen bytes, ordered by start, then by end;
+	// whole is the number of all of t. Both read t's UTF-8 encoding
+	// with invalid bytes replaced by U+FFFD, as Build reads t. Target
+	// is called by builds running in parallel.
+	Target(t string) (ids []int32, whole int32)
+	// Score is the Appendix E score of the substring numbered id.
+	Score(id int32) float64
+	// Name returns the substring numbered id.
+	Name(id int32) string
 }
 
 // MaxStringLen bounds |s| and |t| in runes: Build rejects longer
@@ -116,7 +147,7 @@ func Build(s, t string, reg *Registry, opt Options) *Graph {
 var builders = sync.Pool{New: func() any { return new(builder) }}
 
 // builder is the scratch of one Build call. The tables indexed by two
-// positions are flat: lce and slce by i*(|s|+1)+x, score by i*(|t|+2)+j.
+// positions are flat: lce and slce by i*(|s|+1)+x.
 type builder struct {
 	rs, rt []rune
 	// lce[i*(n+1)+x]: length of the longest common prefix of t[i:] and
@@ -143,16 +174,19 @@ type builder struct {
 	// edge e(i,j) of the node i being scanned, 0 for none.
 	minX      []int32
 	tOff      []int     // byte offset of each rune of t, then len(t)
-	score     []float64 // ConstantScore of t[i,j)
+	score     []float64 // the score of each of t's numbered constants
 	bestEnd   []float64 // bestEnd[i]: max score of the t[k,i)
 	bestStart []float64 // bestStart[j]: max score of the t[j,l)
-	key       []byte
-	occ       []labelOcc // every label of every edge, in intern order
+	// occ is every label of every edge, in intern order: the
+	// ConstantStr labels start at occ[consts] and the affix labels at
+	// occ[affixes]. merged and sorted are assemble's merge buffers.
+	occ, merged, sorted []labelOcc
+	consts, affixes     int
 }
 
 // posFn is one position function in flat form: MatchPos(term, k, dir),
-// or ConstPos(k) when term is constPos. Build boxes it into a dsl.Pos
-// only for a label new to the registry.
+// or ConstPos(k) when term is constPos (dir is then 0). A dsl.Pos is
+// boxed only when Registry.Func asks for the function.
 type posFn struct {
 	k    int32
 	term dsl.Term
@@ -193,6 +227,7 @@ func (b *builder) build(s, t string, reg *Registry, opt Options) *Graph {
 	if len(rs) == 0 || len(rt) == 0 || len(rs) > MaxStringLen || len(rt) > MaxStringLen {
 		return nil
 	}
+	reg.bind(opt.Constants)
 	n, m := len(rs), len(rt)
 	w := n + 1
 
@@ -222,11 +257,17 @@ func (b *builder) build(s, t string, reg *Registry, opt Options) *Graph {
 	} else {
 		b.subStrLabels(reg)
 	}
-	b.constLabels(t, reg, opt.ConstantScore)
+	b.consts = len(b.occ)
+	if opt.Constants != nil {
+		b.scoredConstLabels(t, reg, opt.Constants)
+	} else {
+		b.constLabels(t, reg)
+	}
+	b.affixes = len(b.occ)
 	if !opt.NoAffix {
 		b.affixLabels(reg, &matches)
 	}
-	return b.assemble(s, t)
+	return b.assemble(s, t, opt.MinimalSubStr)
 }
 
 // label records id on edge e(i,j).
@@ -303,14 +344,7 @@ func (b *builder) minimalSubStrLabels(reg *Registry) {
 
 // subStrLabel records SubStr(pos[l], pos[r]) on edge e(i,j).
 func (b *builder) subStrLabel(reg *Registry, i, j int, l, r int32) {
-	b.key = append(b.key[:0], 'S', '(')
-	b.key = append(b.key, b.posKey(l)...)
-	b.key = append(b.key, ',')
-	b.key = append(b.key, b.posKey(r)...)
-	b.key = append(b.key, ')')
-	b.label(i, j, reg.internKey(b.key, func() dsl.Func {
-		return dsl.SubStr{L: b.pos[l].boxed(), R: b.pos[r].boxed()}
-	}))
+	b.label(i, j, reg.intern(labelKey{kind: kindSubStr, l: b.pos[l], r: b.pos[r]}))
 }
 
 // posKey returns the key of pos[k].
@@ -322,14 +356,12 @@ func (b *builder) posKey(k int32) []byte {
 	return b.posKeys[lo:b.posKeyEnd[k]]
 }
 
-// constLabels adds the ConstantStr labels, with the optional Appendix E
-// scoring order: ConstantStr(t[i,j)) is kept only when no adjacent
-// extension t[k,i) / t[j,l) scores strictly higher.
-func (b *builder) constLabels(t string, reg *Registry, score func(string) float64) {
+// constLabels adds every ConstantStr label, keyed by the registry's
+// string table. A constant shares t's bytes when t is valid UTF-8;
+// otherwise it re-encodes the runes, as []rune(t) replaced the invalid
+// bytes.
+func (b *builder) constLabels(t string, reg *Registry) {
 	m := len(b.rt)
-	// sub returns t[i,j) (1-based), sharing t's bytes when t is valid
-	// UTF-8; otherwise it re-encodes the runes, as []rune(t) replaced
-	// the invalid bytes.
 	valid := utf8.ValidString(t)
 	if valid {
 		b.tOff = b.tOff[:0]
@@ -338,32 +370,47 @@ func (b *builder) constLabels(t string, reg *Registry, score func(string) float6
 		}
 		b.tOff = append(b.tOff, len(t))
 	}
-	sub := func(i, j int) string {
-		if valid {
-			return t[b.tOff[i-1]:b.tOff[j-1]]
-		}
-		return string(b.rt[i-1 : j-1])
-	}
-	add := func(i, j int) {
-		c := sub(i, j)
-		b.key = appendQuoted(append(b.key[:0], 'C'), c)
-		b.label(i, j, reg.internKey(b.key, func() dsl.Func { return dsl.ConstantStr{S: c} }))
-	}
-	if score == nil {
-		for i := 1; i <= m; i++ {
-			for j := i + 1; j <= m+1; j++ {
-				add(i, j)
-			}
-		}
-		return
-	}
-	w := m + 2
-	b.score = zeroed(b.score, (m+1)*w)
-	b.bestEnd, b.bestStart = zeroed(b.bestEnd, w), zeroed(b.bestStart, w)
 	for i := 1; i <= m; i++ {
 		for j := i + 1; j <= m+1; j++ {
-			v := score(sub(i, j))
-			b.score[i*w+j] = v
+			var c string
+			if valid {
+				c = t[b.tOff[i-1]:b.tOff[j-1]]
+			} else {
+				c = string(b.rt[i-1 : j-1])
+			}
+			b.label(i, j, reg.intern(reg.constStr(c)))
+		}
+	}
+}
+
+// scoredConstLabels adds the ConstantStr labels under the Appendix E
+// scoring order, keyed by the numbers of tab: ConstantStr(t[i,j)) is
+// kept only when tab numbers it and no adjacent extension t[k,i) /
+// t[j,l) scores strictly higher, and the whole-t constant always. t's
+// numbers arrive as one list in the order the loops below walk t[i,j):
+// by i, then by j while t[i,j) spans at most MaxLen bytes.
+func (b *builder) scoredConstLabels(t string, reg *Registry, tab Constants) {
+	m, maxLen := len(b.rt), tab.MaxLen()
+	ids, whole := tab.Target(t)
+	// tOff holds the byte offsets of t's runes re-encoded, which are
+	// t's own when t is valid UTF-8.
+	b.tOff = b.tOff[:0]
+	off := 0
+	for _, r := range b.rt {
+		b.tOff = append(b.tOff, off)
+		off += utf8.RuneLen(r)
+	}
+	b.tOff = append(b.tOff, off)
+	// numbered reports whether tab numbers t[i,j).
+	numbered := func(i, j int) bool { return j <= m+1 && b.tOff[j-1]-b.tOff[i-1] <= maxLen }
+	b.score = zeroed(b.score, len(ids))
+	b.bestEnd, b.bestStart = zeroed(b.bestEnd, m+2), zeroed(b.bestStart, m+2)
+	p := 0
+	for i := 1; i <= m; i++ {
+		for j := i + 1; numbered(i, j); j++ {
+			v := tab.Score(ids[p])
+			b.score[p] = v
+			p++
 			if v > b.bestStart[i] {
 				b.bestStart[i] = v
 			}
@@ -372,14 +419,24 @@ func (b *builder) constLabels(t string, reg *Registry, score func(string) float6
 			}
 		}
 	}
+	if p != len(ids) {
+		panic("tgraph: constant table's id list does not match its target")
+	}
+	p = 0
 	for i := 1; i <= m; i++ {
-		for j := i + 1; j <= m+1; j++ {
+		j := i + 1
+		for ; numbered(i, j); j++ {
+			v := b.score[p]
+			id := ids[p]
+			p++
 			// Always keep the whole-string constant so every
 			// replacement has at least one transformation path.
-			v := b.score[i*w+j]
 			if (i == 1 && j == m+1) || (v >= b.bestEnd[i] && v >= b.bestStart[j]) {
-				add(i, j)
+				b.label(i, j, reg.intern(labelKey{kind: kindConst, l: posFn{k: id}}))
 			}
+		}
+		if i == 1 && j <= m+1 {
+			b.label(1, m+1, reg.intern(labelKey{kind: kindConst, l: posFn{k: whole}}))
 		}
 	}
 }
@@ -403,67 +460,91 @@ func (b *builder) affixLabels(reg *Registry, matches *[dsl.NumTerms][]dsl.Span) 
 				if l < 1 {
 					continue
 				}
-				b.label(i, i+l, b.internAffix(reg, 'P', term, k+1))
-				b.label(i, i+l, b.internAffix(reg, 'P', term, k-mT))
+				b.label(i, i+l, b.internAffix(reg, kindPrefix, term, k+1))
+				b.label(i, i+l, b.internAffix(reg, kindPrefix, term, k-mT))
 			}
 			for j := 2; j <= m+1; j++ {
 				l := min(int(b.slce[(j-1)*w+y-1]), runLen-1)
 				if l < 1 {
 					continue
 				}
-				b.label(j-l, j, b.internAffix(reg, 'F', term, k+1))
-				b.label(j-l, j, b.internAffix(reg, 'F', term, k-mT))
+				b.label(j-l, j, b.internAffix(reg, kindSuffix, term, k+1))
+				b.label(j-l, j, b.internAffix(reg, kindSuffix, term, k-mT))
 			}
 		}
 	}
 }
 
-func (b *builder) internAffix(reg *Registry, kind byte, term dsl.Term, k int) LabelID {
-	b.key = appendInt(append(b.key[:0], kind, term.Sig()), k)
-	return reg.internKey(b.key, func() dsl.Func {
-		if kind == 'P' {
-			return dsl.Prefix{Term: term, K: k}
-		}
-		return dsl.Suffix{Term: term, K: k}
-	})
+func (b *builder) internAffix(reg *Registry, kind labelKind, term dsl.Term, k int) LabelID {
+	return reg.intern(labelKey{kind: kind, l: posFn{term: term, k: int32(k)}})
 }
 
-// assemble turns the recorded labels into adjacency lists: labels sorted
-// and deduplicated per edge, edges sorted by To, label-less edges
-// absent. All edges share one backing array, as do all labels.
-func (b *builder) assemble(s, t string) *Graph {
-	slices.SortFunc(b.occ, func(p, q labelOcc) int {
-		if p.i != q.i {
-			return cmp.Compare(p.i, q.i)
-		}
-		if p.j != q.j {
-			return cmp.Compare(p.j, q.j)
-		}
-		return cmp.Compare(p.id, q.id)
-	})
-	occ := slices.Compact(b.occ)
+// assemble turns the recorded labels into the flat graph: labels
+// sorted and deduplicated per edge, edges sorted by To, label-less edges
+// absent. In MinimalSubStr mode the SubStr and ConstantStr labels each
+// arrive sorted by edge, at most one per edge, so only the affix labels
+// are sorted before the three runs merge; otherwise every label is
+// sorted.
+func (b *builder) assemble(s, t string, runsSorted bool) *Graph {
+	occ := b.occ
+	if runsSorted {
+		affixes := occ[b.affixes:]
+		slices.SortFunc(affixes, compareOcc)
+		b.merged = mergeOcc(b.merged[:0], occ[:b.consts], occ[b.consts:b.affixes])
+		b.sorted = mergeOcc(b.sorted[:0], b.merged, affixes)
+		occ = b.sorted
+	} else {
+		slices.SortFunc(occ, compareOcc)
+	}
+	occ = slices.Compact(occ)
 	nEdges := 0
-	labels := make([]LabelID, len(occ))
 	for k, o := range occ {
-		labels[k] = o.id
 		if k == 0 || o.i != occ[k-1].i || o.j != occ[k-1].j {
 			nEdges++
 		}
 	}
 	m := len(b.rt)
-	g := &Graph{S: s, T: t, N: m + 1, Adj: make([][]Edge, m+2)}
-	edges := make([]Edge, 0, nEdges)
-	for lo, hi, first := 0, 0, 0; lo < len(occ); lo = hi {
-		i, j := occ[lo].i, occ[lo].j
-		for hi = lo; hi < len(occ) && occ[hi].i == i && occ[hi].j == j; hi++ {
+	g := &Graph{
+		S: s, T: t, N: m + 1,
+		nodes:  make([]int32, m+2),
+		edges:  make([]edge, 0, nEdges),
+		labels: make([]LabelID, len(occ)),
+	}
+	for k, o := range occ {
+		g.labels[k] = o.id
+		if k == 0 || o.i != occ[k-1].i || o.j != occ[k-1].j {
+			g.edges = append(g.edges, edge{to: o.j})
+			g.nodes[o.i]++
 		}
-		if len(g.Adj[i]) == 0 {
-			first = len(edges)
-		}
-		edges = append(edges, Edge{To: int(j), Labels: labels[lo:hi:hi]})
-		g.Adj[i] = edges[first:len(edges):len(edges)]
+		g.edges[len(g.edges)-1].end = int32(k + 1)
+	}
+	for i := 1; i < len(g.nodes); i++ {
+		g.nodes[i] += g.nodes[i-1]
 	}
 	return g
+}
+
+// compareOcc orders label occurrences by edge (i,j), then by id.
+func compareOcc(p, q labelOcc) int {
+	if p.i != q.i {
+		return cmp.Compare(p.i, q.i)
+	}
+	if p.j != q.j {
+		return cmp.Compare(p.j, q.j)
+	}
+	return cmp.Compare(p.id, q.id)
+}
+
+// mergeOcc appends to dst the merge of the sorted runs p and q.
+func mergeOcc(dst, p, q []labelOcc) []labelOcc {
+	for len(p) > 0 && len(q) > 0 {
+		if compareOcc(q[0], p[0]) < 0 {
+			dst, q = append(dst, q[0]), q[1:]
+		} else {
+			dst, p = append(dst, p[0]), p[1:]
+		}
+	}
+	return append(append(dst, p...), q...)
 }
 
 // zeroed returns buf resized to n zero elements, reusing its storage.
@@ -544,24 +625,4 @@ func appendInt(b []byte, v int) []byte {
 		b = appendInt(b, v/10)
 	}
 	return append(b, byte('0'+v%10))
-}
-
-func appendQuoted(b []byte, s string) []byte {
-	b = append(b, '"')
-	for _, r := range s {
-		switch r {
-		case '"', '\\':
-			b = append(b, '\\', byte(r))
-		default:
-			b = appendRune(b, r)
-		}
-	}
-	return append(b, '"')
-}
-
-func appendRune(b []byte, r rune) []byte {
-	if r < 128 {
-		return append(b, byte(r))
-	}
-	return append(b, string(r)...)
 }

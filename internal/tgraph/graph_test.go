@@ -2,29 +2,39 @@ package tgraph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/goldrec/goldrec/internal/dsl"
 )
 
-func findEdge(g *Graph, i, j int) *Edge {
-	for ei := range g.Adj[i] {
-		if g.Adj[i][ei].To == j {
-			return &g.Adj[i][ei]
+// findEdge returns the labels of edge e(i,j), nil when g has none.
+func findEdge(g *Graph, i, j int) []LabelID {
+	lo, hi := g.Edges(i)
+	for k := lo; k < hi; k++ {
+		if to, labels := g.Edge(k); to == j {
+			return labels
 		}
 	}
 	return nil
 }
 
+// labelOf returns the id reg interned f under, -1 when it holds none.
+func labelOf(reg *Registry, f dsl.Func) LabelID {
+	key := string(f.AppendKey(nil))
+	for id := 0; id < reg.Len(); id++ {
+		if string(reg.Func(LabelID(id)).AppendKey(nil)) == key {
+			return LabelID(id)
+		}
+	}
+	return -1
+}
+
 func hasLabel(t *testing.T, g *Graph, reg *Registry, i, j int, want dsl.Func) bool {
 	t.Helper()
-	e := findEdge(g, i, j)
-	if e == nil {
-		return false
-	}
 	key := string(want.AppendKey(nil))
-	for _, id := range e.Labels {
+	for _, id := range findEdge(g, i, j) {
 		if string(reg.Func(id).AppendKey(nil)) == key {
 			return true
 		}
@@ -166,14 +176,14 @@ func TestBuildConstantScoring(t *testing.T) {
 	// With a scorer that strongly prefers ". ", other constants that
 	// are adjacent-extensions should be pruned while ". " and the
 	// whole-string constant survive.
-	scorer := func(sub string) float64 {
+	scorer := newScoreTable(allConstants, func(sub string) float64 {
 		if sub == ". " {
 			return 100
 		}
 		return float64(1) / float64(len(sub)+1)
-	}
+	})
 	reg := NewRegistry()
-	g := Build("Lee, Mary", "M. Lee", reg, Options{ConstantScore: scorer})
+	g := Build("Lee, Mary", "M. Lee", reg, Options{Constants: scorer})
 	if !hasLabel(t, g, reg, 2, 4, dsl.ConstantStr{S: ". "}) {
 		t.Error("scored graph should keep ConstantStr(\". \")")
 	}
@@ -213,14 +223,14 @@ func TestGraphPathsAreConsistentPrograms(t *testing.T) {
 			node := 1
 			ok := true
 			for node != g.FinalNode() {
-				edges := g.Adj[node]
-				if len(edges) == 0 {
+				lo, hi := g.Edges(node)
+				if lo == hi {
 					ok = false
 					break
 				}
-				e := edges[rng.Intn(len(edges))]
-				path = append(path, e.Labels[rng.Intn(len(e.Labels))])
-				node = e.To
+				to, labels := g.Edge(lo + rng.Intn(hi-lo))
+				path = append(path, labels[rng.Intn(len(labels))])
+				node = to
 			}
 			if !ok {
 				t.Fatalf("graph for %q→%q has a dead end", s, tt)
@@ -245,17 +255,20 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Fatal("graph shape differs between builds")
 	}
 	for i := 1; i < g1.N; i++ {
-		if len(g1.Adj[i]) != len(g2.Adj[i]) {
+		lo1, hi1 := g1.Edges(i)
+		lo2, hi2 := g2.Edges(i)
+		if hi1-lo1 != hi2-lo2 {
 			t.Fatalf("node %d: edge count differs", i)
 		}
-		for e := range g1.Adj[i] {
-			e1, e2 := g1.Adj[i][e], g2.Adj[i][e]
-			if e1.To != e2.To || len(e1.Labels) != len(e2.Labels) {
+		for e := 0; e < hi1-lo1; e++ {
+			to1, labels1 := g1.Edge(lo1 + e)
+			to2, labels2 := g2.Edge(lo2 + e)
+			if to1 != to2 || len(labels1) != len(labels2) {
 				t.Fatalf("edge mismatch at node %d", i)
 			}
-			for li := range e1.Labels {
-				k1 := string(r1.Func(e1.Labels[li]).AppendKey(nil))
-				k2 := string(r2.Func(e2.Labels[li]).AppendKey(nil))
+			for li := range labels1 {
+				k1 := string(r1.Func(labels1[li]).AppendKey(nil))
+				k2 := string(r2.Func(labels2[li]).AppendKey(nil))
 				if k1 != k2 {
 					t.Fatalf("label mismatch: %s vs %s", k1, k2)
 				}
@@ -264,19 +277,28 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestRegistryInternSharing: graphs built on one registry share the id
+// of an equal function and never that of a different one, with
+// constants keyed by the registry's string table and by a constant
+// table.
 func TestRegistryInternSharing(t *testing.T) {
-	reg := NewRegistry()
-	a := reg.Intern(dsl.ConstantStr{S: "x"})
-	b := reg.Intern(dsl.ConstantStr{S: "x"})
-	c := reg.Intern(dsl.ConstantStr{S: "y"})
-	if a != b {
-		t.Error("equal functions should share an id")
-	}
-	if a == c {
-		t.Error("different functions must not share an id")
-	}
-	if reg.Len() != 2 {
-		t.Errorf("Len = %d, want 2", reg.Len())
+	for _, opt := range []Options{{NoAffix: true}, {NoAffix: true, Constants: newScoreTable(allConstants, nil)}} {
+		reg := NewRegistry()
+		a := findEdge(Build("a", "x", reg, opt), 1, 2)
+		b := findEdge(Build("b", "x", reg, opt), 1, 2)
+		c := findEdge(Build("c", "y", reg, opt), 1, 2)
+		if len(a) != 1 || len(b) != 1 || len(c) != 1 {
+			t.Fatalf("constant table %v: edge labels %v, %v, %v, want one constant each", opt.Constants != nil, a, b, c)
+		}
+		if a[0] != b[0] {
+			t.Error("equal functions should share an id")
+		}
+		if a[0] == c[0] {
+			t.Error("different functions must not share an id")
+		}
+		if reg.Len() != 2 {
+			t.Errorf("Len = %d, want 2", reg.Len())
+		}
 	}
 }
 
@@ -287,21 +309,12 @@ func TestCrossGraphLabelSharing(t *testing.T) {
 	reg := NewRegistry()
 	g1 := Build("Lee, Mary", "M. Lee", reg, Options{})
 	g2 := Build("Smith, James", "J. Smith", reg, Options{})
-	f1 := reg.Intern(dsl.SubStr{
+	f1 := labelOf(reg, dsl.SubStr{
 		L: dsl.MatchPos{Term: dsl.TermCapital, K: 1, Dir: dsl.DirBegin},
 		R: dsl.MatchPos{Term: dsl.TermLower, K: 1, Dir: dsl.DirEnd},
 	})
 	contains := func(g *Graph, i, j int, id LabelID) bool {
-		e := findEdge(g, i, j)
-		if e == nil {
-			return false
-		}
-		for _, l := range e.Labels {
-			if l == id {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(findEdge(g, i, j), id)
 	}
 	if !contains(g1, 4, 7, f1) {
 		t.Error("g1 e4,7 should contain f1")

@@ -32,13 +32,15 @@ func TestEdgeLabelInvariant(t *testing.T) {
 		}
 		rs, rt := []rune(s), []rune(tt)
 		for i := 1; i < g.N; i++ {
-			for _, e := range g.Adj[i] {
-				sub := rt[i-1 : e.To-1]
-				for _, id := range e.Labels {
+			lo, hi := g.Edges(i)
+			for k := lo; k < hi; k++ {
+				to, labels := g.Edge(k)
+				sub := rt[i-1 : to-1]
+				for _, id := range labels {
 					f := reg.Func(id)
 					if !f.Produces(rs, sub) {
 						t.Fatalf("graph %q→%q edge (%d,%d): label %v does not produce %q",
-							s, tt, i, e.To, f, string(sub))
+							s, tt, i, to, f, string(sub))
 					}
 				}
 			}
@@ -63,8 +65,13 @@ func TestGraphAlwaysSpannable(t *testing.T) {
 		s := randStr(rng.Intn(10) + 1)
 		tt := randStr(rng.Intn(10) + 1)
 		opt := Options{MinimalSubStr: trial%2 == 0}
-		if trial%3 == 0 {
-			opt.ConstantScore = score
+		switch trial % 6 {
+		case 0:
+			opt.Constants = newScoreTable(allConstants, score)
+		case 3:
+			// Constants over 3 bytes are unnumbered: only the whole
+			// target's survives.
+			opt.Constants = newScoreTable(3, score)
 		}
 		reg := NewRegistry()
 		g := Build(s, tt, reg, opt)
@@ -78,10 +85,11 @@ func TestGraphAlwaysSpannable(t *testing.T) {
 		for len(queue) > 0 {
 			n := queue[0]
 			queue = queue[1:]
-			for _, e := range g.Adj[n] {
-				if !reach[e.To] {
-					reach[e.To] = true
-					queue = append(queue, e.To)
+			lo, hi := g.Edges(n)
+			for k := lo; k < hi; k++ {
+				if to, _ := g.Edge(k); !reach[to] {
+					reach[to] = true
+					queue = append(queue, to)
 				}
 			}
 		}

@@ -16,19 +16,86 @@ var rebasePairs = [][2]string{
 }
 
 // productOptions are the builder settings goldrec ships: minimal SubStr
-// labels and a constant scorer.
+// labels and a constant table.
 func productOptions() Options {
 	return Options{
 		MinimalSubStr: true,
-		ConstantScore: func(sub string) float64 { return float64(len(sub) % 3) },
+		Constants:     newScoreTable(allConstants, func(sub string) float64 { return float64(len(sub) % 3) }),
 	}
+}
+
+// allConstants is a scoreTable bound that numbers every substring of a
+// target of at most MaxStringLen runes.
+const allConstants = 4 * MaxStringLen
+
+// scoreTable is a Constants table for tests: it numbers a target's
+// substrings the first time Target sees it, rune by rune as
+// tgraph.Constants lays them out, and scores them with score (0 when
+// score is nil).
+type scoreTable struct {
+	maxLen  int
+	score   func(sub string) float64
+	ids     map[string]int32
+	names   []string
+	targets map[string]scoredTarget
+}
+
+type scoredTarget struct {
+	ids   []int32
+	whole int32
+}
+
+func newScoreTable(maxLen int, score func(sub string) float64) *scoreTable {
+	return &scoreTable{maxLen: maxLen, score: score, ids: map[string]int32{}, targets: map[string]scoredTarget{}}
+}
+
+func (x *scoreTable) id(sub string) int32 {
+	id, ok := x.ids[sub]
+	if !ok {
+		id = int32(len(x.names))
+		x.ids[sub] = id
+		x.names = append(x.names, sub)
+	}
+	return id
+}
+
+func (x *scoreTable) MaxLen() int { return x.maxLen }
+
+func (x *scoreTable) Target(t string) ([]int32, int32) {
+	if e, ok := x.targets[t]; ok {
+		return e.ids, e.whole
+	}
+	rt := []rune(t)
+	var e scoredTarget
+	for i := range rt {
+		for j := i + 1; j <= len(rt) && len(string(rt[i:j])) <= x.maxLen; j++ {
+			e.ids = append(e.ids, x.id(string(rt[i:j])))
+		}
+	}
+	e.whole = x.id(string(rt))
+	x.targets[t] = e
+	return e.ids, e.whole
+}
+
+func (x *scoreTable) Score(id int32) float64 {
+	if x.score == nil {
+		return 0
+	}
+	return x.score(x.names[id])
+}
+
+func (x *scoreTable) Name(id int32) string { return x.names[id] }
+
+// sameGraph reports whether a and b have the same edges and labels.
+func sameGraph(a, b *Graph) bool {
+	return a.N == b.N && slices.Equal(a.nodes, b.nodes) && slices.Equal(a.edges, b.edges) && slices.Equal(a.labels, b.labels)
 }
 
 // TestBuildRegistryOrderDeterministic: building the same graphs in the
 // same order interns the same keys in the same order, in every mode.
 func TestBuildRegistryOrderDeterministic(t *testing.T) {
 	for _, opt := range []Options{{}, productOptions()} {
-		var first []string
+		var first []labelKey
 		for run := 0; run < 10; run++ {
 			reg := NewRegistry()
 			for _, p := range rebasePairs {
@@ -60,11 +127,7 @@ func TestRebaseMatchesSharedRegistry(t *testing.T) {
 			first := LabelID(local.Len())
 			g := Build(p[0], p[1], local, opt)
 			local.Rebase(g, first, dst)
-			if !slices.EqualFunc(g.Adj, want[i].Adj, func(a, b []Edge) bool {
-				return slices.EqualFunc(a, b, func(x, y Edge) bool {
-					return x.To == y.To && slices.Equal(x.Labels, y.Labels)
-				})
-			}) {
+			if !sameGraph(g, want[i]) {
 				t.Fatalf("MinimalSubStr=%v graph %d: rebased labels differ from the shared build", opt.MinimalSubStr, i)
 			}
 		}
