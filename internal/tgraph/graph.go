@@ -173,15 +173,11 @@ type builder struct {
 	// minX[j] is the start x of the smallest SubStr candidate so far for
 	// edge e(i,j) of the node i being scanned, 0 for none.
 	minX      []int32
-	tOff      []int     // byte offset of each rune of t, then len(t)
-	score     []float64 // the score of each of t's numbered constants
-	bestEnd   []float64 // bestEnd[i]: max score of the t[k,i)
-	bestStart []float64 // bestStart[j]: max score of the t[j,l)
-	// occ is every label of every edge, in intern order: the
-	// ConstantStr labels start at occ[consts] and the affix labels at
-	// occ[affixes]. merged and sorted are assemble's merge buffers.
-	occ, merged, sorted []labelOcc
-	consts, affixes     int
+	tOff      []int      // byte offset of each rune of t, then len(t)
+	score     []float64  // the score of each of t's numbered constants
+	bestEnd   []float64  // bestEnd[i]: max score of the t[k,i)
+	bestStart []float64  // bestStart[j]: max score of the t[j,l)
+	occ       []labelOcc // every label of every edge, in intern order
 }
 
 // posFn is one position function in flat form: MatchPos(term, k, dir),
@@ -257,17 +253,15 @@ func (b *builder) build(s, t string, reg *Registry, opt Options) *Graph {
 	} else {
 		b.subStrLabels(reg)
 	}
-	b.consts = len(b.occ)
 	if opt.Constants != nil {
 		b.scoredConstLabels(t, reg, opt.Constants)
 	} else {
 		b.constLabels(t, reg)
 	}
-	b.affixes = len(b.occ)
 	if !opt.NoAffix {
 		b.affixLabels(reg, &matches)
 	}
-	return b.assemble(s, t, opt.MinimalSubStr)
+	return b.assemble(s, t)
 }
 
 // label records id on edge e(i,j).
@@ -481,21 +475,10 @@ func (b *builder) internAffix(reg *Registry, kind labelKind, term dsl.Term, k in
 
 // assemble turns the recorded labels into the flat graph: labels
 // sorted and deduplicated per edge, edges sorted by To, label-less edges
-// absent. In MinimalSubStr mode the SubStr and ConstantStr labels each
-// arrive sorted by edge, at most one per edge, so only the affix labels
-// are sorted before the three runs merge; otherwise every label is
-// sorted.
-func (b *builder) assemble(s, t string, runsSorted bool) *Graph {
+// absent.
+func (b *builder) assemble(s, t string) *Graph {
 	occ := b.occ
-	if runsSorted {
-		affixes := occ[b.affixes:]
-		slices.SortFunc(affixes, compareOcc)
-		b.merged = mergeOcc(b.merged[:0], occ[:b.consts], occ[b.consts:b.affixes])
-		b.sorted = mergeOcc(b.sorted[:0], b.merged, affixes)
-		occ = b.sorted
-	} else {
-		slices.SortFunc(occ, compareOcc)
-	}
+	slices.SortFunc(occ, compareOcc)
 	occ = slices.Compact(occ)
 	nEdges := 0
 	for k, o := range occ {
@@ -533,18 +516,6 @@ func compareOcc(p, q labelOcc) int {
 		return cmp.Compare(p.j, q.j)
 	}
 	return cmp.Compare(p.id, q.id)
-}
-
-// mergeOcc appends to dst the merge of the sorted runs p and q.
-func mergeOcc(dst, p, q []labelOcc) []labelOcc {
-	for len(p) > 0 && len(q) > 0 {
-		if compareOcc(q[0], p[0]) < 0 {
-			dst, q = append(dst, q[0]), q[1:]
-		} else {
-			dst, p = append(dst, p[0]), p[1:]
-		}
-	}
-	return append(append(dst, p...), q...)
 }
 
 // zeroed returns buf resized to n zero elements, reusing its storage.
