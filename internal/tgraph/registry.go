@@ -44,9 +44,10 @@ type labelKey struct {
 // Registry interns string functions by value so that equal functions in
 // different graphs map to the same LabelID. byKey maps a labelKey to its
 // id and keys lists them in id order; a dsl.Func is built only when Func
-// or Program asks for one. Seal drops byKey once interning is done. Constants are numbered by the Constants table
-// of the Options the registry's graphs are built with, or, without one,
-// by the registry's own string table.
+// or Program asks for one. Seal drops byKey once interning is done.
+// Constants are numbered by the Constants table of the Options the
+// registry's graphs are built with, or, without one, by the registry's
+// own string table.
 //
 // It is not safe for concurrent use: builds running in parallel each
 // take a registry of their own, and Rebase merges their graphs into one.
@@ -54,7 +55,7 @@ type Registry struct {
 	byKey  map[labelKey]LabelID
 	keys   []labelKey
 	consts Constants // names kindConst labels; nil until bound
-	// strs numbers the kindConstStr constants; strs[n] is constant n.
+	// byStr numbers the kindConstStr constants; strs[n] is constant n.
 	byStr map[string]int32
 	strs  []string
 	// moved[id] is id's counterpart in the registry Rebase moved this
