@@ -187,6 +187,7 @@ func NewEngineCtx(ctx context.Context, reps []Rep, opts Options) *Engine {
 				}
 			}
 		}
+		e.subs.seal()
 	}
 	e.units = &unitHeap{}
 	for ci, c := range e.ctxs {

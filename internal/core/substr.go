@@ -16,7 +16,7 @@ import (
 // the list.
 type substrIndex struct {
 	maxLen int
-	ids    map[string]int32 // substring → id
+	ids    map[string]int32 // substring → id; nil once sealed
 	names  []string         // id → substring
 	// targets maps a target to its number k; target k's ids, one per
 	// occurrence, are lists[off[k]:off[k+1]], and wholes[k] is the id
@@ -53,6 +53,9 @@ func (x *substrIndex) add(t string) {
 func (x *substrIndex) list(t string) []int32 {
 	k, ok := x.targets[t]
 	if !ok {
+		if x.ids == nil {
+			panic("core: sealed constant table has no target " + strconv.Quote(t))
+		}
 		k = int32(len(x.off) - 1)
 		x.targets[t] = k
 		s := t
@@ -85,6 +88,11 @@ func (x *substrIndex) appendIDs(dst []int32, s string) []int32 {
 	return dst
 }
 
+// seal drops the substring → id map once every target is numbered:
+// countContext and Target only look targets up, and numbering a new
+// one afterwards panics.
+func (x *substrIndex) seal() { x.ids = nil }
+
 // id returns sub's id, numbering it first when it is new.
 func (x *substrIndex) id(sub string) int32 {
 	id, ok := x.ids[sub]
@@ -99,7 +107,7 @@ func (x *substrIndex) id(sub string) int32 {
 
 // countContext makes structural the counts of c's alive targets,
 // clearing the previous context's. Every alive target was added at
-// construction, so the lookups number nothing new.
+// construction, before the index was sealed.
 func (x *substrIndex) countContext(c *Context) {
 	for _, id := range x.touched {
 		x.structural[id] = 0

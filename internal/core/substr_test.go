@@ -183,3 +183,21 @@ func BenchmarkCountSubstrings(b *testing.B) {
 		})
 	}
 }
+
+// TestSealedIndexOnlyLooksUp: once sealed, the index still serves the
+// targets it numbered, and numbering a new one panics instead of
+// growing it.
+func TestSealedIndexOnlyLooksUp(t *testing.T) {
+	x := newSubstrIndex(maxConstLen)
+	x.add("Mary Lee")
+	x.seal()
+	if ids, _ := x.Target("Mary Lee"); len(ids) == 0 {
+		t.Fatal("sealed index lost a numbered target")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sealed index numbered a new target")
+		}
+	}()
+	x.list("M. Lee")
+}

@@ -13,18 +13,16 @@
 // tenant has approved (and not net-rejected) are offered to the engine
 // as warm-start priors (core.Options.Warm).
 //
-// Durability mirrors the tenant registry exactly — one opaque snapshot
-// plus an append-only change log per tenant (store.LibraryLog, via
-// store.PutLogSnapshot / store.AppendLog), with convergent whole-state
-// "put" records so replaying a stale log over a newer snapshot
-// reproduces the same state. Programs are keyed by their canonical serialized
-// form (dsl.EncodeProgram), so the same transformation learned from
+// Durability mirrors the tenant registry: each tenant's library is a
+// store.Journal on store.LibraryLog, whose "put" change records carry a
+// program's whole stats and whose state record carries every program.
+// Programs are keyed by their canonical serialized form
+// (dsl.EncodeProgram), so the same transformation learned from
 // different uploads lands on one counter.
 package library
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -67,33 +65,26 @@ type entry struct {
 	parsed bool
 }
 
-// snapshot is the on-disk library snapshot.
-type snapshot struct {
+// state is the log's state record: every program's stats.
+type state struct {
 	Version  int            `json:"version"`
 	Programs []ProgramStats `json:"programs"`
 }
 
-// change is one change-log record. Put carries the program's whole
-// state, so replay converges regardless of which prefix a snapshot
-// already absorbed.
+// change is one change record. Put carries the program's whole stats.
 type change struct {
 	Op      string        `json:"op"` // "put"
 	Program *ProgramStats `json:"program,omitempty"`
 }
 
-// compactEvery is how many change records accumulate before a library
-// folds its log into a fresh snapshot.
-const compactEvery = 64
-
 // Library is one tenant's transformation memory. All methods are safe
 // for concurrent use.
 type Library struct {
 	tenantID string
-	store    store.Store
 
 	mu       sync.Mutex
 	programs map[string]*entry
-	changes  int // change records appended since the last snapshot
+	log      *store.Journal // guarded by mu
 }
 
 // Registry owns the per-tenant libraries, loading persisted state at
@@ -126,40 +117,42 @@ func Open(st store.Store) (*Registry, error) {
 	return r, nil
 }
 
-// load rebuilds one tenant's library from its snapshot and change log.
+// newLibrary returns the tenant's empty library.
+func newLibrary(st store.Store, tenantID string) *Library {
+	return &Library{tenantID: tenantID, programs: make(map[string]*entry), log: store.NewJournal(st, store.LibraryLog, tenantID)}
+}
+
+// load rebuilds one tenant's library from its log.
 func load(st store.Store, tenantID string) (*Library, error) {
-	l := &Library{tenantID: tenantID, store: st, programs: make(map[string]*entry)}
-	raw, err := st.GetLogSnapshot(store.LibraryLog, tenantID)
-	switch {
-	case errors.Is(err, store.ErrNotExist):
-		// No snapshot yet: the change log carries everything.
-	case err != nil:
-		return nil, fmt.Errorf("library %q: loading snapshot: %w", tenantID, err)
-	default:
-		var snap snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return nil, fmt.Errorf("library %q: corrupt snapshot: %w", tenantID, err)
-		}
-		for _, ps := range snap.Programs {
-			l.programs[ps.Key] = newEntry(ps)
-		}
-	}
-	err = st.ReplayLog(store.LibraryLog, tenantID, func(data []byte) error {
-		var c change
-		if err := json.Unmarshal(data, &c); err != nil {
-			return fmt.Errorf("library %q: corrupt change record: %w", tenantID, err)
-		}
-		if c.Op != "put" || c.Program == nil {
-			return fmt.Errorf("library %q: unknown change op %q", tenantID, c.Op)
-		}
-		l.programs[c.Program.Key] = newEntry(*c.Program)
-		l.changes++
-		return nil
-	})
-	if err != nil {
+	l := newLibrary(st, tenantID)
+	if err := l.log.Replay(l.apply); err != nil {
 		return nil, err
 	}
 	return l, nil
+}
+
+// apply folds one log record into the library: a state record
+// replaces it, a change record updates one program.
+func (l *Library) apply(data []byte) error {
+	var rec struct {
+		change
+		state
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return fmt.Errorf("library %q: corrupt log record: %w", l.tenantID, err)
+	}
+	switch {
+	case rec.Op == "put" && rec.Program != nil:
+		l.programs[rec.Program.Key] = newEntry(*rec.Program)
+	case rec.Op == "" && rec.Version == 1:
+		clear(l.programs)
+		for _, ps := range rec.Programs {
+			l.programs[ps.Key] = newEntry(ps)
+		}
+	default:
+		return fmt.Errorf("library %q: unknown log record (op %q)", l.tenantID, rec.Op)
+	}
+	return nil
 }
 
 // newEntry builds an entry from persisted stats, re-parsing the
@@ -182,7 +175,7 @@ func (r *Registry) For(tenantID string) *Library {
 	if l, ok := r.libs[tenantID]; ok {
 		return l
 	}
-	l := &Library{tenantID: tenantID, store: r.store, programs: make(map[string]*entry)}
+	l := newLibrary(r.store, tenantID)
 	r.libs[tenantID] = l
 	return l
 }
@@ -212,28 +205,11 @@ func (r *Registry) TotalPrograms() int {
 	return n
 }
 
-// Snapshot folds every tenant's change log into a fresh snapshot
-// (shutdown hygiene; Open never requires it).
-func (r *Registry) Snapshot() {
-	r.mu.Lock()
-	libs := make([]*Library, 0, len(r.libs))
-	for _, l := range r.libs {
-		libs = append(libs, l)
-	}
-	r.mu.Unlock()
-	for _, l := range libs {
-		l.mu.Lock()
-		l.compactLocked()
-		l.mu.Unlock()
-	}
-}
-
 // Record folds one reviewer verdict on a program into the library. An
 // empty program (an identity group with nothing to learn) records
 // nothing. The in-memory mutation is applied before the change record
 // is logged and rolled back if logging fails, mirroring the tenant
-// registry: compaction can fire inside logChange and must snapshot
-// post-mutation state.
+// registry: a compaction inside the append writes the state it finds.
 func (l *Library) Record(p dsl.Program, approved bool) error {
 	if len(p) == 0 {
 		return nil
@@ -252,50 +228,19 @@ func (l *Library) Record(p dsl.Program, approved bool) error {
 	} else {
 		e.stats.Rejections++
 	}
-	if err := l.logChange(change{Op: "put", Program: &e.stats}); err != nil {
+	if err := l.log.Append(change{Op: "put", Program: &e.stats}, l.stateLocked); err != nil {
 		e.stats = old
 		if !ok {
 			delete(l.programs, key)
 		}
-		return err
-	}
-	return nil
-}
-
-// logChange appends one change record — the durability point of every
-// mutation. Caller holds l.mu and has already applied the mutation.
-func (l *Library) logChange(c change) error {
-	data, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	if err := l.store.AppendLog(store.LibraryLog, l.tenantID, data); err != nil {
 		return fmt.Errorf("library %q: logging change: %w", l.tenantID, err)
 	}
-	l.changes++
-	if l.changes >= compactEvery {
-		l.compactLocked()
-	}
 	return nil
 }
 
-// compactLocked folds the change log into a fresh snapshot. Failure is
-// tolerable — the log stays until a later compaction succeeds — so the
-// error is swallowed. Caller holds l.mu.
-func (l *Library) compactLocked() {
-	snap := snapshot{Version: 1, Programs: make([]ProgramStats, 0, len(l.programs))}
-	for _, e := range l.programs {
-		snap.Programs = append(snap.Programs, e.stats)
-	}
-	sort.Slice(snap.Programs, func(a, b int) bool { return snap.Programs[a].Key < snap.Programs[b].Key })
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return
-	}
-	if err := l.store.PutLogSnapshot(store.LibraryLog, l.tenantID, data); err != nil {
-		return
-	}
-	l.changes = 0
+// stateLocked returns the library's state record. Caller holds l.mu.
+func (l *Library) stateLocked() any {
+	return state{Version: 1, Programs: l.listLocked()}
 }
 
 // Priors returns the programs worth offering a new session as
@@ -323,6 +268,11 @@ func (l *Library) Priors() []Prior {
 func (l *Library) List() []ProgramStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.listLocked()
+}
+
+// listLocked is List with l.mu held.
+func (l *Library) listLocked() []ProgramStats {
 	out := make([]ProgramStats, 0, len(l.programs))
 	for _, e := range l.programs {
 		out = append(out, e.stats)

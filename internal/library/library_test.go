@@ -2,9 +2,12 @@ package library
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/goldrec/goldrec/internal/dsl"
@@ -16,6 +19,30 @@ var (
 	progTrim  = dsl.Program{dsl.SubStr{L: dsl.ConstPos{K: 1}, R: dsl.ConstPos{K: -2}}}
 	progFuzzy = dsl.Program{dsl.Prefix{Term: dsl.TermDigit, K: 1}} // non-deterministic
 )
+
+// compactEvery is store.Journal's compaction period: its log is
+// rewritten to one state record once it holds this many records.
+const compactEvery = 64
+
+// logLines returns the non-blank lines of the file at path (none when
+// it is missing).
+func logLines(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.TrimSpace(line) != "" {
+			out = append(out, line)
+		}
+	}
+	return out
+}
 
 func openFS(t *testing.T, dir string) store.Store {
 	t.Helper()
@@ -136,9 +163,9 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompactionConverges pushes past compactEvery so a snapshot is
-// written mid-stream, then reloads: snapshot + any residual log must
-// reproduce the live state exactly.
+// TestCompactionConverges pushes past compactEvery so the log is
+// rewritten to a state record mid-stream, then reloads: the state
+// record + the records after it must reproduce the live state exactly.
 func TestCompactionConverges(t *testing.T) {
 	dir := t.TempDir()
 	st := openFS(t, dir)
@@ -155,8 +182,8 @@ func TestCompactionConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.GetLogSnapshot(store.LibraryLog, "tn_01"); err != nil {
-		t.Fatalf("no snapshot after %d changes: %v", 2*(compactEvery+7), err)
+	if lines := logLines(t, filepath.Join(dir, "libraries", "tn_01", "changes.jsonl")); len(lines) >= compactEvery || !strings.HasPrefix(lines[0], `{"version":1,`) {
+		t.Fatalf("log after %d changes holds %d records; want fewer, a state record first", 2*(compactEvery+7), len(lines))
 	}
 	want := l.List()
 
@@ -276,26 +303,132 @@ func TestRecordRollsBackOnLogFailure(t *testing.T) {
 	}
 }
 
-func TestSnapshotShutdownHygiene(t *testing.T) {
+// writeParentDir writes a tenant's library in the parent format by
+// hand: snapshot.json beside changes.jsonl.
+func writeParentDir(t *testing.T, dir, sub, snapshot string, changes ...string) {
+	t.Helper()
+	sub = filepath.Join(dir, "libraries", sub)
+	if err := os.MkdirAll(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sub, "snapshot.json"), []byte(snapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	for _, c := range changes {
+		log.WriteString(c + "\n")
+	}
+	if err := os.WriteFile(filepath.Join(sub, "changes.jsonl"), []byte(log.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stats renders one program's stats record.
+func stats(p dsl.Program, approvals, rejections int) string {
+	return fmt.Sprintf(`{"key":%q,"display":%q,"approvals":%d,"rejections":%d}`, dsl.EncodeProgram(p), p.String(), approvals, rejections)
+}
+
+// TestStaleLogConvergence: a change log replayed over a snapshot that
+// already holds it — the parent's crash window between its snapshot
+// write and its log clear — converges to the snapshot state, and so
+// does a snapshot.json left beside a rewritten log — the crash window
+// between a rewrite and the snapshot's removal.
+func TestStaleLogConvergence(t *testing.T) {
 	dir := t.TempDir()
-	st := openFS(t, dir)
-	r, err := Open(st)
+	writeParentDir(t, dir, "tn_01", `{"version":1,"programs":[`+stats(progConst, 2, 0)+`]}`,
+		`{"op":"put","program":`+stats(progConst, 1, 0)+`}`,
+		`{"op":"put","program":`+stats(progConst, 2, 0)+`}`)
+	r, err := Open(openFS(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.For("tn_01").Record(progConst, true); err != nil {
+	if got := r.For("tn_01").List(); len(got) != 1 || got[0].Approvals != 2 {
+		t.Fatalf("after stale-log replay: %+v; want one program with 2 approvals", got)
+	}
+
+	dir = t.TempDir()
+	writeParentDir(t, dir, "tn_01", `{"version":1,"programs":[`+stats(progConst, 2, 0)+`]}`,
+		`{"version":1,"programs":[`+stats(progTrim, 1, 1)+`]}`)
+	if r, err = Open(openFS(t, dir)); err != nil {
 		t.Fatal(err)
 	}
-	r.Snapshot()
-	if _, err := st.GetLogSnapshot(store.LibraryLog, "tn_01"); err != nil {
-		t.Fatalf("no snapshot after Snapshot(): %v", err)
+	if got := r.For("tn_01").List(); len(got) != 1 || got[0].Key != dsl.EncodeProgram(progTrim) {
+		t.Fatalf("snapshot.json beside a rewritten log: %+v; want only the state record's program", got)
 	}
-	// The change log it subsumed is gone; reload still converges.
+}
+
+// TestRecoverParentFormat: libraries the parent format wrote —
+// snapshot.json plus a change log whose head repeats records the
+// snapshot already holds — load to exactly the state written, and the
+// next compaction leaves no snapshot.json behind.
+func TestRecoverParentFormat(t *testing.T) {
+	dir := t.TempDir()
+	writeParentDir(t, dir, "tn_01", `{"version":1,"programs":[`+stats(progConst, 3, 1)+`,`+stats(progTrim, 0, 2)+`]}`,
+		`{"op":"put","program":`+stats(progConst, 2, 1)+`}`, // stale: the snapshot holds these two
+		`{"op":"put","program":`+stats(progConst, 3, 1)+`}`,
+		`{"op":"put","program":`+stats(progFuzzy, 1, 0)+`}`) // new since the snapshot
+	writeParentDir(t, dir, "_open", `{"version":1,"programs":[`+stats(progTrim, 5, 0)+`]}`)
+
+	want := []ProgramStats{
+		{Key: dsl.EncodeProgram(progConst), Display: progConst.String(), Approvals: 3, Rejections: 1},
+		{Key: dsl.EncodeProgram(progTrim), Display: progTrim.String(), Rejections: 2},
+		{Key: dsl.EncodeProgram(progFuzzy), Display: progFuzzy.String(), Approvals: 1},
+	}
+	sort.Slice(want, func(a, b int) bool { return want[a].Key < want[b].Key })
+	wantOpen := []ProgramStats{{Key: dsl.EncodeProgram(progTrim), Display: progTrim.String(), Approvals: 5}}
+	r, err := Open(openFS(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := r.For("tn_01")
+	if got := l.List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parent-format library loaded as\n%+v\nwant\n%+v", got, want)
+	}
+	if got := r.For("").List(); !reflect.DeepEqual(got, wantOpen) {
+		t.Fatalf("parent-format open-mode library loaded as %+v, want %+v", got, wantOpen)
+	}
+
+	for i := 0; i < compactEvery; i++ {
+		if err := l.Record(progConst, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "libraries", "tn_01", "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("snapshot.json survived compaction: %v", err)
+	}
 	r2, err := Open(openFS(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.For("tn_01").List(); len(got) != 1 || got[0].Approvals != 1 {
-		t.Fatalf("reloaded after Snapshot = %+v", got)
+	if got, want := r2.For("tn_01").List(), l.List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reloaded after compaction\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// TestCompactionLeavesStateRecord: the compactEvery-th change rewrites
+// the log to one state record, and a reload of that one record lists
+// the same library.
+func TestCompactionLeavesStateRecord(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(openFS(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := r.For("tn_01")
+	for i := 0; i < compactEvery; i++ {
+		if err := l.Record([]dsl.Program{progConst, progTrim}[i%2], i%3 != 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := logLines(t, filepath.Join(dir, "libraries", "tn_01", "changes.jsonl"))
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], `{"version":1,"programs":[`) {
+		t.Fatalf("log after %d changes = %d records %.60q; want one state record", compactEvery, len(lines), lines)
+	}
+	r2, err := Open(openFS(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r2.For("tn_01").List(), l.List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("state record reloaded as %+v, want %+v", got, want)
 	}
 }

@@ -323,7 +323,7 @@ func TestPassivationReloadsOnTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The huge JanitorInterval keeps janitor ticks (driven by the same
-	// fake clock) from racing the direct EvictExpired calls below.
+	// fake clock) from racing the direct evictAll sweeps below.
 	svc := New(Options{TTL: time.Minute, JanitorInterval: 24 * time.Hour, Prefetch: 2, Store: fsStore, clock: fc, Shards: testShards(t)})
 	defer func() { svc.Close(); fsStore.Close() }()
 	ts := httptest.NewServer(svc.Handler())
@@ -341,7 +341,7 @@ func TestPassivationReloadsOnTouch(t *testing.T) {
 	preEvict := quiesce(t, svc, sess.ID, 2)
 
 	fc.Advance(2 * time.Minute)
-	if d, c := svc.EvictExpired(); d != 1 || c != 1 {
+	if d, c := evictAll(svc); d != 1 || c != 1 {
 		t.Fatalf("evicted %d datasets, %d sessions, want 1 and 1", d, c)
 	}
 
@@ -372,7 +372,7 @@ func TestPassivationReloadsOnTouch(t *testing.T) {
 
 	// A second eviction cycle exercises reload-from-already-restored.
 	fc.Advance(2 * time.Minute)
-	if d, _ := svc.EvictExpired(); d != 1 {
+	if d, _ := evictAll(svc); d != 1 {
 		t.Fatalf("second eviction: %d datasets", d)
 	}
 	if status := doJSON(t, "GET", ts.URL+"/v1/datasets/"+ds.ID, nil, nil); status != http.StatusOK {
@@ -402,7 +402,7 @@ func TestPassivationDatasetMismatchNoRestore(t *testing.T) {
 	sess := openSession(t, ts.URL, ds.ID, "Name")
 	quiesce(t, svc, sess.ID, 2)
 	fc.Advance(2 * time.Minute)
-	if d, c := svc.EvictExpired(); d != 2 || c != 1 {
+	if d, c := evictAll(svc); d != 2 || c != 1 {
 		t.Fatalf("evicted %d datasets, %d sessions, want 2 and 1", d, c)
 	}
 

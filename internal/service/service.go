@@ -346,9 +346,6 @@ func (s *Service) Close() {
 	for _, d := range s.datasets.list() {
 		s.datasets.remove(d.id)
 	}
-	// Shutdown hygiene: fold every tenant's library change log into a
-	// fresh snapshot (recovery never requires it, but boots load faster).
-	s.library.Snapshot()
 }
 
 // janitor sweeps one shard of both registries on its own ticker.
@@ -369,8 +366,9 @@ func (s *Service) janitor(shard int, interval time.Duration) {
 	}
 }
 
-// EvictExpired removes idle state and reports how many datasets and
-// sessions went. The semantics depend on the store:
+// evictExpiredShard sweeps shard i of both registries, removing idle
+// state, and reports how many datasets and sessions went. The semantics
+// depend on the store:
 //
 //   - Memory-only (store.Null): eviction is deletion, and idle sessions
 //     are evicted individually (an abandoned session must not pin its
@@ -384,21 +382,9 @@ func (s *Service) janitor(shard int, interval time.Duration) {
 //     (Session touches refresh the dataset, so an idle dataset implies
 //     idle sessions.)
 //
-// The per-shard janitors call evictExpiredShard periodically; tests
-// call EvictExpired (a full sweep) directly with a fake clock.
-func (s *Service) EvictExpired() (datasetsEvicted, sessionsEvicted int) {
-	for i := 0; i < s.opts.Shards; i++ {
-		ds, cs := s.evictExpiredShard(i)
-		datasetsEvicted += ds
-		sessionsEvicted += cs
-	}
-	return datasetsEvicted, sessionsEvicted
-}
-
-// evictExpiredShard sweeps shard i of both registries. A dataset's
-// sessions are found through its own column→session table rather than
-// a scan of the whole session registry, so evicting one dataset is
-// O(its sessions), never O(all sessions).
+// A dataset's sessions are found through its own column→session table
+// rather than a scan of the whole session registry, so evicting one
+// dataset is O(its sessions), never O(all sessions).
 func (s *Service) evictExpiredShard(i int) (datasetsEvicted, sessionsEvicted int) {
 	if !s.persistent() {
 		for _, id := range s.sessions.expiredShard(i) {

@@ -352,13 +352,24 @@ func TestConcurrentColumns(t *testing.T) {
 	}
 }
 
+// evictAll sweeps every shard of svc as its janitors would, and
+// reports how many datasets and sessions went.
+func evictAll(svc *Service) (datasetsEvicted, sessionsEvicted int) {
+	for i := 0; i < svc.opts.Shards; i++ {
+		ds, cs := svc.evictExpiredShard(i)
+		datasetsEvicted += ds
+		sessionsEvicted += cs
+	}
+	return datasetsEvicted, sessionsEvicted
+}
+
 // TestTTLEviction drives the idle-eviction path with a fake clock:
 // touched entries survive, idle ones go, and a dataset takes its
 // sessions with it.
 func TestTTLEviction(t *testing.T) {
 	fc := newFakeClock(time.Unix(1700000000, 0))
 	// JanitorInterval is far beyond every Advance below: the test calls
-	// EvictExpired directly and asserts exact counts, which a janitor
+	// evictAll directly and asserts exact counts, which a janitor
 	// tick racing in from the shared fake clock would steal.
 	svc, ts := newTestServer(t, Options{TTL: time.Minute, JanitorInterval: 24 * time.Hour, clock: fc})
 
@@ -371,13 +382,13 @@ func TestTTLEviction(t *testing.T) {
 		t.Fatalf("touch session: status %d", status)
 	}
 	fc.Advance(45 * time.Second)
-	if d, c := svc.EvictExpired(); d != 0 || c != 0 {
+	if d, c := evictAll(svc); d != 0 || c != 0 {
 		t.Fatalf("evicted %d datasets, %d sessions after touch", d, c)
 	}
 
 	// 90 idle seconds later both are gone, the session via its dataset.
 	fc.Advance(90 * time.Second)
-	if d, c := svc.EvictExpired(); d != 1 || c != 1 {
+	if d, c := evictAll(svc); d != 1 || c != 1 {
 		t.Fatalf("evicted %d datasets, %d sessions, want 1 and 1", d, c)
 	}
 	if status := doJSON(t, "GET", ts.URL+"/v1/datasets/"+ds.ID, nil, nil); status != http.StatusNotFound {

@@ -114,7 +114,7 @@ func TestSweepDoesNotBlockOtherShards(t *testing.T) {
 
 // TestJanitorTicks proves eviction is fully deterministic under the
 // injected clock: advancing time past the TTL fires the per-shard
-// janitor tickers, and the janitors (not a direct EvictExpired call)
+// janitor tickers, and the janitors (not a direct evictAll sweep)
 // remove the idle dataset.
 func TestJanitorTicks(t *testing.T) {
 	fc := newFakeClock(time.Unix(1700000000, 0))
@@ -283,7 +283,7 @@ func TestDecideCrossShardIsolation(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			svc.EvictExpired()
+			evictAll(svc)
 		}
 	}()
 	for i, id := range sessions {
@@ -296,7 +296,7 @@ func TestDecideCrossShardIsolation(t *testing.T) {
 		}
 	}
 	<-done
-	if d, c := svc.EvictExpired(); d != 0 || c != 0 {
+	if d, c := evictAll(svc); d != 0 || c != 0 {
 		t.Fatalf("sweep with fresh entries evicted %d datasets, %d sessions", d, c)
 	}
 }

@@ -495,7 +495,7 @@ func TestForeignProbeHasNoSideEffects(t *testing.T) {
 	// Passivate alpha's dataset (persistent store: eviction keeps it
 	// restorable).
 	fc.Advance(2 * time.Minute)
-	if d, _ := svc.EvictExpired(); d != 1 {
+	if d, _ := evictAll(svc); d != 1 {
 		t.Fatalf("evicted %d datasets, want 1", d)
 	}
 	if _, live := svc.datasets.peek(aDS.ID); live {
@@ -528,7 +528,7 @@ func TestForeignProbeHasNoSideEffects(t *testing.T) {
 		t.Fatalf("foreign DELETE of live dataset: status %d", status)
 	}
 	fc.Advance(20 * time.Second)
-	if d, _ := svc.EvictExpired(); d != 1 {
+	if d, _ := evictAll(svc); d != 1 {
 		t.Fatalf("evicted %d datasets after a foreign DELETE, want 1: the probe kept the dataset alive", d)
 	}
 }

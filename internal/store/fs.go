@@ -54,23 +54,26 @@ var walBuckets = []float64{0.000025, 0.0001, 0.0004, 0.0016, 0.0064, 0.0256, 0.1
 //	                              record per line
 //	        state.json            archived ReviewState (after compaction)
 //	<root>/tenants/
-//	    snapshot.json             tenant-registry snapshot (atomic rename)
-//	    changes.jsonl             append-only tenant change log, cleared
-//	                              when a snapshot subsumes it
+//	    changes.jsonl             tenant-registry journal: change records
+//	                              after at most one leading state record
+//	                              (the whole registry); compaction
+//	                              rewrites it to one state record
 //	<root>/libraries/<tenant>/
-//	    snapshot.json             transformation-library snapshot
-//	    changes.jsonl             append-only library change log, cleared
-//	                              when a snapshot subsumes it
+//	    changes.jsonl             transformation-library journal, the
+//	                              same shape
 //	<root>/events/<tenant>/
 //	    log.jsonl                 append-only audit/event log, bounded by
-//	                              retention rewrites (no snapshot)
+//	                              retention rewrites
 //
 // <tenant> is the tenant id; the open-mode library and event log live
-// under "_open". Every non-append write lands in a temp file first and
-// is renamed into place, so readers never observe a partial meta or
-// snapshot. Every .jsonl file is a durable log (log.go): appends are
-// O_APPEND single writes followed by fsync (unless NoSync), and a crash
-// mid-append leaves at most one torn final line, which replay drops.
+// under "_open". A snapshot.json beside a journal, where older versions
+// compacted it, replays as the journal's first record until the next
+// compaction removes it. Every non-append write lands in a temp file
+// first and is renamed into place, so readers never observe a partial
+// meta, snapshot or rewritten log. Every .jsonl file is a durable log
+// (log.go): appends are O_APPEND single writes followed by fsync
+// (unless NoSync), and a crash mid-append leaves at most one torn final
+// line, which replay drops.
 type FS struct {
 	root string
 	opts FSOptions

@@ -451,9 +451,6 @@ func TestTenantPersistence(t *testing.T) {
 		return got
 	}
 
-	if _, err := s.GetLogSnapshot(TenantLog, ""); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("GetLogSnapshot on empty store: %v, want ErrNotExist", err)
-	}
 	if got := replay(); len(got) != 0 {
 		t.Fatalf("empty store replayed changes %v", got)
 	}
@@ -468,16 +465,13 @@ func TestTenantPersistence(t *testing.T) {
 		t.Fatalf("replayed changes = %v", got)
 	}
 
-	// A snapshot put subsumes (and clears) the log.
-	if err := s.PutLogSnapshot(TenantLog, "", []byte(`{"version":1,"tenants":[]}`)); err != nil {
+	// A rewrite to one state record replaces the log.
+	const state = `{"version":1,"tenants":[]}`
+	if _, err := s.RewriteLog(TenantLog, "", [][]byte{[]byte(state)}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := s.GetLogSnapshot(TenantLog, "")
-	if err != nil || string(raw) != `{"version":1,"tenants":[]}` {
-		t.Fatalf("GetLogSnapshot = %q, %v", raw, err)
-	}
-	if got := replay(); len(got) != 0 {
-		t.Fatalf("changes %v survived the snapshot", got)
+	if got := replay(); len(got) != 1 || got[0] != state {
+		t.Fatalf("replay after rewrite = %v, want [%s]", got, state)
 	}
 
 	// A torn final record (crash mid-append) is dropped; earlier
@@ -488,7 +482,7 @@ func TestTenantPersistence(t *testing.T) {
 	}
 	logPath := filepath.Join(dir, "tenants", "changes.jsonl")
 	appendTorn(t, logPath, `{"op":"put","i`)
-	if got := replay(); len(got) != 1 || got[0] != `{"op":"put","id":"c"}` {
+	if got := replay(); len(got) != 2 || got[1] != `{"op":"put","id":"c"}` {
 		t.Fatalf("replay with torn tail = %v", got)
 	}
 	if err := s.Close(); err != nil {
@@ -500,7 +494,7 @@ func TestTenantPersistence(t *testing.T) {
 	if err := s.AppendLog(TenantLog, "", []byte(`{"op":"put","id":"d"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if got := replay(); len(got) != 2 || got[1] != `{"op":"put","id":"d"}` {
+	if got := replay(); len(got) != 3 || got[2] != `{"op":"put","id":"d"}` {
 		t.Fatalf("replay after tail repair = %v", got)
 	}
 
@@ -518,11 +512,8 @@ func TestTenantPersistence(t *testing.T) {
 
 	// Null: writes vanish, reads find nothing.
 	var n Null
-	if err := n.PutLogSnapshot(TenantLog, "", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.GetLogSnapshot(TenantLog, ""); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("Null.GetLogSnapshot = %v, want ErrNotExist", err)
+	if size, err := n.RewriteLog(TenantLog, "", [][]byte{[]byte("x")}); size != 0 || err != nil {
+		t.Fatalf("Null.RewriteLog = %d, %v", size, err)
 	}
 	if err := n.AppendLog(TenantLog, "", []byte("x")); err != nil {
 		t.Fatal(err)

@@ -48,9 +48,9 @@ type logFile struct {
 	path string
 	// mu orders appends against replacement: an append holds the read
 	// side until its records are durable (or failed), even when its
-	// caller stopped waiting; RewriteLog, DeleteLog, PutLogSnapshot,
-	// CloseWAL and compaction hold the write side, so no append can
-	// land on an inode they unlink or replace.
+	// caller stopped waiting; RewriteLog, DeleteLog, CloseWAL and
+	// compaction hold the write side, so no append can land on an inode
+	// they unlink or replace.
 	mu sync.RWMutex
 	// retired is set under the write side of mu once the entry left
 	// the cache; a locker that finds it set starts over.
@@ -64,7 +64,7 @@ func walKey(datasetID, sessionID string) string {
 }
 
 // logKey returns the cache key of a keyed log: its file's path
-// relative to the root. The log's snapshot sits next to it.
+// relative to the root.
 func logKey(kind LogKind, id string) (string, error) {
 	var dir string
 	switch kind {
@@ -352,16 +352,36 @@ func (s *FS) AppendLog(kind LogKind, id string, recs ...[]byte) error {
 	return s.appendLog(context.Background(), key, joinRecords(recs), len(recs))
 }
 
-// ReplayLog streams the keyed log in append order.
+// legacySnapshot names the file beside a keyed log into which older
+// versions compacted it. It holds a state record: the first record of
+// its log.
+const legacySnapshot = "snapshot.json"
+
+// ReplayLog streams the keyed log in append order, a leftover
+// legacySnapshot first.
 func (s *FS) ReplayLog(kind LogKind, id string, fn func(rec []byte) error) error {
 	key, err := logKey(kind, id)
 	if err != nil {
 		return err
 	}
+	raw, err := os.ReadFile(filepath.Join(s.root, filepath.Dir(key), legacySnapshot))
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		return fmt.Errorf("store: %s: %w", key, err)
+	case !json.Valid(raw):
+		return fmt.Errorf("store: %s: corrupt %s", key, legacySnapshot)
+	default:
+		if err := fn(bytes.TrimSpace(raw)); err != nil {
+			return err
+		}
+	}
 	return s.replayLog(key, fn)
 }
 
-// RewriteLog atomically replaces the keyed log with recs.
+// RewriteLog atomically replaces the keyed log with recs, then removes
+// a leftover legacySnapshot. A crash between the two replays the old
+// snapshot before the new log, whose state record supersedes it.
 func (s *FS) RewriteLog(kind LogKind, id string, recs [][]byte) (int64, error) {
 	key, err := logKey(kind, id)
 	if err != nil {
@@ -372,49 +392,18 @@ func (s *FS) RewriteLog(kind LogKind, id string, recs [][]byte) (int64, error) {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
-		return s.writeFileAtomic(path, payload)
+		if err := s.writeFileAtomic(path, payload); err != nil {
+			return err
+		}
+		if err := os.Remove(filepath.Join(filepath.Dir(path), legacySnapshot)); !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		return nil
 	})
 	if err != nil {
 		return 0, fmt.Errorf("store: %s rewrite: %w", key, err)
 	}
 	return int64(len(payload)), nil
-}
-
-// PutLogSnapshot atomically replaces the keyed log's snapshot, then
-// clears the log it subsumes.
-func (s *FS) PutLogSnapshot(kind LogKind, id string, data []byte) error {
-	key, err := logKey(kind, id)
-	if err != nil {
-		return err
-	}
-	err = s.replaceLog(key, func(path string) error {
-		dir := filepath.Dir(path)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		if err := s.writeFileAtomic(filepath.Join(dir, "snapshot.json"), data); err != nil {
-			return err
-		}
-		os.Remove(path)
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("store: %s snapshot: %w", kind, err)
-	}
-	return nil
-}
-
-// GetLogSnapshot returns the keyed log's latest snapshot.
-func (s *FS) GetLogSnapshot(kind LogKind, id string) ([]byte, error) {
-	key, err := logKey(kind, id)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := os.ReadFile(filepath.Join(s.root, filepath.Dir(key), "snapshot.json"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: %s snapshot: %w", kind, ErrNotExist)
-	}
-	return raw, err
 }
 
 // ListLogs returns every id with persisted state of the kind, sorted.
@@ -442,7 +431,7 @@ func (s *FS) ListLogs(kind LogKind) ([]string, error) {
 	return out, nil
 }
 
-// DeleteLog removes the keyed log and its snapshot.
+// DeleteLog removes the keyed log's directory.
 func (s *FS) DeleteLog(kind LogKind, id string) error {
 	key, err := logKey(kind, id)
 	if err != nil {

@@ -185,32 +185,65 @@ func TestFailedWriteDropsHandle(t *testing.T) {
 	}
 }
 
+// TestFSLibrarySnapshotRoundTrip: a snapshot.json that an older
+// version left beside a keyed log replays as the log's first record,
+// per log (the open-mode library does not bleed into a tenant's), and
+// the next rewrite removes it. Until then a rewritten log replays after
+// it, which is the crash window between the rewrite's rename and the
+// removal.
 func TestFSLibrarySnapshotRoundTrip(t *testing.T) {
-	s := openLogFS(t, t.TempDir())
-
-	if _, err := s.GetLogSnapshot(LibraryLog, "tn_01"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("GetLogSnapshot before put: %v, want ErrNotExist", err)
+	dir := t.TempDir()
+	s := openLogFS(t, dir)
+	writeLegacy := func(id, file, data string) {
+		t.Helper()
+		sub := id
+		if sub == "" {
+			sub = openLogDir
+		}
+		path := filepath.Join(dir, "libraries", sub, file)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.PutLogSnapshot(LibraryLog, "tn_01", []byte(`{"v":1}`)); err != nil {
+	writeLegacy("tn_01", "snapshot.json", `{"v":1}`)
+	writeLegacy("tn_01", "changes.jsonl", `{"n":1}`+"\n")
+	writeLegacy("", "snapshot.json", `{"v":2}`)
+
+	if got, want := replayKeyed(t, s, LibraryLog, "tn_01"), []string{`{"v":1}`, `{"n":1}`}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay = %v, want %v", got, want)
+	}
+	if got, want := replayKeyed(t, s, LibraryLog, ""), []string{`{"v":2}`}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("open-mode replay = %v, want %v", got, want)
+	}
+	if ids, err := s.ListLogs(LibraryLog); err != nil || !reflect.DeepEqual(ids, []string{"", "tn_01"}) {
+		t.Fatalf("ListLogs = %v, %v", ids, err)
+	}
+
+	// The crash window: the rewritten log exists, the snapshot too.
+	writeLegacy("tn_01", "changes.jsonl", `{"v":3}`+"\n")
+	if got, want := replayKeyed(t, s, LibraryLog, "tn_01"), []string{`{"v":1}`, `{"v":3}`}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay in the crash window = %v, want %v", got, want)
+	}
+	if _, err := s.RewriteLog(LibraryLog, "tn_01", [][]byte{[]byte(`{"v":4}`)}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := s.GetLogSnapshot(LibraryLog, "tn_01")
-	if err != nil || string(raw) != `{"v":1}` {
-		t.Fatalf("GetLogSnapshot = %q, %v", raw, err)
+	if got, want := replayKeyed(t, s, LibraryLog, "tn_01"), []string{`{"v":4}`}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay after rewrite = %v, want %v", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "libraries", "tn_01", "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("snapshot.json survived the rewrite: %v", err)
+	}
+	if got := replayKeyed(t, s, LibraryLog, ""); len(got) != 1 {
+		t.Fatalf("rewrite of tn_01 touched the open-mode log: %v", got)
 	}
 
-	// The open-mode library ("") persists under its own sentinel dir.
-	if err := s.PutLogSnapshot(LibraryLog, "", []byte(`{"v":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = s.GetLogSnapshot(LibraryLog, "")
-	if err != nil || string(raw) != `{"v":2}` {
-		t.Fatalf("open-mode GetLogSnapshot = %q, %v", raw, err)
-	}
-	// And does not bleed into the real tenant's library.
-	raw, _ = s.GetLogSnapshot(LibraryLog, "tn_01")
-	if string(raw) != `{"v":1}` {
-		t.Fatalf("tenant snapshot after open-mode put = %q", raw)
+	// A corrupt snapshot is corruption, like a corrupt record.
+	writeLegacy("", "snapshot.json", `{"v":`)
+	if err := s.ReplayLog(LibraryLog, "", func([]byte) error { return nil }); err == nil {
+		t.Fatal("corrupt snapshot.json replayed silently")
 	}
 }
 
@@ -230,12 +263,12 @@ func TestFSLibraryChangesAppendReplay(t *testing.T) {
 		t.Fatalf("replay = %v, want %v", got, want)
 	}
 
-	// Putting a snapshot subsumes (clears) the change log.
-	if err := s.PutLogSnapshot(LibraryLog, "tn_01", []byte(`{}`)); err != nil {
+	// A rewrite to one state record replaces the change log.
+	if _, err := s.RewriteLog(LibraryLog, "tn_01", [][]byte{[]byte(`{}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := replayKeyed(t, s, LibraryLog, "tn_01"); len(got) != 0 {
-		t.Fatalf("replay after snapshot = %v, want empty", got)
+	if got := replayKeyed(t, s, LibraryLog, "tn_01"); !reflect.DeepEqual(got, []string{`{}`}) {
+		t.Fatalf("replay after rewrite = %v, want [{}]", got)
 	}
 }
 

@@ -22,10 +22,12 @@
 //     history.
 //
 // The tenant registry, the per-tenant transformation libraries and the
-// per-tenant event logs persist the same way, as keyed logs of opaque
-// records (Store.AppendLog). Every log — session WAL or keyed — is one
-// durable-log primitive underneath: one append path, one torn-tail
-// repair, one replay loop.
+// per-tenant event logs persist as keyed logs of opaque records
+// (Store.AppendLog). A keyed log is its own snapshot: compaction
+// rewrites it in one atomic rename, and for the registry and the
+// libraries (Journal) down to one state record that replay resets to.
+// Every log — session WAL or keyed — is one durable-log primitive
+// underneath: one append path, one torn-tail repair, one replay loop.
 //
 // Two backends implement Store: Null (no-ops, for tests and stores-off
 // operation) and FS (a directory tree with atomic-rename writes and
@@ -120,8 +122,8 @@ const (
 	TenantLog LogKind = "tenants"
 	// LibraryLog is a tenant's transformation-library change log.
 	LibraryLog LogKind = "libraries"
-	// EventLog is a tenant's audit/event log: snapshot-free, bounded by
-	// RewriteLog retention compaction.
+	// EventLog is a tenant's audit/event log, bounded by RewriteLog
+	// retention compaction.
 	EventLog LogKind = "events"
 )
 
@@ -186,13 +188,14 @@ type Store interface {
 
 	// Keyed logs. The tenant registry, each tenant's transformation
 	// library and each tenant's audit/event log persist as an
-	// append-only log of opaque JSON records, optionally paired with an
-	// opaque snapshot the log is replayed over at boot — the dataset
-	// snapshot + session WAL model, with the payload encoding owned by
-	// the caller (internal/tenant, internal/library, internal/events).
-	// A log is named by its kind and a tenant id ("" = the open-mode
-	// log; TenantLog takes no id). Appends share the session WALs'
-	// durability promise and group commit.
+	// append-only log of opaque JSON records, with the payload encoding
+	// owned by the caller (internal/tenant, internal/library,
+	// internal/events). A keyed log is its own snapshot: compaction
+	// rewrites it (RewriteLog), the registry and the libraries down to
+	// one state record through a Journal, the event logs to their
+	// retained tail. A log is named by its kind and a tenant id ("" =
+	// the open-mode log; TenantLog takes no id). Appends share the
+	// session WALs' durability promise and group commit.
 
 	// AppendLog durably appends recs, each one complete JSON value, to
 	// the log in order, as one write and (at most) one fsync. An empty
@@ -202,22 +205,14 @@ type Store interface {
 	// dropped; corruption anywhere else is an error; a missing log
 	// replays nothing.
 	ReplayLog(kind LogKind, id string, fn func(rec []byte) error) error
-	// RewriteLog atomically replaces the log with recs (retention
-	// compaction), returning the new size in bytes.
+	// RewriteLog atomically replaces the log with recs (compaction),
+	// returning the new size in bytes.
 	RewriteLog(kind LogKind, id string, recs [][]byte) (int64, error)
-	// PutLogSnapshot atomically replaces the log's snapshot and clears
-	// the log it subsumes. The clear is best-effort: callers write
-	// convergent whole-state records, so a stale log replayed over a
-	// newer snapshot is redundant, not wrong.
-	PutLogSnapshot(kind LogKind, id string, data []byte) error
-	// GetLogSnapshot returns the log's latest snapshot (ErrNotExist
-	// when none was ever put).
-	GetLogSnapshot(kind LogKind, id string) ([]byte, error)
 	// ListLogs returns every id with persisted state of the kind,
 	// sorted; the open-mode log lists as "".
 	ListLogs(kind LogKind) ([]string, error)
-	// DeleteLog removes the log and its snapshot. Deleting a missing
-	// log is not an error.
+	// DeleteLog removes the log. Deleting a missing log is not an
+	// error.
 	DeleteLog(kind LogKind, id string) error
 
 	// Close releases backend resources (open WAL handles). The store is
@@ -260,8 +255,6 @@ func (Null) LoadSessionState(string, string) ([]byte, error)              { retu
 func (Null) AppendLog(LogKind, string, ...[]byte) error          { return nil }
 func (Null) ReplayLog(LogKind, string, func([]byte) error) error { return nil }
 func (Null) RewriteLog(LogKind, string, [][]byte) (int64, error) { return 0, nil }
-func (Null) PutLogSnapshot(LogKind, string, []byte) error        { return nil }
-func (Null) GetLogSnapshot(LogKind, string) ([]byte, error)      { return nil, ErrNotExist }
 func (Null) ListLogs(LogKind) ([]string, error)                  { return nil, nil }
 func (Null) DeleteLog(LogKind, string) error                     { return nil }
 

@@ -19,15 +19,11 @@
 // capacity), advanced by an injected Clock so tests drive it with
 // explicit time instead of sleeps.
 //
-// Durability mirrors the dataset model in internal/store: the registry
-// persists as one snapshot plus an append-only change log
-// (store.TenantLog, via store.PutLogSnapshot / store.AppendLog). Every
-// mutation appends a whole-state change record before it is
-// acknowledged; when the log grows past a threshold the registry folds
-// it into a fresh snapshot. Change records are convergent — a "put" carries the
-// tenant's full record and a "delete" its id — so replaying a stale log
-// over a newer snapshot (possible after a crash between snapshot write
-// and log clear) reproduces the snapshot state exactly.
+// Durability: the registry persists as a store.Journal on
+// store.TenantLog. Every mutation appends a change record before it is
+// acknowledged — a "put" carries the tenant's full record, a "delete"
+// its id — and compaction rewrites the log to one state record, the
+// whole registry, which replay resets to.
 package tenant
 
 import (
@@ -152,24 +148,18 @@ func hashKey(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// snapshot is the on-disk registry snapshot.
-type snapshot struct {
+// state is the log's state record: the whole registry.
+type state struct {
 	Version int      `json:"version"`
 	Tenants []record `json:"tenants"`
 }
 
-// change is one change-log record. Put carries the tenant's whole
-// state, so replaying any suffix (or the whole log) over any snapshot
-// that already absorbed a prefix converges to the same registry.
+// change is one change record. Put carries the tenant's whole record.
 type change struct {
 	Op     string  `json:"op"` // "put" or "delete"
 	Tenant *record `json:"tenant,omitempty"`
 	ID     string  `json:"id,omitempty"`
 }
-
-// compactEvery is how many change records accumulate before the
-// registry folds the log into a fresh snapshot.
-const compactEvery = 64
 
 // tenant is one live registry entry: the persisted record plus the
 // in-memory token bucket.
@@ -187,16 +177,15 @@ type tenant struct {
 // concurrent use.
 type Registry struct {
 	clock Clock
-	store store.Store
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
-	changes int // change records appended since the last snapshot
+	log     *store.Journal // guarded by mu
 }
 
-// Open loads the registry from the store (snapshot, then change-log
-// replay) and returns it ready for use. A nil store means memory-only
-// (store.Null); a nil clock means the wall clock.
+// Open loads the registry from the store (its log replay) and returns
+// it ready for use. A nil store means memory-only (store.Null); a nil
+// clock means the wall clock.
 func Open(st store.Store, clock Clock) (*Registry, error) {
 	if st == nil {
 		st = store.Null{}
@@ -204,45 +193,37 @@ func Open(st store.Store, clock Clock) (*Registry, error) {
 	if clock == nil {
 		clock = systemClock{}
 	}
-	r := &Registry{clock: clock, store: st, tenants: make(map[string]*tenant)}
-	raw, err := st.GetLogSnapshot(store.TenantLog, "")
-	switch {
-	case errors.Is(err, store.ErrNotExist):
-		// First boot: empty registry.
-	case err != nil:
-		return nil, fmt.Errorf("tenant: loading snapshot: %w", err)
-	default:
-		var snap snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return nil, fmt.Errorf("tenant: corrupt snapshot: %w", err)
-		}
-		for _, rec := range snap.Tenants {
-			r.tenants[rec.ID] = &tenant{rec: rec}
-		}
-	}
-	err = st.ReplayLog(store.TenantLog, "", func(data []byte) error {
-		var c change
-		if err := json.Unmarshal(data, &c); err != nil {
-			return fmt.Errorf("tenant: corrupt change record: %w", err)
-		}
-		switch c.Op {
-		case "put":
-			if c.Tenant == nil {
-				return fmt.Errorf("tenant: put change without a tenant")
-			}
-			r.tenants[c.Tenant.ID] = &tenant{rec: *c.Tenant}
-		case "delete":
-			delete(r.tenants, c.ID)
-		default:
-			return fmt.Errorf("tenant: unknown change op %q", c.Op)
-		}
-		r.changes++
-		return nil
-	})
-	if err != nil {
+	r := &Registry{clock: clock, tenants: make(map[string]*tenant), log: store.NewJournal(st, store.TenantLog, "")}
+	if err := r.log.Replay(r.apply); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// apply folds one log record into the registry: a state record
+// replaces it, a change record updates one tenant.
+func (r *Registry) apply(data []byte) error {
+	var rec struct {
+		change
+		state
+	}
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return fmt.Errorf("tenant: corrupt log record: %w", err)
+	}
+	switch {
+	case rec.Op == "put" && rec.Tenant != nil:
+		r.tenants[rec.Tenant.ID] = &tenant{rec: *rec.Tenant}
+	case rec.Op == "delete":
+		delete(r.tenants, rec.ID)
+	case rec.Op == "" && rec.Version == 1:
+		clear(r.tenants)
+		for _, t := range rec.Tenants {
+			r.tenants[t.ID] = &tenant{rec: t}
+		}
+	default:
+		return fmt.Errorf("tenant: unknown log record (op %q)", rec.Op)
+	}
+	return nil
 }
 
 // newID returns a fresh tenant id ("tn_" + 64 random bits).
@@ -264,43 +245,24 @@ func mintKey() string {
 }
 
 // logChange appends one change record — the durability point of every
-// mutation. Callers apply the in-memory mutation BEFORE calling it and
-// roll back if it fails: compaction can fire inside this call, and a
-// snapshot taken here must already contain the mutation whose change
-// record the compaction is about to fold away (a pre-mutation snapshot
-// would durably lose every compactEvery-th change).
+// mutation. Callers apply the mutation in memory first and roll it back
+// if logChange fails: a compaction here writes the state it finds.
+// Caller holds r.mu.
 func (r *Registry) logChange(c change) error {
-	data, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	if err := r.store.AppendLog(store.TenantLog, "", data); err != nil {
+	if err := r.log.Append(c, r.stateLocked); err != nil {
 		return fmt.Errorf("tenant: logging change: %w", err)
-	}
-	r.changes++
-	if r.changes >= compactEvery {
-		r.compactLocked()
 	}
 	return nil
 }
 
-// compactLocked folds the change log into a fresh snapshot. Failure is
-// tolerable — the log stays and keeps growing until a later compaction
-// succeeds — so the error is swallowed. Caller holds r.mu.
-func (r *Registry) compactLocked() {
-	snap := snapshot{Version: 1, Tenants: make([]record, 0, len(r.tenants))}
+// stateLocked returns the registry's state record. Caller holds r.mu.
+func (r *Registry) stateLocked() any {
+	st := state{Version: 1, Tenants: make([]record, 0, len(r.tenants))}
 	for _, t := range r.tenants {
-		snap.Tenants = append(snap.Tenants, t.rec)
+		st.Tenants = append(st.Tenants, t.rec)
 	}
-	sort.Slice(snap.Tenants, func(a, b int) bool { return snap.Tenants[a].ID < snap.Tenants[b].ID })
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return
-	}
-	if err := r.store.PutLogSnapshot(store.TenantLog, "", data); err != nil {
-		return
-	}
-	r.changes = 0
+	sort.Slice(st.Tenants, func(a, b int) bool { return st.Tenants[a].ID < st.Tenants[b].ID })
+	return st
 }
 
 // Create registers a new tenant with one freshly minted API key and
@@ -495,12 +457,4 @@ func (r *Registry) AllowDecisions(id string, n int) (bool, time.Duration) {
 	}
 	wait := time.Duration((need - t.tokens) / q.DecisionsPerSec * float64(time.Second))
 	return false, wait
-}
-
-// Snapshot forces a compaction of the change log into a fresh snapshot
-// (shutdown hygiene; Open never requires it).
-func (r *Registry) Snapshot() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.compactLocked()
 }

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +20,46 @@ type fakeClock struct{ now time.Time }
 func (c *fakeClock) Now() time.Time           { return c.now }
 func (c *fakeClock) Advance(d time.Duration)  { c.now = c.now.Add(d) }
 func newFakeClock(start time.Time) *fakeClock { return &fakeClock{now: start} }
+
+// compactEvery is store.Journal's compaction period: its log is
+// rewritten to one state record once it holds this many records.
+const compactEvery = 64
+
+// logLines returns the non-blank lines of the file at path (none when
+// it is missing).
+func logLines(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.TrimSpace(line) != "" {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// reopen opens a fresh store and registry over dir; the store closes
+// with the test.
+func reopen(t *testing.T, dir string) *Registry {
+	t.Helper()
+	st, err := store.OpenFS(dir, store.FSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	r, err := Open(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func mustCreate(t *testing.T, r *Registry, name string, q Quotas) (Info, string) {
 	t.Helper()
@@ -304,8 +345,9 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompaction: past compactEvery changes the registry folds the log
-// into a snapshot, the log is cleared, and recovery still matches.
+// TestCompaction: past compactEvery changes the registry rewrites its
+// log to a state record, writes no snapshot.json, and recovery still
+// matches.
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.OpenFS(dir, store.FSOptions{})
@@ -322,21 +364,12 @@ func TestCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snapPath := filepath.Join(dir, "tenants", "snapshot.json")
-	if _, err := os.Stat(snapPath); err != nil {
-		t.Fatalf("no snapshot after %d changes: %v", compactEvery+4, err)
+	if _, err := os.Stat(filepath.Join(dir, "tenants", "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("compaction wrote snapshot.json: %v", err)
 	}
-	logPath := filepath.Join(dir, "tenants", "changes.jsonl")
-	if raw, err := os.ReadFile(logPath); err == nil {
-		n := 0
-		for _, line := range strings.Split(string(raw), "\n") {
-			if strings.TrimSpace(line) != "" {
-				n++
-			}
-		}
-		if n >= compactEvery {
-			t.Fatalf("change log still holds %d records after compaction", n)
-		}
+	lines := logLines(t, filepath.Join(dir, "tenants", "changes.jsonl"))
+	if len(lines) >= compactEvery || !strings.HasPrefix(lines[0], `{"version":1,`) {
+		t.Fatalf("log after %d changes holds %d records, the first %.40s; want a state record first", compactEvery+4, len(lines), lines[0])
 	}
 	before := mustJSON(t, r.List())
 	st.Close()
@@ -436,46 +469,126 @@ func TestCompactionBoundaryMutation(t *testing.T) {
 	}
 }
 
-// TestStaleLogConvergence: replaying an already-folded change log over
-// a newer snapshot (the crash window between snapshot write and log
-// clear) must converge to the snapshot state, not regress it.
-func TestStaleLogConvergence(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.OpenFS(dir, store.FSOptions{})
-	if err != nil {
+// writeParentDir writes a tenant registry in the parent format by
+// hand: snapshot.json beside changes.jsonl.
+func writeParentDir(t *testing.T, dir, snapshot string, changes ...string) {
+	t.Helper()
+	sub := filepath.Join(dir, "tenants")
+	if err := os.MkdirAll(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	r, err := Open(st, nil)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(sub, "snapshot.json"), []byte(snapshot), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	info, _ := mustCreate(t, r, "acme", Quotas{})
-	if _, err := r.SetQuotas(info.ID, Quotas{MaxDatasets: 7}); err != nil {
+	var log strings.Builder
+	for _, c := range changes {
+		log.WriteString(c + "\n")
+	}
+	if err := os.WriteFile(filepath.Join(sub, "changes.jsonl"), []byte(log.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r.Snapshot() // snapshot holds MaxDatasets=7 and clears the log
+}
 
-	// Simulate the crash window: re-append the full pre-snapshot
-	// history (create with zero quotas, then the quota update) as a
-	// stale log next to the newer snapshot.
-	rec := record{ID: info.ID, Name: "acme", Created: info.Created}
-	for _, c := range []change{
-		{Op: "put", Tenant: &rec},
-		{Op: "put", Tenant: func() *record { r2 := rec; r2.Quotas = Quotas{MaxDatasets: 7}; return &r2 }()},
-	} {
-		data, _ := json.Marshal(c)
-		if err := st.AppendLog(store.TenantLog, "", data); err != nil {
+// TestStaleLogConvergence: a change log replayed over a snapshot that
+// already holds it — the parent's crash window between its snapshot
+// write and its log clear — converges to the snapshot state, and so
+// does a snapshot.json left beside a rewritten log — the crash window
+// between a rewrite and the snapshot's removal.
+func TestStaleLogConvergence(t *testing.T) {
+	const (
+		acme0 = `{"id":"tn_0a","name":"acme","created":"2024-01-02T03:04:05Z","quotas":{},"key_hashes":[]}`
+		acme7 = `{"id":"tn_0a","name":"acme","created":"2024-01-02T03:04:05Z","quotas":{"max_datasets":7},"key_hashes":[]}`
+		acme9 = `{"id":"tn_0a","name":"acme","created":"2024-01-02T03:04:05Z","quotas":{"max_datasets":9},"key_hashes":[]}`
+	)
+	dir := t.TempDir()
+	writeParentDir(t, dir, `{"version":1,"tenants":[`+acme7+`]}`,
+		`{"op":"put","tenant":`+acme0+`}`,
+		`{"op":"put","tenant":`+acme7+`}`)
+	got, err := reopen(t, dir).Get("tn_0a")
+	if err != nil || got.Quotas.MaxDatasets != 7 {
+		t.Fatalf("after stale-log replay: %+v, %v; want MaxDatasets=7", got, err)
+	}
+
+	dir = t.TempDir()
+	gone := `{"id":"tn_0b","name":"gone","created":"2024-01-03T00:00:00Z","quotas":{},"key_hashes":[]}`
+	writeParentDir(t, dir, `{"version":1,"tenants":[`+acme0+`,`+gone+`]}`, `{"version":1,"tenants":[`+acme9+`]}`)
+	r := reopen(t, dir)
+	got, err = r.Get("tn_0a")
+	if err != nil || got.Quotas.MaxDatasets != 9 || len(r.List()) != 1 {
+		t.Fatalf("snapshot.json beside a rewritten log: %+v, %v, %d tenants; want MaxDatasets=9, 1 tenant", got, err, len(r.List()))
+	}
+}
+
+// TestRecoverParentFormat: a registry the parent format wrote —
+// snapshot.json plus a change log whose head repeats records the
+// snapshot already holds — loads to exactly the state written, and the
+// next compaction leaves no snapshot.json behind.
+func TestRecoverParentFormat(t *testing.T) {
+	const key = "grk_00112233445566778899aabbccddeeff"
+	acme0 := fmt.Sprintf(`{"id":"tn_0a","name":"acme","created":"2024-01-02T03:04:05Z","quotas":{},"key_hashes":[%q]}`, hashKey(key))
+	acme := fmt.Sprintf(`{"id":"tn_0a","name":"acme","created":"2024-01-02T03:04:05Z","quotas":{"max_datasets":7,"decisions_per_sec":2},"key_hashes":[%q]}`, hashKey(key))
+	beta := `{"id":"tn_0b","name":"beta","created":"2024-01-03T00:00:00Z","quotas":{},"key_hashes":[]}`
+	gone := `{"id":"tn_0c","name":"gone","created":"2024-01-04T00:00:00Z","quotas":{},"key_hashes":[]}`
+	late := `{"id":"tn_0d","name":"late","created":"2024-01-05T00:00:00Z","quotas":{"max_sessions":3},"key_hashes":[]}`
+	dir := t.TempDir()
+	writeParentDir(t, dir, `{"version":1,"tenants":[`+acme+`,`+beta+`,`+gone+`]}`,
+		`{"op":"put","tenant":`+acme0+`}`, // stale: the snapshot holds these two
+		`{"op":"put","tenant":`+acme+`}`,
+		`{"op":"delete","id":"tn_0c"}`, // new since the snapshot
+		`{"op":"put","tenant":`+late+`}`)
+
+	day := func(d int) time.Time { return time.Date(2024, 1, d, 0, 0, 0, 0, time.UTC) }
+	want := []Info{
+		{ID: "tn_0a", Name: "acme", Created: day(2).Add(3*time.Hour + 4*time.Minute + 5*time.Second),
+			Quotas: Quotas{MaxDatasets: 7, DecisionsPerSec: 2}, KeyIDs: []string{hashKey(key)[:8]}},
+		{ID: "tn_0b", Name: "beta", Created: day(3), KeyIDs: []string{}},
+		{ID: "tn_0d", Name: "late", Created: day(5), Quotas: Quotas{MaxSessions: 3}, KeyIDs: []string{}},
+	}
+	r := reopen(t, dir)
+	if got := r.List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parent-format registry loaded as\n%+v\nwant\n%+v", got, want)
+	}
+	if got, _, ok := r.AuthenticateKey(key); !ok || got.ID != "tn_0a" {
+		t.Fatal("parent-format key does not authenticate")
+	}
+
+	for i := 0; i < compactEvery; i++ {
+		if _, err := r.SetQuotas("tn_0b", Quotas{MaxDatasets: i + 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r2, err := Open(st, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "tenants", "snapshot.json")); !os.IsNotExist(err) {
+		t.Fatalf("snapshot.json survived compaction: %v", err)
 	}
-	got, err := r2.Get(info.ID)
-	if err != nil || got.Quotas.MaxDatasets != 7 {
-		t.Fatalf("after stale-log replay: %+v, %v; want MaxDatasets=7", got, err)
+	if got, want := mustJSON(t, reopen(t, dir).List()), mustJSON(t, r.List()); string(got) != string(want) {
+		t.Fatalf("reloaded after compaction\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestCompactionLeavesStateRecord: the compactEvery-th change rewrites
+// the log to one state record, and a reload of that one record lists
+// the same registry.
+func TestCompactionLeavesStateRecord(t *testing.T) {
+	dir := t.TempDir()
+	r := reopen(t, dir)
+	a, _ := mustCreate(t, r, "a", Quotas{})
+	b, _ := mustCreate(t, r, "b", Quotas{})
+	for i := 3; i <= compactEvery; i++ {
+		if _, err := r.SetQuotas(a.ID, Quotas{MaxDatasets: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := logLines(t, filepath.Join(dir, "tenants", "changes.jsonl"))
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], `{"version":1,"tenants":[`) {
+		t.Fatalf("log after %d changes = %d records %.60q; want one state record", compactEvery, len(lines), lines)
+	}
+	want := mustJSON(t, r.List())
+	r2 := reopen(t, dir)
+	if got := mustJSON(t, r2.List()); string(got) != string(want) {
+		t.Fatalf("state record reloaded as\n%s\nwant\n%s", got, want)
+	}
+	if _, err := r2.Get(b.ID); err != nil {
+		t.Fatal(err)
 	}
 }
 
