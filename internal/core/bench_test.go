@@ -141,7 +141,7 @@ func BenchmarkPrepareAddress(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(reps, sessionOptions())
 		for _, c := range e.ctxs {
-			e.prepare(context.Background(), c)
+			e.prepare(context.Background(), c, nil)
 		}
 	}
 }
@@ -156,6 +156,50 @@ func BenchmarkNextGroupFirstCallAddress(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if g := NewEngine(reps, sessionOptions()).NextGroup(); g == nil {
 			b.Fatal("no group")
+		}
+	}
+}
+
+// addressTargets lists the targets NewEngine adds to the constant
+// table for an Address ×0.3 pool: every replacement's T, repeats kept.
+func addressTargets() []string {
+	reps := datagenReps("address", 1000, 0.3)
+	ts := make([]string, len(reps))
+	for i, r := range reps {
+		ts[i] = r.T
+	}
+	return ts
+}
+
+// BenchmarkConstantTableAddress numbers the constant table of an
+// Address ×0.3 pool: every target added, then sealed — the part of
+// context_prep that is not the structure split.
+func BenchmarkConstantTableAddress(b *testing.B) {
+	ts := addressTargets()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := newSubstrIndex(maxConstLen)
+		for _, t := range ts {
+			x.add(t)
+		}
+		x.seal()
+	}
+}
+
+// BenchmarkNextGroup40Address is the first 40 questions on a fresh
+// Address ×0.3 upload: engine construction, the first NextGroup and 39
+// more.
+func BenchmarkNextGroup40Address(b *testing.B) {
+	reps := datagenReps("address", 1000, 0.3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(reps, sessionOptions())
+		for n := 0; n < 40; n++ {
+			if e.NextGroup() == nil {
+				b.Fatal("engine exhausted")
+			}
 		}
 	}
 }

@@ -26,10 +26,18 @@ type Context struct {
 	Sig  string
 	Reps []Rep
 
-	prepared bool
-	Reg      *tgraph.Registry
-	Graphs   []*tgraph.Graph // Graphs[i] may be nil (unbuildable rep)
-	Index    *Index
+	// prepared is set, last, once Prepare has built everything below:
+	// prepare-ahead builds contexts while the main loop reads them.
+	prepared atomic.Bool
+	// ahead marks a context prepare-ahead built and the main loop has
+	// not yet expanded into its unit heap; expanded marks one it has.
+	ahead    bool
+	expanded bool
+	rank     int // position in Engine.order
+
+	Reg    *tgraph.Registry
+	Graphs []*tgraph.Graph // Graphs[i] may be nil (unbuildable rep)
+	Index  *Index
 
 	alive    []bool
 	aliveN   int
@@ -55,12 +63,18 @@ func newContext(sig string, reps []Rep) *Context {
 }
 
 // Prepared reports whether graphs and index have been built.
-func (c *Context) Prepared() bool { return c.prepared }
+func (c *Context) Prepared() bool { return c.prepared.Load() }
+
+// settled reports whether c needs no preparation: it is prepared, or
+// nothing of it is alive (counted as before preparation).
+func (c *Context) settled() bool {
+	return c.Prepared() || len(c.Reps) == len(c.preDead)
+}
 
 // AliveCount returns the number of alive (not yet grouped/removed)
 // replacements.
 func (c *Context) AliveCount() int {
-	if !c.prepared {
+	if !c.Prepared() {
 		return len(c.Reps) - len(c.preDead)
 	}
 	return c.aliveN
@@ -71,7 +85,7 @@ func (c *Context) AliveCount() int {
 // per Lemma 6.2. Replacements whose graphs cannot be built (empty or
 // overlong strings) are marked dead.
 func (c *Context) Prepare(opt tgraph.Options) {
-	if c.prepared {
+	if c.Prepared() {
 		return
 	}
 	c.buildGraphs(opt)
@@ -81,7 +95,6 @@ func (c *Context) Prepare(opt tgraph.Options) {
 // index completes Prepare over the built graphs: liveness, the inverted
 // index, the initial bounds and the seed list.
 func (c *Context) index() {
-	c.prepared = true
 	n := len(c.Reps)
 	c.alive = make([]bool, n)
 	c.lo = make([]int, n)
@@ -105,6 +118,17 @@ func (c *Context) index() {
 		c.up[i] = c.upperBound(g)
 	}
 	c.refreshSeeds()
+	c.prepared.Store(true)
+}
+
+// unprepare drops what Prepare built, keeping the removals: the next
+// Prepare builds the context as if it had never been prepared.
+func (c *Context) unprepare() {
+	c.prepared.Store(false)
+	c.ahead = false
+	c.Reg, c.Graphs, c.Index = nil, nil, nil
+	c.alive, c.aliveN, c.seeds, c.seedsGen = nil, 0, nil, 0
+	c.lo, c.up, c.witness, c.witnessGen, c.gen = nil, nil, nil, nil, 0
 }
 
 // buildGraphs builds the graphs of the alive replacements (Section 7.2
@@ -112,7 +136,10 @@ func (c *Context) index() {
 // workers, each interning into a registry of its own. A serial pass then
 // rebases them onto c.Reg in replacement order, so c.Reg assigns exactly
 // the LabelIDs of building every graph in order on c.Reg itself, and
-// seals it: nothing interns into a prepared context.
+// seals it: nothing interns into a prepared context. Under
+// Engine.NextGroup the build may be prepare-ahead's, running while the
+// main loop searches other contexts, so graph_build and group_search
+// wall time can overlap.
 func (c *Context) buildGraphs(opt tgraph.Options) {
 	n := len(c.Reps)
 	c.Reg = tgraph.NewRegistry()
@@ -208,7 +235,7 @@ func (c *Context) seedList() []Posting {
 // remove marks the replacement at index i dead; future intersections and
 // counts ignore it.
 func (c *Context) remove(i int) {
-	if !c.prepared {
+	if !c.Prepared() {
 		if c.preDead == nil {
 			c.preDead = make(map[int]bool)
 		}

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,21 +99,37 @@ type Engine struct {
 	subs  *substrIndex // the constant scorer's counts; nil when off
 	units *unitHeap
 	warm  []*Group
+	// order holds every context's placeholder unit, largest key first:
+	// the order prepare-ahead walks. Every context before order[next]
+	// is prepared or has no alive replacement.
+	order []unit
+	next  int
+	// prepMu lets one preparation run at a time, the main loop's or
+	// prepare-ahead's: all of them count into the constant table's one
+	// structural table.
+	prepMu sync.Mutex
+	// noAhead turns prepare-ahead off (tests compare against it).
+	noAhead bool
 	// The phase timings (in nanoseconds) are atomic because they are
 	// read while grouping runs: goldrecd's session info reads Timings
 	// while its group generator runs NextGroup outside the session
-	// lock.
+	// lock, and prepare-ahead adds to buildNanos from its goroutine.
 	prepNanos   atomic.Int64
 	buildNanos  atomic.Int64
 	searchNanos atomic.Int64
 }
 
 // Timings reports cumulative wall time spent in each engine phase:
-// context preparation (structure split and the constant scorer's
-// substring index in NewEngine), graph build (tgraph construction and
-// indexing in Context.Prepare), and group search (pivot path search and
-// group assembly). Graph build runs on GOMAXPROCS goroutines, so the
-// CPU time it takes can exceed its GraphBuild duration.
+// context preparation (structure split and the constant table in
+// NewEngine), graph build (tgraph construction and indexing in
+// Context.Prepare, each preparation's wall time whichever goroutine ran
+// it), and group search (NextGroup's own wall time less the time it
+// waited on or ran a preparation). NextGroup prepares structure groups
+// ahead on a second goroutine while it searches, so GraphBuild and
+// GroupSearch may overlap and their sum can exceed the wall time
+// spent; graph builds and the constant table run on GOMAXPROCS
+// goroutines, so the CPU time a phase takes can exceed its duration.
+// Every field only grows.
 type Timings struct {
 	ContextPrep time.Duration
 	GraphBuild  time.Duration
@@ -152,8 +172,8 @@ func NewEngine(reps []Rep, opts Options) *Engine {
 
 // NewEngineCtx is NewEngine carrying a trace context: construction is
 // the paper pipeline's context_prep phase (structure split plus the
-// constant scorer's substring index) and records as one span on the
-// request that opened the session.
+// constant table) and records as one span on the request that opened
+// the session.
 func NewEngineCtx(ctx context.Context, reps []Rep, opts Options) *Engine {
 	pctx, sp := trace.StartSpan(ctx, "context_prep")
 	defer sp.End()
@@ -192,6 +212,11 @@ func NewEngineCtx(ctx context.Context, reps []Rep, opts Options) *Engine {
 	e.units = &unitHeap{}
 	for ci, c := range e.ctxs {
 		heap.Push(e.units, unit{ctx: ci, gi: -1, up: c.AliveCount()})
+	}
+	e.order = slices.Clone(*e.units)
+	slices.SortStableFunc(e.order, func(a, b unit) int { return cmp.Compare(b.up, a.up) })
+	for i, u := range e.order {
+		e.ctxs[u.ctx].rank = i
 	}
 	e.prepNanos.Store(time.Since(start).Nanoseconds())
 	return e
@@ -262,15 +287,77 @@ func (e *Engine) graphOptions(c *Context) tgraph.Options {
 	return opt
 }
 
-func (e *Engine) prepare(ctx context.Context, c *Context) {
+// prepare builds c's graphs unless they are built. One preparation runs
+// at a time, whichever goroutine asks; a is set when prepare-ahead asks,
+// and then prepare gives way once a stops.
+func (e *Engine) prepare(ctx context.Context, c *Context, a *ahead) {
 	if c.Prepared() {
+		return
+	}
+	e.prepMu.Lock()
+	defer e.prepMu.Unlock()
+	if c.Prepared() || a != nil && a.stop.Load() {
 		return
 	}
 	start := time.Now()
 	_, sp := trace.StartSpan(ctx, "graph_build")
+	c.ahead = a != nil
 	c.Prepare(e.graphOptions(c))
 	sp.End()
 	e.buildNanos.Add(time.Since(start).Nanoseconds())
+}
+
+// ahead is one NextGroup call's prepare-ahead: a goroutine that
+// prepares structure groups while the main loop searches, in the order
+// the unit heap pops their placeholders, up to the first whose key does
+// not exceed τ — the main loop raises tau as it finds larger groups.
+type ahead struct {
+	tau  atomic.Int64
+	stop atomic.Bool
+	done chan struct{}
+}
+
+// startAhead starts prepare-ahead as the main loop is about to prepare
+// c itself. It starts from the next context in order other than c that
+// needs preparing and whose key exceeds tau, and returns nil without a
+// goroutine when there is none, or when GOMAXPROCS is 1 and no core
+// would be idle while the main loop searches.
+func (e *Engine) startAhead(ctx context.Context, c *Context, tau int) *ahead {
+	if runtime.GOMAXPROCS(0) < 2 {
+		return nil
+	}
+	for e.next < len(e.order) && e.ctxs[e.order[e.next].ctx].settled() {
+		e.next++
+	}
+	for i := e.next; i < len(e.order) && e.order[i].up > tau; i++ {
+		if d := e.ctxs[e.order[i].ctx]; d != c && !d.settled() {
+			a := &ahead{done: make(chan struct{})}
+			a.tau.Store(int64(tau))
+			go e.prepareAhead(ctx, i, a)
+			return a
+		}
+	}
+	return nil
+}
+
+// prepareAhead is prepare-ahead's goroutine, walking order from from.
+func (e *Engine) prepareAhead(ctx context.Context, from int, a *ahead) {
+	defer close(a.done)
+	for _, u := range e.order[from:] {
+		if a.stop.Load() || int64(u.up) <= a.tau.Load() {
+			return
+		}
+		if c := e.ctxs[u.ctx]; !c.settled() {
+			e.prepare(ctx, c, a)
+		}
+	}
+}
+
+// join stops prepare-ahead and waits for it: a preparation under way
+// completes first.
+func (a *ahead) join() {
+	a.stop.Store(true)
+	<-a.done
 }
 
 // searchOpts returns the per-mode pivot search options.
@@ -290,7 +377,7 @@ func (e *Engine) searchOpts(mode Mode) SearchOpts {
 func (e *Engine) AllGroups(mode Mode) []*Group {
 	var all []*Group
 	for _, c := range e.ctxs {
-		e.prepare(context.Background(), c)
+		e.prepare(context.Background(), c, nil)
 		start := time.Now()
 		all = append(all, e.groupContext(c, mode)...)
 		e.searchNanos.Add(time.Since(start).Nanoseconds())
@@ -407,9 +494,18 @@ func sortGroups(gs []*Group) {
 // Remove drops replacements (by external id) from future grouping — the
 // framework calls it when an applied group empties a replacement set
 // (Section 7.1).
+//
+// A context prepare-ahead built but the main loop has not expanded is
+// dropped first, so the removal reaches its build as one made before
+// preparation — as when the main loop prepares it itself, which it then
+// does again.
 func (e *Engine) Remove(exts ...int) {
 	for _, ext := range exts {
 		if l, ok := e.loc[ext]; ok {
+			if l.ctx.ahead {
+				l.ctx.unprepare()
+				e.next = min(e.next, l.ctx.rank)
+			}
 			l.ctx.remove(l.idx)
 		}
 	}
@@ -483,18 +579,27 @@ func (e *Engine) NextGroup() *Group {
 // NextGroupCtx is NextGroup carrying a trace context: the call records
 // as one group_search span, with a graph_build child per context whose
 // graphs it had to build lazily along the way.
+//
+// Every structure group whose placeholder key exceeds the final τ is
+// prepared before the group can be returned. The main loop prepares the
+// first itself and starts prepare-ahead on the rest, which builds them
+// in pop order while the loop searches; the loop still expands each
+// context into its unit heap when it pops the placeholder, so pop
+// order, τ and the group returned are those of preparing on demand.
+// Prepare-ahead is joined before the group's members are removed.
 func (e *Engine) NextGroupCtx(ctx context.Context) *Group {
 	var sp *trace.Span
 	ctx, sp = trace.StartSpan(ctx, "group_search")
 	defer sp.End()
 	start := time.Now()
-	buildBefore := e.buildNanos.Load()
+	// waited is the time the main loop spent running a preparation or
+	// blocked on one: build time, not search time.
+	var waited time.Duration
 	defer func() {
-		// Graph builds triggered lazily inside this call are already
-		// accounted to the build phase; the remainder is search.
-		buildDelta := e.buildNanos.Load() - buildBefore
-		e.searchNanos.Add(time.Since(start).Nanoseconds() - buildDelta)
+		e.searchNanos.Add((time.Since(start) - waited).Nanoseconds())
 	}()
+	var a *ahead
+	aheadTried := e.noAhead
 	tau, tauCtx, tauGi := e.validatedTau()
 	var best searchResult
 	var bestCtx *Context
@@ -508,11 +613,11 @@ func (e *Engine) NextGroupCtx(ctx context.Context) *Group {
 		it := heap.Pop(e.units).(unit)
 		c := e.ctxs[it.ctx]
 		if it.gi == -1 {
-			if c.Prepared() {
-				continue // already expanded
-			}
-			if c.AliveCount() == 0 {
+			if c.expanded {
 				continue
+			}
+			if len(c.Reps) == len(c.preDead) {
+				continue // nothing alive
 			}
 			if tau >= it.up && fallbackCtx != nil {
 				// Even this whole context cannot beat τ; put it back
@@ -520,7 +625,16 @@ func (e *Engine) NextGroupCtx(ctx context.Context) *Group {
 				heap.Push(e.units, it)
 				break
 			}
-			e.prepare(ctx, c)
+			if !c.Prepared() {
+				if !aheadTried {
+					aheadTried = true
+					a = e.startAhead(ctx, c, tau)
+				}
+				t := time.Now()
+				e.prepare(ctx, c, nil)
+				waited += time.Since(t)
+			}
+			c.expanded, c.ahead = true, false
 			for gi, g := range c.Graphs {
 				if g != nil && c.alive[gi] {
 					heap.Push(e.units, unit{ctx: it.ctx, gi: gi, up: c.up[gi]})
@@ -546,6 +660,9 @@ func (e *Engine) NextGroupCtx(ctx context.Context) *Group {
 		res, ok := c.SearchPivot(c.Graphs[it.gi], tau, searchOpts)
 		if ok {
 			tau = res.count
+			if a != nil {
+				a.tau.Store(int64(tau))
+			}
 			best = res
 			bestCtx = c
 			c.lo[it.gi] = res.count
@@ -556,6 +673,11 @@ func (e *Engine) NextGroupCtx(ctx context.Context) *Group {
 			c.up[it.gi] = tau
 		}
 		heap.Push(e.units, unit{ctx: it.ctx, gi: it.gi, up: c.up[it.gi]})
+	}
+	if a != nil {
+		t := time.Now()
+		a.join()
+		waited += time.Since(t)
 	}
 
 	if bestCtx == nil {

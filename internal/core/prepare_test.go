@@ -20,6 +20,12 @@ import (
 // extracts from one generated dataset's standardization column, as the
 // engine receives them.
 func datagenReps(family string, seed int64, scale float64) []Rep {
+	return storeReps(datagenStore(family, seed, scale))
+}
+
+// datagenStore is the candidate store of one generated dataset's
+// standardization column.
+func datagenStore(family string, seed int64, scale float64) *replace.Store {
 	cfg := datagen.Config{Seed: seed, Scale: scale}
 	var g *datagen.Generated
 	switch family {
@@ -32,7 +38,13 @@ func datagenReps(family string, seed int64, scale float64) []Rep {
 	default:
 		panic("unknown dataset family " + family)
 	}
-	cands := replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true}).Candidates()
+	return replace.NewStore(g.Data, g.Col, replace.Options{TokenLevel: true})
+}
+
+// storeReps returns a store's candidate replacements as the engine
+// receives them.
+func storeReps(st *replace.Store) []Rep {
+	cands := st.Candidates()
 	reps := make([]Rep, 0, len(cands))
 	for _, c := range cands {
 		reps = append(reps, Rep{S: c.LHS, T: c.RHS, Ext: c.ID})

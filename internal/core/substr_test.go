@@ -20,10 +20,10 @@ func naiveCountSubstrings(m map[string]int, s string, maxLen int) {
 	}
 }
 
-// globalCounts reads an index's global counts back by substring.
+// globalCounts reads a sealed index's global counts back by substring.
 func globalCounts(x *substrIndex) map[string]int {
-	m := make(map[string]int, len(x.ids))
-	for k, id := range x.ids {
+	m := make(map[string]int, len(x.names))
+	for id, k := range x.names {
 		if n := x.global[id]; n != 0 {
 			m[k] = int(n)
 		}
@@ -61,12 +61,14 @@ func TestCountSubstringsMatchesNaive(t *testing.T) {
 			naiveCountSubstrings(want, s, maxLen)
 			x := newSubstrIndex(maxLen)
 			x.add(s)
+			x.seal()
 			diffCounts(t, fmt.Sprintf("index(%q, %d)", s, maxLen), globalCounts(x), want)
 			for rep := 0; rep < 3; rep++ {
 				all.add(s)
 				naiveCountSubstrings(wantAll, s, maxLen)
 			}
 		}
+		all.seal()
 		diffCounts(t, fmt.Sprintf("column index(maxLen %d)", maxLen), globalCounts(all), wantAll)
 		if n := len(all.off) - 1; n != len(inputs) {
 			t.Errorf("maxLen %d: %d target lists cached, want %d", maxLen, n, len(inputs))
@@ -74,9 +76,10 @@ func TestCountSubstringsMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestCountSubstringsASCIIAllocs gates the hot path: re-adding a target
-// the index has seen must not allocate at all — it re-adds the cached
-// ids without hashing the target again.
+// TestCountSubstringsASCIIAllocs gates the hot paths: re-adding a
+// target the index has seen must not allocate at all — it counts one
+// more occurrence without laying the target out again — and neither
+// must a shard numbering a target whose substrings it has numbered.
 func TestCountSubstringsASCIIAllocs(t *testing.T) {
 	assertReAddNoAllocs(t, "Smith, James A. 42nd")
 }
@@ -91,15 +94,28 @@ func assertReAddNoAllocs(t *testing.T, s string) {
 	t.Helper()
 	x := newSubstrIndex(maxConstLen)
 	x.add(s)
-	ids, listed := len(x.ids), len(x.lists)
+	targets, slots := len(x.keys), x.off[len(x.off)-1]
 	allocs := testing.AllocsPerRun(100, func() {
 		x.add(s)
 	})
 	if allocs != 0 {
 		t.Errorf("re-adding %q allocated %.1f per run, want 0", s, allocs)
 	}
-	if len(x.ids) != ids || len(x.lists) != listed {
-		t.Errorf("re-adding %q hashed it again: %d new substrings, %d new list entries", s, len(x.ids)-ids, len(x.lists)-listed)
+	if len(x.keys) != targets || x.off[len(x.off)-1] != slots {
+		t.Errorf("re-adding %q laid it out again: %d new targets, %d new slots", s, len(x.keys)-targets, x.off[len(x.off)-1]-slots)
+	}
+	x.lists, x.wholes = make([]int32, slots), make([]int32, 1)
+	sh := tableShard{ids: make(map[string]int32)}
+	sh.fill(x, 0, 0, 1)
+	names := len(sh.names)
+	allocs = testing.AllocsPerRun(100, func() {
+		sh.fill(x, 0, 0, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("numbering seen %q allocated %.1f per run, want 0", s, allocs)
+	}
+	if len(sh.names) != names {
+		t.Errorf("numbering seen %q numbered %d new substrings", s, len(sh.names)-names)
 	}
 }
 
@@ -174,11 +190,14 @@ func BenchmarkCountSubstrings(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("%s/len=%d", tc.name, len(tc.s)), func(b *testing.B) {
 			x := newSubstrIndex(maxConstLen)
-			ids := x.appendIDs(nil, tc.s)
+			x.add(tc.s)
+			x.lists, x.wholes = make([]int32, x.off[1]), make([]int32, 1)
+			sh := tableShard{ids: make(map[string]int32)}
+			sh.fill(x, 0, 0, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ids = x.appendIDs(ids[:0], tc.s)
+				sh.fill(x, 0, 0, 1)
 			}
 		})
 	}
@@ -199,5 +218,95 @@ func TestSealedIndexOnlyLooksUp(t *testing.T) {
 			t.Fatal("sealed index numbered a new target")
 		}
 	}()
-	x.list("M. Lee")
+	x.add("M. Lee")
+}
+
+// TestConstantTableMatchesSerialReference is the differential for the
+// sharded numbering: on an ASCII, an é and an invalid-UTF-8 pool, at 1,
+// 2 and 3 workers and at GOMAXPROCS (CI runs it at -cpu 1,2), every
+// target's ids name its rune-aligned substrings of at most maxConstLen
+// bytes in layout order, then the whole target; ids are injective; and
+// every substring's global count, and its structural count in each
+// structure group, equal a serial map[string]int reference.
+func TestConstantTableMatchesSerialReference(t *testing.T) {
+	pools := map[string][]Rep{
+		"ascii": datagenReps("address", 1000, 0.1),
+		"é":     accentPool(),
+		"invalid": {
+			{S: "a", T: "ab\xffcd", Ext: 0},
+			{S: "b", T: "ab\xfecd", Ext: 1},
+			{S: "a", T: "\xff\xfe\xc3(é", Ext: 2},
+			{S: "c", T: "ab\xffcd", Ext: 3},
+			{S: "d", T: "x\xe2\x82 Müller \xff", Ext: 4},
+			{S: "e", T: "ab�cd", Ext: 5},
+		},
+	}
+	for name, reps := range pools {
+		global := map[string]int{}
+		for _, r := range reps {
+			naiveCountSubstrings(global, r.T, maxConstLen)
+		}
+		for _, workers := range []int{1, 2, 3, 0} {
+			x := newSubstrIndex(maxConstLen)
+			for _, r := range reps {
+				x.add(r.T)
+			}
+			if workers == 0 {
+				x.seal()
+			} else {
+				x.number(workers)
+			}
+			leg := fmt.Sprintf("%s/workers=%d", name, workers)
+			seen := make(map[string]int32, len(x.names))
+			for id, k := range x.names {
+				if other, ok := seen[k]; ok {
+					t.Fatalf("%s: ids %d and %d both name %q", leg, other, id, k)
+				}
+				seen[k] = int32(id)
+			}
+			diffCounts(t, leg+" global", globalCounts(x), global)
+			for _, c := range splitByStructure(reps) {
+				structural := map[string]int{}
+				for _, r := range c.Reps {
+					naiveCountSubstrings(structural, r.T, maxConstLen)
+				}
+				x.countContext(c)
+				for _, r := range c.Reps {
+					ids, whole := x.Target(r.T)
+					rt := []rune(r.T)
+					if got := x.Name(whole); got != string(rt) {
+						t.Fatalf("%s: whole target %q named %q", leg, r.T, got)
+					}
+					p := 0
+					for a := 0; a < len(rt); a++ {
+						for b := a + 1; b <= len(rt) && len(string(rt[a:b])) <= maxConstLen; b++ {
+							sub := string(rt[a:b])
+							if p >= len(ids) || x.Name(ids[p]) != sub {
+								t.Fatalf("%s: target %q's id %d does not name %q", leg, r.T, p, sub)
+							}
+							if got := x.structural[ids[p]]; int(got) != structural[sub] {
+								t.Fatalf("%s structure %q: structural[%q] = %d, want %d", leg, c.Sig, sub, got, structural[sub])
+							}
+							p++
+						}
+					}
+					if p != len(ids) {
+						t.Fatalf("%s: target %q has %d ids, want %d", leg, r.T, len(ids), p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// accentPool is a column whose targets are mostly é: every é starts
+// with the same byte, so one worker owns the bulk of the substrings.
+func accentPool() []Rep {
+	words := []string{"é", "éé", "née", "Müller é", "ééééééééé", "café é", "É é", "aé", "éa"}
+	var reps []Rep
+	for i := 0; i < 3*len(words); i++ {
+		w := words[i%len(words)]
+		reps = append(reps, Rep{S: fmt.Sprint(i % 4), T: w + words[(i/len(words)+i)%len(words)], Ext: i})
+	}
+	return reps
 }

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 func timingReps() []Rep {
 	return []Rep{
@@ -34,6 +38,33 @@ func TestTimingsAccumulate(t *testing.T) {
 	gs := e.GraphStats()
 	if gs.Nodes == 0 || gs.Edges == 0 || gs.Labels == 0 {
 		t.Errorf("GraphStats = %+v, want non-zero after lazy builds", gs)
+	}
+
+	// With prepare-ahead building while the main loop searches, no phase
+	// shrinks (goldrecd observes their deltas) and GroupSearch stays
+	// within the wall time of the NextGroup calls.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	e = NewEngine(datagenReps("address", 1000, 0.1), sessionOptions())
+	var wall time.Duration
+	last := e.Timings()
+	for i := 0; i < 20; i++ {
+		start := time.Now()
+		g := e.NextGroup()
+		wall += time.Since(start)
+		if g == nil {
+			break
+		}
+		tm := e.Timings()
+		if tm.GraphBuild < last.GraphBuild || tm.GroupSearch < last.GroupSearch || tm.ContextPrep != last.ContextPrep {
+			t.Fatalf("group %d: timings went from %+v to %+v", i, last, tm)
+		}
+		if tm.GroupSearch > wall {
+			t.Fatalf("group %d: GroupSearch %v exceeds the %v NextGroup took", i, tm.GroupSearch, wall)
+		}
+		last = tm
+	}
+	if last.GraphBuild <= 0 || last.GroupSearch <= 0 {
+		t.Errorf("timings = %+v, want build and search > 0 after 20 groups", last)
 	}
 }
 

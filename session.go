@@ -480,10 +480,14 @@ func (s *Session) Stats() SessionStats { return s.stats }
 
 // PhaseTimings reports the cumulative wall time the session's engine
 // spent in each phase: context preparation (structure split and the
-// constant scorer's substring index), graph build (transformation-graph
-// construction and indexing; parallel, so its CPU time can exceed
-// GraphBuild), and group search (pivot path search and group
-// assembly). Durations marshal to JSON as nanoseconds.
+// constant table), graph build (transformation-graph construction and
+// indexing, each structure group's preparation timed whichever
+// goroutine ran it), and group search (pivot path search and group
+// assembly, NextGroup's wall time less the time it ran or waited on a
+// preparation). NextGroup prepares structure groups ahead while it
+// searches, so GraphBuild and GroupSearch may overlap; each phase also
+// runs on several goroutines, so its CPU time can exceed its duration.
+// Every field only grows. Durations marshal to JSON as nanoseconds.
 type PhaseTimings struct {
 	ContextPrep time.Duration `json:"context_prep_ns"`
 	GraphBuild  time.Duration `json:"graph_build_ns"`
